@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .dpda import (
-    EPSILON,
     Configuration,
     Dpda,
     StackWord,
     Word,
+    _configuration,
+    _drive,
     advance,
     config_member,
     step_closure,
@@ -67,12 +68,9 @@ class PopSummary:
 
     entries[(p, X)] maps each state q reachable from pX with X fully popped
     to one witness input word (minimal length, ties broken lexicographically).
-    eps_entries holds the ε-only variant, which by determinism has at most
-    one target per key.
     """
 
     entries: Mapping[tuple[str, str], Mapping[str, Word]]
-    eps_entries: Mapping[tuple[str, str], str]
 
     def to_json_dict(self) -> dict:
         return {
@@ -80,10 +78,6 @@ class PopSummary:
                 {"from": p, "top": x, "to": q, "witness": w}
                 for (p, x) in sorted(self.entries)
                 for q, w in sorted(self.entries[(p, x)].items())
-            ],
-            "eps_entries": [
-                {"from": p, "top": x, "to": q}
-                for (p, x), q in sorted(self.eps_entries.items())
             ],
         }
 
@@ -188,13 +182,7 @@ def pop_summaries(m: Dpda) -> PopSummary:
                     targets[q2] = w
                     changed = True
 
-    eps_entries = {
-        (r.from_state, r.top): r.to_state for r in m.rules if r.label == EPSILON
-    }
-    return PopSummary(
-        entries={k: dict(v) for k, v in entries.items() if v},
-        eps_entries=eps_entries,
-    )
+    return PopSummary(entries={k: dict(v) for k, v in entries.items() if v})
 
 
 def down_states(s: PopSummary, c: Configuration) -> frozenset[str]:
@@ -209,22 +197,18 @@ def down_states(s: PopSummary, c: Configuration) -> frozenset[str]:
     return frozenset(current)
 
 
-def eps_down_state(s: PopSummary, c: Configuration) -> Optional[str]:
-    """The unique state reached from c by ε-popping the whole stack, if any."""
-    state = c.state
-    for symbol in c.stack:
-        nxt = s.eps_entries.get((state, symbol))
-        if nxt is None:
-            return None
-        state = nxt
-    return state
+def eps_down_state(m: Dpda, c: Configuration) -> Optional[str]:
+    """The unique state reached from c by ε-popping the whole stack, if any:
+    the end of c's ε-closure when that closure empties the stack."""
+    stack = list(reversed(c.stack))
+    state, _, _ = _drive(m, c.state, stack, "")
+    return None if stack else state
 
 
-def pop_witnesses(s: PopSummary, state: str, stack: StackWord) -> dict[str, Word]:
-    """Witness words for popping the whole stack word from `state`.
-
-    One (length, lex)-minimal composite witness per reachable end state.
-    """
+def _pop_prefixes(s: PopSummary, state: str, stack: StackWord):
+    """For each prefix of the stack word, shortest first, the witness words
+    for popping it from `state`: one (length, lex)-minimal composite witness
+    per reachable end state.  Stops after the first prefix with none."""
     current: dict[str, Word] = {state: ""}
     for symbol in stack:
         step: dict[str, Word] = {}
@@ -235,8 +219,19 @@ def pop_witnesses(s: PopSummary, state: str, stack: StackWord) -> dict[str, Word
                 if old is None or (len(cand), cand) < (len(old), old):
                     step[q2] = cand
         current = step
+        yield current
         if not current:
-            break
+            return
+
+
+def pop_witnesses(s: PopSummary, state: str, stack: StackWord) -> dict[str, Word]:
+    """Witness words for popping the whole stack word from `state`.
+
+    One (length, lex)-minimal composite witness per reachable end state.
+    """
+    current: dict[str, Word] = {state: ""}
+    for current in _pop_prefixes(s, state, stack):
+        pass
     return current
 
 
@@ -253,21 +248,7 @@ def _pop_probes(s: PopSummary, c: Configuration) -> list[Word]:
     somewhere down their stacks: each word drives the configuration to a
     known state with a known stack remainder.
     """
-    probes: list[Word] = []
-    current: dict[str, Word] = {c.state: ""}
-    for symbol in c.stack:
-        step: dict[str, Word] = {}
-        for q, w in current.items():
-            for q2, w2 in s.entries.get((q, symbol), {}).items():
-                cand = w + w2
-                old = step.get(q2)
-                if old is None or (len(cand), cand) < (len(old), old):
-                    step[q2] = cand
-        current = step
-        if not current:
-            break
-        probes.extend(current.values())
-    return probes
+    return [w for layer in _pop_prefixes(s, c.state, c.stack) for w in layer.values()]
 
 
 def distinguishing_word(
@@ -422,36 +403,19 @@ def find_divergent_word(m: Dpda, target_length: int, suffix_budget: int) -> Word
 def _micro_heights(m: Dpda, u: Word) -> tuple[list[tuple[int, Configuration]], list[int]]:
     """Stable configurations per consumed prefix plus the heights of every
     configuration visited (including unstable ones inside ε-chains)."""
-    visible = m.visible
-    eps = m.eps
-
-    state = m.start_state
     stack = [m.start_symbol]
-    heights: list[int] = []
+    heights = [len(stack)]
 
-    def close() -> None:
-        nonlocal state
-        while stack:
-            nxt = eps.get((state, stack[-1]))
-            if nxt is None:
-                break
-            state = nxt
-            stack.pop()
-            heights.append(len(stack))
-
-    heights.append(len(stack))
-    close()
-    stables = [(len(heights) - 1, Configuration(state, tuple(reversed(stack))))]
-    for ch in u:
-        hit = visible.get((state, stack[-1], ch)) if stack else None
-        if hit is None:
-            break
-        state, push = hit
-        stack.pop()
-        stack.extend(reversed(push))
+    def visit(label: str, state: str, stack: list[str]) -> None:
         heights.append(len(stack))
-        close()
-        stables.append((len(heights) - 1, Configuration(state, tuple(reversed(stack)))))
+
+    state, _, _ = _drive(m, m.start_state, stack, "", visit)
+    stables = [(len(heights) - 1, _configuration(state, stack))]
+    for ch in u:
+        state, _, consumed = _drive(m, state, stack, ch, visit)
+        if not consumed:
+            break
+        stables.append((len(heights) - 1, _configuration(state, stack)))
     return stables, heights
 
 

@@ -103,20 +103,17 @@ class Dpda:
     completed: bool = False
 
     @cached_property
-    def visible(self) -> dict[tuple[str, str, str], tuple[str, StackWord]]:
-        """(state, top, symbol) -> (next state, pushed word)."""
-        table = {}
+    def moves(self) -> dict[tuple[str, str], str | dict[str, tuple[str, StackWord]]]:
+        """(state, top) -> the target state of its ε-rule, or a dict from
+        each letter to (next state, pushed word with the top last)."""
+        table: dict = {}
         for r in self.rules:
-            if r.label != EPSILON:
-                table[(r.from_state, r.top, r.label)] = (r.to_state, r.push)
+            key = (r.from_state, r.top)
+            if r.label == EPSILON:
+                table[key] = r.to_state
+            else:
+                table.setdefault(key, {})[r.label] = (r.to_state, r.push[::-1])
         return table
-
-    @cached_property
-    def eps(self) -> dict[tuple[str, str], str]:
-        """(state, top) -> next state for the (popping) ε-rules."""
-        return {
-            (r.from_state, r.top): r.to_state for r in self.rules if r.label == EPSILON
-        }
 
     def start_configuration(self) -> Configuration:
         return Configuration(self.start_state, (self.start_symbol,))
@@ -289,6 +286,49 @@ def _fresh(base: str, taken: frozenset[str]) -> str:
     return f"{base}{i}"
 
 
+def _drive(m: Dpda, state: str, stack: list[str], word: Word, visit=None) -> tuple[str, bool, int]:
+    """The one stepping loop: ε-close, then read `word` letter by letter,
+    ε-closing after each letter.
+
+    `stack` holds the top last and is updated in place.  Returns the final
+    state, whether an accepting state was seen since the last consumed
+    letter (for the empty word: on the closure of the given state), and how
+    many letters were consumed; fewer than len(word) means the run got
+    stuck.  `visit(label, state, stack)` is called after every step, with
+    label "" for ε-steps.  ε-steps pop, so every closure is finite.
+    """
+    moves = m.moves
+    accepting = m.accepting
+    acc = state in accepting
+    consumed = 0
+    while True:
+        move = moves.get((state, stack[-1])) if stack else None
+        if type(move) is str:
+            state = move
+            stack.pop()
+            acc = acc or state in accepting
+            if visit is not None:
+                visit(EPSILON, state, stack)
+            continue
+        if consumed == len(word) or move is None:
+            return state, acc, consumed
+        a = word[consumed]
+        hit = move.get(a)
+        if hit is None:
+            return state, acc, consumed
+        state, pushed = hit
+        stack.pop()
+        stack.extend(pushed)
+        acc = state in accepting
+        consumed += 1
+        if visit is not None:
+            visit(a, state, stack)
+
+
+def _configuration(state: str, stack: list[str]) -> Configuration:
+    return Configuration(state, tuple(reversed(stack)))
+
+
 def step_closure(m: Dpda, c: Configuration) -> tuple[Configuration, bool]:
     """Follow the maximal ε-chain from c.
 
@@ -296,18 +336,9 @@ def step_closure(m: Dpda, c: Configuration) -> tuple[Configuration, bool]:
     state on the chain (including c's own state) is accepting.  The chain is
     finite because every ε-step pops exactly one symbol.
     """
-    eps = m.eps
-    state = c.state
     stack = list(reversed(c.stack))
-    acc = state in m.accepting
-    while stack:
-        nxt = eps.get((state, stack[-1]))
-        if nxt is None:
-            break
-        state = nxt
-        stack.pop()
-        acc = acc or state in m.accepting
-    return Configuration(state, tuple(reversed(stack))), acc
+    state, acc, _ = _drive(m, c.state, stack, EPSILON)
+    return _configuration(state, stack), acc
 
 
 def complete_dpda(m: Dpda) -> Dpda:
@@ -329,41 +360,29 @@ def complete_dpda(m: Dpda) -> Dpda:
     stack_alphabet = set(m.stack_alphabet) | {bot}
     accepting = set(m.accepting)
     sigma = sorted(m.input_alphabet)
+    moves = m.moves
 
     # ε-closure of the conceptual start q0 X0 ⊥ (⊥ has no rules).
-    eps = m.eps
-    state = m.start_state
-    stack = [bot, m.start_symbol]
-    start_acc = state in m.accepting
-    while len(stack) > 1:
-        nxt = eps.get((state, stack[-1]))
-        if nxt is None:
-            break
-        state = nxt
-        stack.pop()
-        start_acc = start_acc or state in m.accepting
+    start, start_acc = step_closure(m, Configuration(m.start_state, (m.start_symbol, bot)))
     if start_acc:
         accepting.add(init)
-
-    visible = m.visible
-    stable_stack = tuple(reversed(stack))
+    letters = moves.get((start.state, start.stack[0]), {})
     for a in sigma:
-        hit = visible.get((state, stable_stack[0], a)) if stable_stack[0] != bot else None
+        hit = letters.get(a)
         if hit is None:
             rules.append(Rule(init, bot, a, fail, (bot,)))
         else:
-            to_state, push = hit
-            rules.append(Rule(init, bot, a, to_state, push + stable_stack[1:]))
+            to_state, pushed = hit
+            rules.append(Rule(init, bot, a, to_state, pushed[::-1] + start.stack[1:]))
 
     # Route every remaining stuck (state, top, symbol) hole to the fail state.
-    eps_keys = {(r.from_state, r.top) for r in m.rules if r.label == EPSILON}
-    visible_keys = {(r.from_state, r.top, r.label) for r in m.rules if r.label != EPSILON}
     for q in sorted(states - {init}):
         for x in sorted(stack_alphabet):
-            if (q, x) in eps_keys:
-                continue
+            letters = moves.get((q, x), {})
+            if type(letters) is str:
+                continue  # an ε-rule applies
             for a in sigma:
-                if (q, x, a) not in visible_keys:
+                if a not in letters:
                     rules.append(Rule(q, x, a, fail, (x,)))
 
     return Dpda(
@@ -387,47 +406,19 @@ def run(m: Dpda, word: Word, keep_trace: bool = False) -> RunResult:
     accepting state.  Raises StuckError on machines that were not completed
     when no rule applies.
     """
-    visible = m.visible
-    eps = m.eps
-    accepting = m.accepting
-
-    state = m.start_state
-    stack = [m.start_symbol]
     trace: list[tuple[str, Configuration]] = []
 
-    acc = state in accepting
-    while stack:
-        nxt = eps.get((state, stack[-1]))
-        if nxt is None:
-            break
-        state = nxt
-        stack.pop()
-        acc = acc or state in accepting
-        if keep_trace:
-            trace.append((EPSILON, Configuration(state, tuple(reversed(stack)))))
+    def record(label: str, state: str, stack: list[str]) -> None:
+        trace.append((label, _configuration(state, stack)))
 
-    for i, a in enumerate(word):
-        hit = visible.get((state, stack[-1], a)) if stack else None
-        if hit is None:
-            raise StuckError(i)
-        state, push = hit
-        stack.pop()
-        stack.extend(reversed(push))
-        acc = state in accepting
-        if keep_trace:
-            trace.append((a, Configuration(state, tuple(reversed(stack)))))
-        while stack:
-            nxt = eps.get((state, stack[-1]))
-            if nxt is None:
-                break
-            state = nxt
-            stack.pop()
-            acc = acc or state in accepting
-            if keep_trace:
-                trace.append((EPSILON, Configuration(state, tuple(reversed(stack)))))
-
+    stack = [m.start_symbol]
+    state, acc, consumed = _drive(
+        m, m.start_state, stack, word, record if keep_trace else None
+    )
+    if consumed < len(word):
+        raise StuckError(consumed)
     return RunResult(
-        final=Configuration(state, tuple(reversed(stack))),
+        final=_configuration(state, stack),
         visited_accepting_after_consume=acc,
         trace=tuple(trace),
     )
@@ -439,35 +430,9 @@ def member(m: Dpda, word: Word) -> bool:
     Traceless fast path of `run`; verification grids call this millions of
     times.
     """
-    visible = m.visible
-    eps = m.eps
-    accepting = m.accepting
-
-    state = m.start_state
-    stack = [m.start_symbol]
-    acc = state in accepting
-    while stack:
-        nxt = eps.get((state, stack[-1]))
-        if nxt is None:
-            break
-        state = nxt
-        stack.pop()
-        acc = acc or state in accepting
-    for i, a in enumerate(word):
-        hit = visible.get((state, stack[-1], a)) if stack else None
-        if hit is None:
-            raise StuckError(i)
-        state, push = hit
-        stack.pop()
-        stack.extend(reversed(push))
-        acc = state in accepting
-        while stack:
-            nxt = eps.get((state, stack[-1]))
-            if nxt is None:
-                break
-            state = nxt
-            stack.pop()
-            acc = acc or state in accepting
+    _, acc, consumed = _drive(m, m.start_state, [m.start_symbol], word)
+    if consumed < len(word):
+        raise StuckError(consumed)
     return acc
 
 
@@ -479,36 +444,11 @@ def advance(m: Dpda, c: Configuration, word: Word) -> Optional[tuple[Configurati
     itself), or None when the run gets stuck, which on a completed machine
     can only happen from a configuration whose stack runs empty.
     """
-    visible = m.visible
-    eps = m.eps
-    accepting = m.accepting
-
-    state = c.state
     stack = list(reversed(c.stack))
-    acc = state in accepting
-    while stack:
-        nxt = eps.get((state, stack[-1]))
-        if nxt is None:
-            break
-        state = nxt
-        stack.pop()
-        acc = acc or state in accepting
-    for a in word:
-        hit = visible.get((state, stack[-1], a)) if stack else None
-        if hit is None:
-            return None
-        state, push = hit
-        stack.pop()
-        stack.extend(reversed(push))
-        acc = state in accepting
-        while stack:
-            nxt = eps.get((state, stack[-1]))
-            if nxt is None:
-                break
-            state = nxt
-            stack.pop()
-            acc = acc or state in accepting
-    return Configuration(state, tuple(reversed(stack))), acc
+    state, acc, consumed = _drive(m, c.state, stack, word)
+    if consumed < len(word):
+        return None
+    return _configuration(state, stack), acc
 
 
 def config_member(m: Dpda, c: Configuration, word: Word) -> bool:
@@ -517,5 +457,5 @@ def config_member(m: Dpda, c: Configuration, word: Word) -> bool:
     A run that strands (empty stack mid-word) rejects; in particular an
     empty-stack configuration accepts nothing but possibly ε.
     """
-    result = advance(m, c, word)
-    return result[1] if result is not None else False
+    _, acc, consumed = _drive(m, c.state, list(reversed(c.stack)), word)
+    return acc and consumed == len(word)

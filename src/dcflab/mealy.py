@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, Optional, Sequence
 
-from .dpda import Dpda, InvalidMachineError, Violation, complete_dpda, member
+from .dpda import Dpda, InvalidMachineError, Violation, _fresh, complete_dpda, member
 
 _MEALY_FIELDS = frozenset(
     {
@@ -320,13 +320,21 @@ def identity_machine(alphabet: Sequence[str]) -> OracleMealyMachine:
     )
 
 
-def _fresh(base: str, taken: frozenset[str]) -> str:
-    if base not in taken:
-        return base
-    i = 2
-    while f"{base}{i}" in taken:
-        i += 1
-    return f"{base}{i}"
+def _product_machine(
+    input_alphabet, oracle_alphabet, start: tuple, delta: dict, outputs: dict, per_state: dict
+) -> OracleMealyMachine:
+    """Name each product state (a tuple of component states) once, by its
+    JSON array, which is injective where joining names with commas is not."""
+    name = {pair: json.dumps(pair, ensure_ascii=False) for pair in per_state}
+    return OracleMealyMachine(
+        states=frozenset(name.values()),
+        input_alphabet=input_alphabet,
+        oracle_alphabet=oracle_alphabet,
+        delta={(name[p], ch): name[t] for (p, ch), t in delta.items()},
+        outputs={(name[p], ch): out for (p, ch), out in outputs.items()},
+        start_state=name[start],
+        per_state={name[p]: spec for p, spec in per_state.items()},
+    )
 
 
 def compose(a1: OracleMealyMachine, a2: OracleMealyMachine) -> OracleMealyMachine:
@@ -344,19 +352,16 @@ def compose(a1: OracleMealyMachine, a2: OracleMealyMachine) -> OracleMealyMachin
     if a1.oracle_alphabet != a2.input_alphabet:
         raise ValueError("oracle alphabet of the front machine must feed the back machine")
 
-    def name(q1: str, q2: Optional[str]) -> str:
-        return f"({q1},{q2 if q2 is not None else '#'})"
-
+    Pair = tuple[str, Optional[str]]
     start = (a1.start_state, a2.start_state)
-    seen: set[tuple[str, Optional[str]]] = {start}
-    todo: list[tuple[str, Optional[str]]] = [start]
-    delta: dict[tuple[str, str], str] = {}
-    outputs: dict[tuple[str, str], str] = {}
-    per_state: dict[str, QuerySpec] = {}
+    seen: set[Pair] = {start}
+    todo: list[Pair] = [start]
+    delta: dict[tuple[Pair, str], Pair] = {}
+    outputs: dict[tuple[Pair, str], str] = {}
+    per_state: dict[Pair, QuerySpec] = {}
 
     while todo:
-        q1, q2 = todo.pop()
-        here = name(q1, q2)
+        here = q1, q2 = todo.pop()
         for ch in sorted(a1.input_alphabet):
             t1 = a1.delta.get((q1, ch))
             if t1 is None:
@@ -370,7 +375,7 @@ def compose(a1: OracleMealyMachine, a2: OracleMealyMachine) -> OracleMealyMachin
                     t2, out = None, ""
                 else:
                     t2, out = mid
-            delta[(here, ch)] = name(t1, t2)
+            delta[(here, ch)] = (t1, t2)
             outputs[(here, ch)] = out
             if (t1, t2) not in seen:
                 seen.add((t1, t2))
@@ -408,15 +413,7 @@ def compose(a1: OracleMealyMachine, a2: OracleMealyMachine) -> OracleMealyMachin
             rows.append(table1.value(answers))
         per_state[here] = (tuple(suffixes), TruthTable(total, tuple(rows)))
 
-    return OracleMealyMachine(
-        states=frozenset(per_state),
-        input_alphabet=a1.input_alphabet,
-        oracle_alphabet=a2.oracle_alphabet,
-        delta=delta,
-        outputs=outputs,
-        start_state=name(*start),
-        per_state=per_state,
-    )
+    return _product_machine(a1.input_alphabet, a2.oracle_alphabet, start, delta, outputs, per_state)
 
 
 def complement_machine(a: OracleMealyMachine) -> OracleMealyMachine:
@@ -456,24 +453,21 @@ def restrict_regular(a: OracleMealyMachine, d: Dfa) -> OracleMealyMachine:
     if d.alphabet != a.input_alphabet:
         raise ValueError("DFA alphabet must match the machine's input alphabet")
 
-    def name(q: str, s: str) -> str:
-        return f"({q},{s})"
-
+    Pair = tuple[str, str]
     start = (a.start_state, d.start)
     seen = {start}
     todo = [start]
-    delta: dict[tuple[str, str], str] = {}
-    outputs: dict[tuple[str, str], str] = {}
-    per_state: dict[str, QuerySpec] = {}
+    delta: dict[tuple[Pair, str], Pair] = {}
+    outputs: dict[tuple[Pair, str], str] = {}
+    per_state: dict[Pair, QuerySpec] = {}
     while todo:
-        q, s = todo.pop()
-        here = name(q, s)
+        here = q, s = todo.pop()
         for ch in sorted(a.input_alphabet):
             t1 = a.delta.get((q, ch))
             if t1 is None:
                 continue
             t2 = d.transitions[(s, ch)]
-            delta[(here, ch)] = name(t1, t2)
+            delta[(here, ch)] = (t1, t2)
             outputs[(here, ch)] = a.outputs[(q, ch)]
             if (t1, t2) not in seen:
                 seen.add((t1, t2))
@@ -482,15 +476,7 @@ def restrict_regular(a: OracleMealyMachine, d: Dfa) -> OracleMealyMachine:
             per_state[here] = a.per_state[q]
         else:
             per_state[here] = ((), constant_table(False))
-    return OracleMealyMachine(
-        states=frozenset(per_state),
-        input_alphabet=a.input_alphabet,
-        oracle_alphabet=a.oracle_alphabet,
-        delta=delta,
-        outputs=outputs,
-        start_state=name(*start),
-        per_state=per_state,
-    )
+    return _product_machine(a.input_alphabet, a.oracle_alphabet, start, delta, outputs, per_state)
 
 
 def lift_dfa(d: Dfa, oracle_alphabet: Sequence[str]) -> OracleMealyMachine:
@@ -516,19 +502,6 @@ def lift_dfa(d: Dfa, oracle_alphabet: Sequence[str]) -> OracleMealyMachine:
 _ZERO_ONE_BLOCK = re.compile(r"0*1*")
 
 
-def _in_lsharp(w: str) -> bool:
-    n = len(w) // 2
-    return n >= 1 and w == "0" * n + "1" * n
-
-
-def _in_lr(w: str) -> bool:
-    i = w.find("c")
-    if i < 0 or w.find("c", i + 1) >= 0:
-        return False
-    left, right = w[:i], w[i + 1 :]
-    return left == right[::-1] and set(left) <= {"a", "b"}
-
-
 _OUTSIDE = object()
 
 
@@ -546,9 +519,9 @@ def refute_simplicity_LR(a: OracleMealyMachine, k_max: int) -> Optional[str]:
     exhausted without a collision that confirms (the machine may still be
     incorrect elsewhere).
     """
-    oracle = LanguageOracle(
-        alphabet=a.oracle_alphabet, membership=_in_lsharp, name="lsharp"
-    )
+    from .corpus import is_lr, is_lsharp  # corpus imports this module
+
+    oracle = LanguageOracle(alphabet=a.oracle_alphabet, membership=is_lsharp, name="lsharp")
     for k in range(1, k_max + 1):
         buckets: dict[tuple, str] = {}
         for chars in product("ab", repeat=k):
@@ -569,6 +542,6 @@ def refute_simplicity_LR(a: OracleMealyMachine, k_max: int) -> Optional[str]:
                 w2 + "c" + w2[::-1],
             )
             for cand in candidates:
-                if evaluate(a, oracle, cand) != _in_lr(cand):
+                if evaluate(a, oracle, cand) != is_lr(cand):
                     return cand
     return None

@@ -15,7 +15,7 @@ against the 0^n 1^n predicate on every binary word up to a length bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product
 from typing import Optional
 
@@ -30,6 +30,7 @@ from .analysis import (
     pop_summaries,
     pop_witnesses,
 )
+from .corpus import is_lsharp
 from .dpda import Configuration, Dpda, Word, complete_dpda, config_member
 from .mealy import (
     LanguageOracle,
@@ -96,6 +97,12 @@ class SearchBudgets:
     pump_limit: int = 32
     z_length: int = 6
     max_l: int = 200
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"budget {f.name} must be an integer >= 1, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -320,11 +327,6 @@ def build_lsharp_reducer(t: WitnessTuple, delta_alphabet) -> OracleMealyMachine:
     )
 
 
-def is_lsharp_word(w: Word) -> bool:
-    n = len(w) // 2
-    return n >= 1 and w == "0" * n + "1" * n
-
-
 def _check_reducer_agreement(
     reducer: OracleMealyMachine, oracle: LanguageOracle, max_len: int
 ) -> int:
@@ -347,7 +349,7 @@ def _check_reducer_agreement(
         else:
             suffixes, table = per_state[state]
             verdict = table.value([membership(out + s) for s in suffixes])
-        if verdict != is_lsharp_word(word):
+        if verdict != is_lsharp(word):
             raise AgreementFailureError(word)
         checked += 1
         if len(word) == max_len:
@@ -372,8 +374,10 @@ def reduce_lsharp(
     The reducer runs against the machine's own language as the oracle and
     must agree with the 0^n 1^n predicate on every binary word of length up
     to check_len.  Disagreement raises AgreementFailureError (unreachable
-    for a verified tuple).
+    for a verified tuple).  A negative check_len raises ValueError.
     """
+    if check_len < 0:
+        raise ValueError(f"check_len must be >= 0, not {check_len}")
     t = find_witness(m, budgets)
     reducer = build_lsharp_reducer(t, sorted(m.input_alphabet))
     oracle = oracle_from_dpda(m)

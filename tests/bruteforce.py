@@ -48,10 +48,9 @@ def ref_member(m, word):
     return acc
 
 
-def bfs_pop_states(m, state, stack, max_word_len):
-    """States reachable from (state, stack) with the whole stack consumed,
-    over pop paths whose input word has length <= max_word_len."""
-    has_eps = any(r.label == "" for r in m.rules)
+def _rule_tables(m):
+    """(state, top, letter) -> (to, push) and (state, top) -> (to, push) for
+    the ε-rules, read straight off the rule list."""
     visible = {}
     eps = {}
     for r in m.rules:
@@ -59,6 +58,14 @@ def bfs_pop_states(m, state, stack, max_word_len):
             eps[(r.from_state, r.top)] = (r.to_state, r.push)
         else:
             visible[(r.from_state, r.top, r.label)] = (r.to_state, r.push)
+    return visible, eps
+
+
+def bfs_pop_states(m, state, stack, max_word_len):
+    """States reachable from (state, stack) with the whole stack consumed,
+    over pop paths whose input word has length <= max_word_len."""
+    has_eps = any(r.label == "" for r in m.rules)
+    visible, eps = _rule_tables(m)
     sigma = sorted(m.input_alphabet)
 
     out = set()
@@ -109,18 +116,17 @@ def sweep_agreement(m, predicate, max_len):
     else None; walks the whole prefix tree of the input alphabet.
 
     Requires a completed machine (every node must have a successor)."""
-    visible = m.visible
-    eps = m.eps
+    visible, eps = _rule_tables(m)
     accepting = m.accepting
     sigma = sorted(m.input_alphabet)
 
     def close(state, stack, acc):
         while stack:
-            nxt = eps.get((state, stack[0]))
-            if nxt is None:
+            hit = eps.get((state, stack[0]))
+            if hit is None:
                 break
-            state = nxt
-            stack = stack[1:]
+            state = hit[0]
+            stack = hit[1] + stack[1:]
             acc = acc or state in accepting
         return state, stack, acc
 

@@ -127,7 +127,7 @@ def test_criterion_5_saturation_matches_brute_force():
                             state,
                             stack,
                         )
-                        assert eps_down_state(s, c) == bf.eps_pop_end(m, state, stack), (
+                        assert eps_down_state(m, c) == bf.eps_pop_end(m, state, stack), (
                             name,
                             state,
                             stack,

@@ -90,20 +90,16 @@ class TestPopSummaries:
                     assert res[0] == Configuration(q, ()), (p, x, q, w)
 
     def test_eps_entries_on_eps_machine(self, eps_chain):
-        s = pop_summaries(eps_chain)
-        assert s.eps_entries[("pe", "A")] == "hit"
-        assert s.eps_entries[("hit", "A")] == "pe"
-        assert eps_down_state(s, Configuration("pe", ("A", "A", "X0"))) == "done"
-        assert eps_down_state(s, Configuration("pe", ("A",))) == "hit"
-        assert eps_down_state(s, Configuration("p", ("A",))) is None
+        assert eps_down_state(eps_chain, Configuration("pe", ("A", "A", "X0"))) == "done"
+        assert eps_down_state(eps_chain, Configuration("pe", ("A",))) == "hit"
+        assert eps_down_state(eps_chain, Configuration("p", ("A",))) is None
 
     def test_eps_down_state_matches_direct_simulation(self, eps_chain):
-        s = pop_summaries(eps_chain)
         symbols = sorted(eps_chain.stack_alphabet)
         for state in sorted(eps_chain.states):
             for height in range(3):
                 for stack in product(symbols, repeat=height):
-                    got = eps_down_state(s, Configuration(state, stack))
+                    got = eps_down_state(eps_chain, Configuration(state, stack))
                     want = bf.eps_pop_end(eps_chain, state, stack)
                     assert got == want, (state, stack)
 
@@ -112,7 +108,7 @@ class TestPopSummaries:
         symbols = sorted(eps_chain.stack_alphabet)
         for state in sorted(eps_chain.states):
             for stack in product(symbols, repeat=2):
-                e = eps_down_state(s, Configuration(state, stack))
+                e = eps_down_state(eps_chain, Configuration(state, stack))
                 if e is not None:
                     assert e in down_states(s, Configuration(state, stack))
 

@@ -156,3 +156,15 @@ def test_corpus_documents_survive_cli_round_trip(tmp_path):
     path.write_text(json.dumps(corpus.entry_document(entry)))
     assert run_cli(["pda", "member", str(path), "(())()"]).exit_code == 0
     assert run_cli(["pda", "member", str(path), "(()"]).exit_code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "find", "--lang", "lsharp", "--max-l", "0"],
+        ["witness", "find", "--lang", "lsharp", "--max-l", "-1"],
+        ["reduce", "lsharp", "--lang", "lsharp", "--check-len", "-1"],
+    ],
+)
+def test_out_of_range_budget_is_exit_2(argv):
+    assert run_cli(argv).exit_code == 2

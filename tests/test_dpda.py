@@ -1,4 +1,6 @@
+import ast
 import copy
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -239,3 +241,67 @@ class TestConfigMember:
         empty_acc = Configuration("qf", ())
         assert config_member(lsharp, empty_acc, "")
         assert not config_member(lsharp, empty_acc, "1")
+
+
+WORDS_UP_TO_6 = list(bf.iter_words("01", 6))
+
+
+def random_eps_machine(rng):
+    """A raw machine over {0, 1} whose bottom symbol X0 is never popped.
+    Some (state, top) pairs above it, at least one, carry a popping ε-rule
+    and the others visible rules pushing up to two symbols.  Visible rules
+    are left out at random, so runs can stick.  Draws again until the
+    reference accepts some but not all words of length <= 6."""
+    while True:
+        states = [f"s{i}" for i in range(rng.randint(2, 4))]
+        bottom, *above = [f"X{i}" for i in range(rng.randint(2, 3))]
+        eps_pairs = {(rng.choice(states), rng.choice(above))}
+        rules = []
+        for p in states:
+            for x in [bottom, *above]:
+                if (p, x) in eps_pairs or (x != bottom and rng.random() < 0.35):
+                    rules.append({"from": p, "top": x, "label": "", "to": rng.choice(states), "push": []})
+                    continue
+                for a in "01":
+                    if rng.random() < 0.85:
+                        push = [rng.choice(above) for _ in range(rng.randint(0, 2))]
+                        if x == bottom:
+                            push.append(bottom)
+                        rules.append({"from": p, "top": x, "label": a, "to": rng.choice(states), "push": push})
+        raw = validate_dpda(
+            {
+                "states": states,
+                "input_alphabet": ["0", "1"],
+                "stack_alphabet": [bottom, *above],
+                "rules": rules,
+                "start_state": states[0],
+                "start_symbol": bottom,
+                "accepting": [q for q in states if rng.random() < 0.4],
+            }
+        )
+        accepted = sum(bf.ref_member(raw, w) for w in WORDS_UP_TO_6)
+        if 0 < accepted < len(WORDS_UP_TO_6):
+            return raw
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_runs_agree_with_reference_on_random_eps_machines(seed):
+    raw = random_eps_machine(random.Random(seed))
+    m = complete_dpda(raw)
+    for w in WORDS_UP_TO_6:
+        want = bf.ref_member(raw, w)
+        assert member(m, w) == want, w
+        assert run(m, w).visited_accepting_after_consume == want, w
+        assert advance(m, m.start_configuration(), w)[1] == want, w
+        assert config_member(raw, raw.start_configuration(), w) == want, w
+
+
+def test_reference_reads_only_the_rule_list():
+    tree = ast.parse(open(bf.__file__, encoding="utf-8").read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "dcflab" for a in node.names), node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[0] != "dcflab", node.lineno
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in {"visible", "eps", "moves"}, node.lineno

@@ -33,6 +33,34 @@ def words(alphabet, max_len):
     return list(bf.iter_words(alphabet, max_len))
 
 
+def comma_doc(states, start, moves, queries):
+    return {
+        "states": states,
+        "input_alphabet": ["0", "1"],
+        "oracle_alphabet": ["0", "1"],
+        "delta": [{"from": p, "on": c, "to": q} for p, c, q, _ in moves],
+        "lambda": [{"from": p, "on": c, "out": o} for p, c, _, o in moves],
+        "start_state": start,
+        "queries": [{"state": q, "suffixes": sf, "table": tb} for q, sf, tb in queries],
+    }
+
+
+# Product states ("a", "b,c") and ("a,b", "c") of these two machines share a
+# name when the components are joined with commas.
+COMMA_FRONT = comma_doc(
+    ["a", "a,b"],
+    "a",
+    [("a", "0", "a,b", "0"), ("a", "1", "a", "1"), ("a,b", "0", "a", "00"), ("a,b", "1", "a,b", "1")],
+    [("a", [""], [0, 1]), ("a,b", ["1"], [1, 0])],
+)
+COMMA_BACK = comma_doc(
+    ["b,c", "c"],
+    "b,c",
+    [("b,c", "0", "c", "0"), ("b,c", "1", "b,c", "1"), ("c", "0", "b,c", "0"), ("c", "1", "c", "11")],
+    [("b,c", [""], [0, 1]), ("c", ["", "1"], [0, 1, 1, 0])],
+)
+
+
 def lsharp_oracle():
     return corpus.oracle_of(corpus.get_entry("lsharp"))
 
@@ -194,6 +222,16 @@ class TestCompose:
         with pytest.raises(ValueError):
             compose(identity_machine("01"), identity_machine("ab"))
 
+    def test_comma_state_names_do_not_collide(self):
+        front = validate_mealy(COMMA_FRONT)
+        back = validate_mealy(COMMA_BACK)
+        oracle = lsharp_oracle()
+        middle = oracle_from_machine(back, oracle)
+        comp = compose(front, back)
+        assert len(words("01", 6)) == 127
+        for w in words("01", 6):
+            assert evaluate(comp, oracle, w) == evaluate(front, middle, w), w
+
     def test_back_end_dies_mid_output(self):
         # front machine flips bits and accepts exactly when its single query
         # fails; back machine only survives 0s
@@ -334,6 +372,22 @@ class TestRestrictRegular:
             assert evaluate(restricted, oracle, w) == (
                 evaluate(m, oracle, w) and len(w) % 2 == 0
             )
+
+    def test_comma_state_names_do_not_collide(self):
+        front = validate_mealy(COMMA_FRONT)
+        parity = Dfa(
+            states=frozenset({"b,c", "c"}),
+            alphabet=frozenset("01"),
+            transitions={("b,c", "0"): "c", ("b,c", "1"): "c", ("c", "0"): "b,c", ("c", "1"): "b,c"},
+            start="b,c",
+            accepting=frozenset({"b,c"}),
+        )
+        restricted = restrict_regular(front, parity)
+        oracle = lsharp_oracle()
+        for w in words("01", 6):
+            assert evaluate(restricted, oracle, w) == (
+                evaluate(front, oracle, w) and len(w) % 2 == 0
+            ), w
 
     def test_empty_language_is_constant_false(self):
         m = identity_machine("01")

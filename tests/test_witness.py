@@ -97,7 +97,9 @@ class TestFindWitness:
         t = find_witness(corpus.get_entry("lsharp").machine)
         assert t == WitnessTuple(v="00", x="00", w="1", y="11", z="1", polarity="direct")
 
-    @pytest.mark.parametrize("name", ["lsharp", "l1_le", "dyck1", "lr", "l_m_nn"])
+    @pytest.mark.parametrize(
+        "name", ["lsharp", "l1_le", "dyck1", "lr", "l_mm_n", "l_m_nn", "lsharp_squared"]
+    )
     def test_found_tuples_verify_against_the_predicate(self, name):
         entry = corpus.get_entry(name)
         t = find_witness(entry.machine)
