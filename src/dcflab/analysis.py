@@ -264,10 +264,12 @@ def distinguishing_word(
     Tries pop-guided probes first (words that unwind either stack reach the
     depth at which the configurations differ without any search), then
     falls back to breadth-first product simulation for the shortest
-    separator; a stranded side (empty stack) rejects everything from then
-    on.  None when no difference is found within the caps, which either
-    means genuine equivalence (the search exhausted all reachable pairs)
-    or that the budget was too small.
+    separator.  A product node holds each side as a plain (state, stack
+    with the top last) pair, stepped by `_drive` on a list copy, or None
+    once that side is stranded (empty stack); a stranded side rejects
+    everything from then on.  None covers two cases: the product search
+    closed with no separator, which proves the reachable pairs equivalent,
+    and the search was cut at `max_len` or `node_cap`, which proves nothing.
     """
     if summary is not None:
         candidates = sorted(
@@ -278,22 +280,24 @@ def distinguishing_word(
             if config_member(m, c1, cand) != config_member(m, c2, cand):
                 return cand
 
-    def probe(c: Optional[Configuration], ch: Word) -> tuple[Optional[Configuration], bool]:
-        if c is None:
-            return None, False
-        res = advance(m, c, ch)
-        if res is None:
-            return None, False
-        return res
+    Side = Optional[tuple[str, StackWord]]
 
-    s1, a1 = probe(c1, "")
-    s2, a2 = probe(c2, "")
+    def probe(side: Side, ch: Word) -> tuple[Side, bool]:
+        if side is None:
+            return None, False
+        stack = list(side[1])
+        state, acc, consumed = _drive(m, side[0], stack, ch)
+        if consumed < len(ch):
+            return None, False
+        return (state, tuple(stack)), acc
+
+    s1, a1 = probe((c1.state, c1.stack[::-1]), "")
+    s2, a2 = probe((c2.state, c2.stack[::-1]), "")
     if a1 != a2:
         return ""
     sigma = sorted(m.input_alphabet)
     seen = {(s1, s2)}
-    frontier: deque[tuple[Optional[Configuration], Optional[Configuration], Word]] = deque()
-    frontier.append((s1, s2, ""))
+    frontier = deque([(s1, s2, "")])
     expanded = 0
     while frontier:
         d1, d2, word = frontier.popleft()
@@ -336,10 +340,16 @@ def find_divergent_word(m: Dpda, target_length: int, suffix_budget: int) -> Word
     `suffix_budget`.  Raises ExhaustedError when no extension survives,
     which signals regular-looking behavior at this scale (or too small a
     budget).
+
+    `distinguishing_word` runs at most once per ordered (candidate, earlier
+    prefix) pair per call: its verdict depends only on the machine, the
+    pair, the fixed pop summary and the module caps, and backtracking meets
+    the same pairs again, most often ones where it gave up at a cap.
     """
     sigma = sorted(m.input_alphabet)
     suffixes = _initial_suffixes(m)
     summary = pop_summaries(m)
+    verdicts: dict[tuple[Configuration, Configuration], Optional[Word]] = {}
 
     start, _ = step_closure(m, m.start_configuration())
     configs = [start]
@@ -381,7 +391,10 @@ def find_divergent_word(m: Dpda, target_length: int, suffix_budget: int) -> Word
             if len(suffixes) >= suffix_budget:
                 ok = False
                 break
-            extra = distinguishing_word(m, cand, configs[clash], summary)
+            pair = (cand, configs[clash])
+            if pair not in verdicts:
+                verdicts[pair] = distinguishing_word(m, cand, configs[clash], summary)
+            extra = verdicts[pair]
             if extra is None:
                 ok = False
                 break

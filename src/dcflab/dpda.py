@@ -198,7 +198,20 @@ def validate_dpda(candidate: Mapping) -> Dpda:
         ):
             violations.append(Violation("BadType", f"{where}.push"))
             continue
-        rule = Rule(raw["from"], raw["top"], raw["label"], raw["to"], tuple(push))
+        # One combined test keeps a valid rule cheap; the per-field report
+        # runs only on failure.
+        frm, top, label, to = raw["from"], raw["top"], raw["label"], raw["to"]
+        if not (
+            isinstance(frm, str)
+            and isinstance(top, str)
+            and isinstance(label, str)
+            and isinstance(to, str)
+        ):
+            for f in ("from", "top", "label", "to"):
+                if not isinstance(raw[f], str):
+                    violations.append(Violation("BadType", f"{where}.{f} must be a string"))
+            continue
+        rule = Rule(frm, top, label, to, tuple(push))
         if rule.from_state not in states:
             violations.append(Violation("UndeclaredSymbol", f"{where}.from"))
         if rule.to_state not in states:

@@ -59,6 +59,9 @@ class WitnessTuple:
     polarity: str
 
     def __post_init__(self):
+        for name in ("v", "x", "w", "y", "z"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string")
         if not self.x or not self.y:
             raise ValueError("x and y must be nonempty")
         if self.polarity not in (DIRECT, COMPLEMENT):

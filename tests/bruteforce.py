@@ -25,6 +25,13 @@ def _find_rule(rules, state, top, label):
 
 def ref_member(m, word):
     """Reference run with stuck-as-reject semantics, straight off the rules."""
+    return ref_config_member(m, m.start_state, (m.start_symbol,), word)
+
+
+def ref_config_member(m, state, stack, word):
+    """Membership of `word` in the language of configuration (state, stack),
+    stack topmost first, straight off the rules: a stuck or stranded run
+    rejects."""
 
     def close(state, stack, acc):
         while stack:
@@ -36,7 +43,7 @@ def ref_member(m, word):
             acc = acc or state in m.accepting
         return state, stack, acc
 
-    state, stack, acc = close(m.start_state, (m.start_symbol,), m.start_state in m.accepting)
+    state, stack, acc = close(state, tuple(stack), state in m.accepting)
     for ch in word:
         if not stack:
             return False

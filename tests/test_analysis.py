@@ -1,10 +1,11 @@
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcflab import corpus
+from dcflab import analysis, corpus
 from dcflab.analysis import (
     ExhaustedError,
     NoLevelsError,
@@ -24,6 +25,7 @@ from dcflab.analysis import (
 from dcflab.dpda import Configuration, advance, config_member, complete_dpda, validate_dpda
 
 import bruteforce as bf
+from test_dpda import random_eps_machine
 
 
 def machine(name):
@@ -161,6 +163,41 @@ class TestDistinguishing:
         assert w is not None
         assert config_member(lsharp, c1, w) != config_member(lsharp, c2, w)
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_product_search_against_reference(self, seed):
+        # Pairs of configurations reached by words of length <= 3, on the
+        # raw machine (runs stick) and on its completion.  A found word
+        # separates the pair and no shorter word does; None means no word
+        # of length <= 6 separates it, since the depth-6 product tree (126
+        # nodes) lies far below the node cap.
+        raw = random_eps_machine(random.Random(seed))
+        short = list(bf.iter_words("01", 6))
+        for m in (raw, complete_dpda(raw)):
+            configs = []
+            for u in bf.iter_words("01", 3):
+                reached = advance(m, m.start_configuration(), u)
+                if reached is not None and reached[0] not in configs:
+                    configs.append(reached[0])
+
+            def verdicts(c, words):
+                return [bf.ref_config_member(m, c.state, c.stack, w) for w in words]
+
+            for i, c1 in enumerate(configs):
+                for c2 in configs[i + 1 :]:
+                    w = distinguishing_word(m, c1, c2)
+                    if w is None:
+                        assert verdicts(c1, short) == verdicts(c2, short), (c1, c2)
+                        continue
+                    assert verdicts(c1, [w]) != verdicts(c2, [w]), (c1, c2, w)
+                    shorter = list(bf.iter_words("01", len(w) - 1)) if w else []
+                    assert verdicts(c1, shorter) == verdicts(c2, shorter), (c1, c2, w)
+
+    def test_none_at_the_node_cap_proves_nothing(self, lsharp):
+        c1 = advance(lsharp, lsharp.start_configuration(), "00")[0]
+        c2 = advance(lsharp, lsharp.start_configuration(), "0000")[0]
+        assert distinguishing_word(lsharp, c1, c2) == "11"
+        assert distinguishing_word(lsharp, c1, c2, node_cap=1) is None
+
 
 class TestDivergentWord:
     def test_lsharp_grows_zeros(self, lsharp):
@@ -182,6 +219,22 @@ class TestDivergentWord:
         with pytest.raises(ExhaustedError) as excinfo:
             find_divergent_word(machine("even_length_reg"), 8, 64)
         assert len(excinfo.value.best_prefix) < 8
+
+    def test_one_distinguisher_run_per_pair(self, monkeypatch):
+        # Backtracking meets the same clashing pair four times on this
+        # machine; the verdict of the first run is reused.
+        calls = []
+        real = analysis.distinguishing_word
+
+        def counting(m, c1, c2, summary=None):
+            calls.append((c1, c2))
+            return real(m, c1, c2, summary)
+
+        monkeypatch.setattr(analysis, "distinguishing_word", counting)
+        with pytest.raises(ExhaustedError) as excinfo:
+            find_divergent_word(machine("even_length_reg"), 8, 64)
+        assert excinfo.value.best_prefix == "0"
+        assert len(calls) == len(set(calls)) == 1
 
 
 class TestStairs:

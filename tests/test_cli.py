@@ -168,3 +168,25 @@ def test_corpus_documents_survive_cli_round_trip(tmp_path):
 )
 def test_out_of_range_budget_is_exit_2(argv):
     assert run_cli(argv).exit_code == 2
+
+
+@pytest.mark.parametrize("field", ["from", "top", "label", "to"])
+def test_non_string_rule_field_is_exit_2(tmp_path, field):
+    doc = json.loads(json.dumps(bf.LSHARP_RAW))
+    doc["rules"][0][field] = [doc["rules"][0][field]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    outcome = run_cli(["pda", "validate", str(path)])
+    assert outcome.exit_code == 2
+    assert f"rules[0].{field}" in outcome.report
+
+
+@pytest.mark.parametrize("name", ["v", "x", "w", "y", "z"])
+def test_non_string_witness_component_is_exit_2(tmp_path, name):
+    doc = {"v": "", "x": "0", "w": "", "y": "1", "z": "", "polarity": "direct"}
+    doc[name] = 1
+    tup = tmp_path / "tuple.json"
+    tup.write_text(json.dumps(doc))
+    outcome = run_cli(["witness", "verify", str(tup), "--oracle", "lsharp"])
+    assert outcome.exit_code == 2
+    assert f"{name} must be a string" in outcome.report
