@@ -143,85 +143,56 @@ class QuotientSignature:
     bits: tuple[bool, ...]
 
 
+def _less(a: Word, b: Optional[Word]) -> bool:
+    """The (length, lex) order on witness words; None lies above every word."""
+    return b is None or (len(a), a) < (len(b), b)
+
+
+def _pop_prefixes(entries, start: dict[str, Word], stack: StackWord):
+    """The one composition of pop words along a stack word.
+
+    `start` maps end states to witness words; each stack symbol in turn
+    extends every witness through `entries`, keeping the (length,
+    lex)-least word per reachable end state.  Yields the map after each
+    symbol, shortest prefix first, and stops after the first empty one.
+    """
+    current = start
+    for symbol in stack:
+        step: dict[str, Word] = {}
+        for q, w in current.items():
+            for q2, w2 in entries.get((q, symbol), {}).items():
+                cand = w + w2
+                if _less(cand, step.get(q2)):
+                    step[q2] = cand
+        current = step
+        yield current
+        if not current:
+            return
+
+
 def pop_summaries(m: Dpda) -> PopSummary:
     """Least fixpoint of the pop relation.
 
-    A popping rule pX -a-> q contributes (p, X) -> q with witness a; a rule
-    pX -a-> q Y1..Yk composes through the summaries of (q, Y1), then each
-    later Yi.  Witnesses compose the currently best sub-witnesses and the
-    iteration keeps the (length, lexicographic)-minimal word per target.
+    A rule pX -a-> q Y1..Yk contributes (p, X) -> q' for every q' reached
+    from q with witness a by popping Y1..Yk through the current summaries
+    (k = 0 is a popping rule: q itself, with witness a).  The iteration
+    keeps the (length, lexicographic)-minimal word per target.
     """
-
-    def better(a: Word, b: Optional[Word]) -> bool:
-        return b is None or (len(a), a) < (len(b), b)
-
     entries: dict[tuple[str, str], dict[str, Word]] = {}
     changed = True
     while changed:
         changed = False
         for r in m.rules:
             targets = entries.setdefault((r.from_state, r.top), {})
-            if not r.push:
-                if better(r.label, targets.get(r.to_state)):
-                    targets[r.to_state] = r.label
-                    changed = True
-                continue
-            partial: dict[str, Word] = {r.to_state: r.label}
-            for symbol in r.push:
-                step: dict[str, Word] = {}
-                for q, w in partial.items():
-                    for q2, w2 in entries.get((q, symbol), {}).items():
-                        cand = w + w2
-                        if better(cand, step.get(q2)):
-                            step[q2] = cand
-                partial = step
-                if not partial:
-                    break
-            for q2, w in partial.items():
-                if better(w, targets.get(q2)):
+            reached = {r.to_state: r.label}
+            for reached in _pop_prefixes(entries, reached, r.push):
+                pass
+            for q2, w in reached.items():
+                if _less(w, targets.get(q2)):
                     targets[q2] = w
                     changed = True
 
     return PopSummary(entries={k: dict(v) for k, v in entries.items() if v})
-
-
-def down_states(s: PopSummary, c: Configuration) -> frozenset[str]:
-    """States reachable from c with the entire stack consumed."""
-    current = {c.state}
-    for symbol in c.stack:
-        current = {
-            q2 for q in current for q2 in s.entries.get((q, symbol), {})
-        }
-        if not current:
-            break
-    return frozenset(current)
-
-
-def eps_down_state(m: Dpda, c: Configuration) -> Optional[str]:
-    """The unique state reached from c by ε-popping the whole stack, if any:
-    the end of c's ε-closure when that closure empties the stack."""
-    stack = list(reversed(c.stack))
-    state, _, _ = _drive(m, c.state, stack, "")
-    return None if stack else state
-
-
-def _pop_prefixes(s: PopSummary, state: str, stack: StackWord):
-    """For each prefix of the stack word, shortest first, the witness words
-    for popping it from `state`: one (length, lex)-minimal composite witness
-    per reachable end state.  Stops after the first prefix with none."""
-    current: dict[str, Word] = {state: ""}
-    for symbol in stack:
-        step: dict[str, Word] = {}
-        for q, w in current.items():
-            for q2, w2 in s.entries.get((q, symbol), {}).items():
-                cand = w + w2
-                old = step.get(q2)
-                if old is None or (len(cand), cand) < (len(old), old):
-                    step[q2] = cand
-        current = step
-        yield current
-        if not current:
-            return
 
 
 def pop_witnesses(s: PopSummary, state: str, stack: StackWord) -> dict[str, Word]:
@@ -230,25 +201,27 @@ def pop_witnesses(s: PopSummary, state: str, stack: StackWord) -> dict[str, Word
     One (length, lex)-minimal composite witness per reachable end state.
     """
     current: dict[str, Word] = {state: ""}
-    for current in _pop_prefixes(s, state, stack):
+    for current in _pop_prefixes(s.entries, current, stack):
         pass
     return current
+
+
+def down_states(s: PopSummary, c: Configuration) -> frozenset[str]:
+    """States reachable from c with the entire stack consumed."""
+    return frozenset(pop_witnesses(s, c.state, c.stack))
+
+
+def eps_down_state(m: Dpda, c: Configuration) -> Optional[str]:
+    """The unique state reached from c by ε-popping the whole stack, if any:
+    the end of c's ε-closure when that closure empties the stack."""
+    end, _ = step_closure(m, c)
+    return None if end.stack else end.state
 
 
 def signature(m: Dpda, c: Configuration, suffixes: list[Word]) -> QuotientSignature:
     """Bounded approximation of the configuration's language class: one
     membership bit per test suffix."""
     return QuotientSignature(tuple(config_member(m, c, s) for s in suffixes))
-
-
-def _pop_probes(s: PopSummary, c: Configuration) -> list[Word]:
-    """Words that pop some prefix of the configuration's stack.
-
-    Natural membership probes for separating configurations that differ
-    somewhere down their stacks: each word drives the configuration to a
-    known state with a known stack remainder.
-    """
-    return [w for layer in _pop_prefixes(s, c.state, c.stack) for w in layer.values()]
 
 
 def distinguishing_word(
@@ -272,11 +245,15 @@ def distinguishing_word(
     and the search was cut at `max_len` or `node_cap`, which proves nothing.
     """
     if summary is not None:
-        candidates = sorted(
-            set(_pop_probes(summary, c1)) | set(_pop_probes(summary, c2)),
-            key=lambda w: (len(w), w),
-        )
-        for cand in candidates:
+        # Words that pop some prefix of either stack drive that side to a
+        # known state with a known stack remainder.
+        probes = {
+            w
+            for c in (c1, c2)
+            for layer in _pop_prefixes(summary.entries, {c.state: ""}, c.stack)
+            for w in layer.values()
+        }
+        for cand in sorted(probes, key=lambda w: (len(w), w)):
             if config_member(m, c1, cand) != config_member(m, c2, cand):
                 return cand
 

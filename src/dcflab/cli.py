@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 from . import corpus
-from .dpda import InvalidMachineError, complete_dpda, load_dpda, member, validate_dpda
+from .dpda import InvalidMachineError, complete_dpda, load_dpda, member
 from .mealy import (
     LanguageOracle,
     compose,
@@ -28,7 +28,6 @@ from .witness import (
     SearchBudgets,
     SearchExhaustedError,
     WitnessTuple,
-    build_lsharp_reducer,
     find_witness,
     reduce_lsharp,
     verify_witness,
@@ -54,72 +53,55 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dcflab", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True)
+    json_flag = _Parser(add_help=False)
+    json_flag.add_argument("--json", action="store_true")
 
-    pda = top.add_parser("pda", help="DPDA operations").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = pda.add_parser("validate", help="validate a DPDA document")
+    def group(name: str, help: str):
+        return top.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
+
+    def command(group, name: str, help: str) -> _Parser:
+        return group.add_parser(name, help=help, parents=[json_flag])
+
+    pda = group("pda", "DPDA operations")
+    p = command(pda, "validate", "validate a DPDA document")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p = pda.add_parser("member", help="membership of WORD after completion")
+    p = command(pda, "member", "membership of WORD after completion")
     p.add_argument("file")
     p.add_argument("word")
-    p.add_argument("--json", action="store_true")
 
-    mealy = top.add_parser("mealy", help="oracle Mealy machine operations").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = mealy.add_parser("eval", help="evaluate a machine on WORD against an oracle")
+    mealy = group("mealy", "oracle Mealy machine operations")
+    p = command(mealy, "eval", "evaluate a machine on WORD against an oracle")
     p.add_argument("machine_file")
     p.add_argument("word")
     p.add_argument("--oracle", required=True, help="corpus name or DPDA JSON file")
-    p.add_argument("--json", action="store_true")
-    p = mealy.add_parser("compose", help="compose two machines (front feeds back)")
+    p = command(mealy, "compose", "compose two machines (front feeds back)")
     p.add_argument("a_file")
     p.add_argument("b_file")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--json", action="store_true")
 
-    witness = top.add_parser("witness", help="witness tuples").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = witness.add_parser("verify", help="check the grid property of a tuple")
+    witness = group("witness", "witness tuples")
+    p = command(witness, "verify", "check the grid property of a tuple")
     p.add_argument("tuple_file")
     p.add_argument("--oracle", required=True, help="corpus name")
     p.add_argument("--m-bound", type=int, default=25)
     p.add_argument("--n-bound", type=int, default=25)
-    p.add_argument("--json", action="store_true")
-    p = witness.add_parser("find", help="extract a tuple from a corpus language")
+    p = command(witness, "find", "extract a tuple from a corpus language")
     p.add_argument("--lang", required=True)
-    p.add_argument("--word-length", type=int, default=24)
-    p.add_argument("--suffix-budget", type=int, default=64)
-    p.add_argument("--pump-limit", type=int, default=32)
-    p.add_argument("--z-length", type=int, default=6)
-    p.add_argument("--max-l", type=int, default=200)
+    for f in fields(SearchBudgets):
+        p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
     p.add_argument("-o", "--output")
-    p.add_argument("--json", action="store_true")
 
-    reduce_ = top.add_parser("reduce", help="build and certify reducers").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = reduce_.add_parser("lsharp", help="reduce 0^n1^n to a corpus language")
+    reduce_ = group("reduce", "build and certify reducers")
+    p = command(reduce_, "lsharp", "reduce 0^n1^n to a corpus language")
     p.add_argument("--lang", required=True)
     p.add_argument("--check-len", type=int, default=16)
-    p.add_argument("--json", action="store_true")
 
-    corpus_ = top.add_parser("corpus", help="built-in languages").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = corpus_.add_parser("list", help="list corpus entries")
-    p.add_argument("--json", action="store_true")
+    command(group("corpus", "built-in languages"), "list", "list corpus entries")
 
-    refute = top.add_parser("refute", help="refutation searches").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = refute.add_parser("lr", help="misclassified marked palindrome for a machine")
+    refute = group("refute", "refutation searches")
+    p = command(refute, "lr", "misclassified marked palindrome for a machine")
     p.add_argument("machine_file")
     p.add_argument("--k-max", type=int, default=6)
-    p.add_argument("--json", action="store_true")
 
     return parser
 
@@ -128,16 +110,6 @@ def _oracle_from_ref(ref: str) -> LanguageOracle:
     if ref in corpus.names():
         return corpus.oracle_of(corpus.get_entry(ref))
     return oracle_from_dpda(load_dpda(ref))
-
-
-def _budgets(args) -> SearchBudgets:
-    return SearchBudgets(
-        word_length=args.word_length,
-        suffix_budget=args.suffix_budget,
-        pump_limit=args.pump_limit,
-        z_length=args.z_length,
-        max_l=args.max_l,
-    )
 
 
 def _load_tuple(path: str) -> WitnessTuple:
@@ -155,6 +127,8 @@ def _dispatch(args) -> CommandOutcome:
 
     if cmd == ("pda", "member"):
         machine = complete_dpda(load_dpda(args.file))
+        if not set(args.word) <= machine.input_alphabet:
+            raise ValueError(f"{args.word!r} is not a word over the input alphabet")
         verdict = member(machine, args.word)
         payload = {"word": args.word, "member": verdict}
         return CommandOutcome(0 if verdict else 1, "accepted" if verdict else "rejected", payload)
@@ -196,7 +170,8 @@ def _dispatch(args) -> CommandOutcome:
 
     if cmd == ("witness", "find"):
         entry = corpus.get_entry(args.lang)
-        t = find_witness(entry.machine, _budgets(args))
+        budgets = {f.name: getattr(args, f.name) for f in fields(SearchBudgets)}
+        t = find_witness(entry.machine, SearchBudgets(**budgets))
         doc = t.to_json_dict()
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:

@@ -19,17 +19,6 @@ StackWord = tuple[str, ...]
 
 EPSILON = ""
 
-_DPDA_FIELDS = frozenset(
-    {
-        "states",
-        "input_alphabet",
-        "stack_alphabet",
-        "rules",
-        "start_state",
-        "start_symbol",
-        "accepting",
-    }
-)
 _RULE_FIELDS = frozenset({"from", "top", "label", "to", "push"})
 
 
@@ -119,30 +108,37 @@ class Dpda:
         return Configuration(self.start_state, (self.start_symbol,))
 
 
-def _check_symbol_sets(doc: Mapping, violations: list[Violation]) -> bool:
-    """Schema-level checks; returns False when the shape is unusable."""
-    unknown = set(doc) - _DPDA_FIELDS
-    for f in sorted(unknown):
-        violations.append(Violation("UnknownField", f))
-    missing = _DPDA_FIELDS - set(doc)
-    for f in sorted(missing):
-        violations.append(Violation("MissingField", f))
-    if missing:
+_KINDS = {
+    "a string": lambda v: isinstance(v, str),
+    "a list": lambda v: isinstance(v, (list, tuple)),
+    "a list of strings": lambda v: (
+        isinstance(v, (list, tuple)) and all(isinstance(s, str) for s in v)
+    ),
+}
+
+
+def _check_fields(doc, kinds: Mapping[str, str], violations: list[Violation], where: str) -> bool:
+    """Check that `doc` is an object whose fields are exactly those of
+    `kinds`, each of its kind: "a string", "a list" or "a list of strings".
+
+    Appends one violation per defect, naming fields after the prefix
+    `where` ("" for a whole document); returns whether `doc` is usable.
+    """
+    prefix = f"{where}." if where else ""
+    if not isinstance(doc, Mapping):
+        violations.append(Violation("BadType", f"{where or 'document'} must be an object"))
         return False
-    for f in ("states", "input_alphabet", "stack_alphabet", "accepting"):
-        if not isinstance(doc[f], (list, tuple)) or not all(
-            isinstance(s, str) for s in doc[f]
-        ):
-            violations.append(Violation("BadType", f"{f} must be a list of strings"))
-            return False
-    if not isinstance(doc["rules"], (list, tuple)):
-        violations.append(Violation("BadType", "rules must be a list"))
-        return False
-    for f in ("start_state", "start_symbol"):
-        if not isinstance(doc[f], str):
-            violations.append(Violation("BadType", f"{f} must be a string"))
-            return False
-    return True
+    for f in sorted(set(doc) - set(kinds)):
+        violations.append(Violation("UnknownField", f"{prefix}{f}"))
+    usable = True
+    for f, kind in sorted(kinds.items()):
+        if f not in doc:
+            violations.append(Violation("MissingField", f"{prefix}{f}"))
+            usable = False
+        elif not _KINDS[kind](doc[f]):
+            violations.append(Violation("BadType", f"{prefix}{f} must be {kind}"))
+            usable = False
+    return usable
 
 
 def validate_dpda(candidate: Mapping) -> Dpda:
@@ -156,7 +152,10 @@ def validate_dpda(candidate: Mapping) -> Dpda:
     InvalidMachineError.
     """
     violations: list[Violation] = []
-    if not _check_symbol_sets(candidate, violations):
+    symbol_sets = ("states", "input_alphabet", "stack_alphabet", "accepting")
+    kinds = dict.fromkeys(symbol_sets, "a list of strings")
+    kinds.update(rules="a list", start_state="a string", start_symbol="a string")
+    if not _check_fields(candidate, kinds, violations, ""):
         raise InvalidMachineError(violations)
 
     states = frozenset(candidate["states"])

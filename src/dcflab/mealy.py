@@ -17,19 +17,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, Optional, Sequence
 
-from .dpda import Dpda, InvalidMachineError, Violation, _fresh, complete_dpda, member
-
-_MEALY_FIELDS = frozenset(
-    {
-        "states",
-        "input_alphabet",
-        "oracle_alphabet",
-        "delta",
-        "lambda",
-        "start_state",
-        "queries",
-    }
-)
+from .dpda import Dpda, InvalidMachineError, Violation, _check_fields, _fresh, complete_dpda, member
 
 
 @dataclass(frozen=True)
@@ -129,13 +117,9 @@ def validate_mealy(candidate: Mapping) -> OracleMealyMachine:
     significant bit).
     """
     violations: list[Violation] = []
-    unknown = set(candidate) - _MEALY_FIELDS
-    for f in sorted(unknown):
-        violations.append(Violation("UnknownField", f))
-    missing = _MEALY_FIELDS - set(candidate)
-    for f in sorted(missing):
-        violations.append(Violation("MissingField", f))
-    if missing:
+    kinds = dict.fromkeys(("states", "input_alphabet", "oracle_alphabet"), "a list of strings")
+    kinds.update(dict.fromkeys(("delta", "lambda", "queries"), "a list"), start_state="a string")
+    if not _check_fields(candidate, kinds, violations, ""):
         raise InvalidMachineError(violations)
 
     states = frozenset(candidate["states"])
@@ -155,8 +139,8 @@ def validate_mealy(candidate: Mapping) -> OracleMealyMachine:
     delta: dict[tuple[str, str], str] = {}
     for i, raw in enumerate(candidate["delta"]):
         where = f"delta[{i}]"
-        if set(raw) != {"from", "on", "to"}:
-            violations.append(Violation("BadType", f"{where} must have from/on/to"))
+        kinds = dict.fromkeys(("from", "on", "to"), "a string")
+        if not _check_fields(raw, kinds, violations, where):
             continue
         key = (raw["from"], raw["on"])
         if key in delta:
@@ -170,8 +154,8 @@ def validate_mealy(candidate: Mapping) -> OracleMealyMachine:
     outputs: dict[tuple[str, str], str] = {}
     for i, raw in enumerate(candidate["lambda"]):
         where = f"lambda[{i}]"
-        if set(raw) != {"from", "on", "out"}:
-            violations.append(Violation("BadType", f"{where} must have from/on/out"))
+        kinds = dict.fromkeys(("from", "on", "out"), "a string")
+        if not _check_fields(raw, kinds, violations, where):
             continue
         key = (raw["from"], raw["on"])
         if key not in delta:
@@ -187,8 +171,8 @@ def validate_mealy(candidate: Mapping) -> OracleMealyMachine:
     per_state: dict[str, QuerySpec] = {}
     for i, raw in enumerate(candidate["queries"]):
         where = f"queries[{i}]"
-        if set(raw) != {"state", "suffixes", "table"}:
-            violations.append(Violation("BadType", f"{where} must have state/suffixes/table"))
+        kinds = {"state": "a string", "suffixes": "a list of strings", "table": "a list"}
+        if not _check_fields(raw, kinds, violations, where):
             continue
         q = raw["state"]
         if q not in states:
@@ -203,7 +187,7 @@ def validate_mealy(candidate: Mapping) -> OracleMealyMachine:
                 if ch not in oracle_alphabet:
                     violations.append(Violation("UndeclaredSymbol", f"{where} suffix {ch!r}"))
         rows = raw["table"]
-        if len(rows) != 2 ** len(suffixes) or not all(r in (0, 1) for r in rows):
+        if len(rows) != 2 ** len(suffixes) or not all(type(r) is int and r in (0, 1) for r in rows):
             violations.append(Violation("ArityMismatch", q))
             continue
         per_state[q] = (suffixes, TruthTable(len(suffixes), tuple(bool(r) for r in rows)))
@@ -275,11 +259,16 @@ def evaluate(a: OracleMealyMachine, oracle: LanguageOracle, word: str) -> bool:
     undefined transition rejects outright.
     """
     res = transduce(a, word)
-    if res is None:
-        return False
-    state, out = res
+    return res is not None and _verdict(a, *res, oracle.membership)
+
+
+def _verdict(
+    a: OracleMealyMachine, state: str, out: str, membership: Callable[[str], bool]
+) -> bool:
+    """The verdict at `state` with oracle-tape content `out`: the state's
+    suffixes extend `out` into queries and its table aggregates the answers."""
     suffixes, table = a.per_state[state]
-    return table.value([oracle.membership(out + s) for s in suffixes])
+    return table.value([membership(out + s) for s in suffixes])
 
 
 def oracle_from_dpda(m: Dpda) -> LanguageOracle:
@@ -320,20 +309,44 @@ def identity_machine(alphabet: Sequence[str]) -> OracleMealyMachine:
     )
 
 
-def _product_machine(
-    input_alphabet, oracle_alphabet, start: tuple, delta: dict, outputs: dict, per_state: dict
+def _product(
+    a: OracleMealyMachine, oracle_alphabet, start: tuple, step, spec
 ) -> OracleMealyMachine:
-    """Name each product state (a tuple of component states) once, by its
-    JSON array, which is injective where joining names with commas is not."""
+    """The one product explorer behind `compose` and `restrict_regular`.
+
+    Walks the product states (tuples of component states) reachable from
+    `start` over a's input alphabet: `step(pair, ch)` gives the target pair
+    and its output, or None where the product transition is undefined, and
+    `spec(pair)` gives the pair's queries.  Each product state is named
+    once, by its JSON array, which is injective where joining names with
+    commas is not.
+    """
+    sigma = sorted(a.input_alphabet)
+    delta: dict[tuple[tuple, str], tuple] = {}
+    outputs: dict[tuple[tuple, str], str] = {}
+    per_state: dict[tuple, QuerySpec] = {start: spec(start)}
+    todo = [start]
+    while todo:
+        here = todo.pop()
+        for ch in sigma:
+            hit = step(here, ch)
+            if hit is None:
+                continue
+            there, out = hit
+            delta[(here, ch)] = there
+            outputs[(here, ch)] = out
+            if there not in per_state:
+                per_state[there] = spec(there)
+                todo.append(there)
     name = {pair: json.dumps(pair, ensure_ascii=False) for pair in per_state}
     return OracleMealyMachine(
         states=frozenset(name.values()),
-        input_alphabet=input_alphabet,
+        input_alphabet=a.input_alphabet,
         oracle_alphabet=oracle_alphabet,
         delta={(name[p], ch): name[t] for (p, ch), t in delta.items()},
         outputs={(name[p], ch): out for (p, ch), out in outputs.items()},
         start_state=name[start],
-        per_state={name[p]: spec for p, spec in per_state.items()},
+        per_state={name[p]: qs for p, qs in per_state.items()},
     )
 
 
@@ -352,40 +365,19 @@ def compose(a1: OracleMealyMachine, a2: OracleMealyMachine) -> OracleMealyMachin
     if a1.oracle_alphabet != a2.input_alphabet:
         raise ValueError("oracle alphabet of the front machine must feed the back machine")
 
-    Pair = tuple[str, Optional[str]]
-    start = (a1.start_state, a2.start_state)
-    seen: set[Pair] = {start}
-    todo: list[Pair] = [start]
-    delta: dict[tuple[Pair, str], Pair] = {}
-    outputs: dict[tuple[Pair, str], str] = {}
-    per_state: dict[Pair, QuerySpec] = {}
+    def step(pair: tuple[str, Optional[str]], ch: str):
+        q1, q2 = pair
+        t1 = a1.delta.get((q1, ch))
+        if t1 is None:
+            return None
+        mid = None if q2 is None else _run_transducer(a2, q2, a1.outputs[(q1, ch)])
+        return ((t1, None), "") if mid is None else ((t1, mid[0]), mid[1])
 
-    while todo:
-        here = q1, q2 = todo.pop()
-        for ch in sorted(a1.input_alphabet):
-            t1 = a1.delta.get((q1, ch))
-            if t1 is None:
-                continue
-            t2: Optional[str]
-            if q2 is None:
-                t2, out = None, ""
-            else:
-                mid = _run_transducer(a2, q2, a1.outputs[(q1, ch)])
-                if mid is None:
-                    t2, out = None, ""
-                else:
-                    t2, out = mid
-            delta[(here, ch)] = (t1, t2)
-            outputs[(here, ch)] = out
-            if (t1, t2) not in seen:
-                seen.add((t1, t2))
-                todo.append((t1, t2))
-
+    def spec(pair: tuple[str, Optional[str]]) -> QuerySpec:
+        q1, q2 = pair
         suffixes1, table1 = a1.per_state[q1]
         if q2 is None:
-            verdict = table1.value([False] * table1.arity)
-            per_state[here] = ((), constant_table(verdict))
-            continue
+            return (), constant_table(table1.value([False] * table1.arity))
         slots: list[Optional[QuerySpec]] = []
         suffixes: list[str] = []
         for s in suffixes1:
@@ -411,9 +403,9 @@ def compose(a1: OracleMealyMachine, a2: OracleMealyMachine) -> OracleMealyMachin
                     answers.append(tbl2.value(bits[pos : pos + len(sfx2)]))
                     pos += len(sfx2)
             rows.append(table1.value(answers))
-        per_state[here] = (tuple(suffixes), TruthTable(total, tuple(rows)))
+        return tuple(suffixes), TruthTable(total, tuple(rows))
 
-    return _product_machine(a1.input_alphabet, a2.oracle_alphabet, start, delta, outputs, per_state)
+    return _product(a1, a2.oracle_alphabet, (a1.start_state, a2.start_state), step, spec)
 
 
 def complement_machine(a: OracleMealyMachine) -> OracleMealyMachine:
@@ -453,30 +445,16 @@ def restrict_regular(a: OracleMealyMachine, d: Dfa) -> OracleMealyMachine:
     if d.alphabet != a.input_alphabet:
         raise ValueError("DFA alphabet must match the machine's input alphabet")
 
-    Pair = tuple[str, str]
-    start = (a.start_state, d.start)
-    seen = {start}
-    todo = [start]
-    delta: dict[tuple[Pair, str], Pair] = {}
-    outputs: dict[tuple[Pair, str], str] = {}
-    per_state: dict[Pair, QuerySpec] = {}
-    while todo:
-        here = q, s = todo.pop()
-        for ch in sorted(a.input_alphabet):
-            t1 = a.delta.get((q, ch))
-            if t1 is None:
-                continue
-            t2 = d.transitions[(s, ch)]
-            delta[(here, ch)] = (t1, t2)
-            outputs[(here, ch)] = a.outputs[(q, ch)]
-            if (t1, t2) not in seen:
-                seen.add((t1, t2))
-                todo.append((t1, t2))
-        if s in d.accepting:
-            per_state[here] = a.per_state[q]
-        else:
-            per_state[here] = ((), constant_table(False))
-    return _product_machine(a.input_alphabet, a.oracle_alphabet, start, delta, outputs, per_state)
+    def step(pair: tuple[str, str], ch: str):
+        q, s = pair
+        t = a.delta.get((q, ch))
+        return None if t is None else ((t, d.transitions[(s, ch)]), a.outputs[(q, ch)])
+
+    def spec(pair: tuple[str, str]) -> QuerySpec:
+        q, s = pair
+        return a.per_state[q] if s in d.accepting else ((), constant_table(False))
+
+    return _product(a, a.oracle_alphabet, (a.start_state, d.start), step, spec)
 
 
 def lift_dfa(d: Dfa, oracle_alphabet: Sequence[str]) -> OracleMealyMachine:

@@ -36,8 +36,8 @@ from .mealy import (
     LanguageOracle,
     OracleMealyMachine,
     TruthTable,
+    _verdict,
     constant_table,
-    evaluate,
     oracle_from_dpda,
 )
 
@@ -80,8 +80,8 @@ class WitnessTuple:
     @staticmethod
     def from_json_dict(doc: dict) -> "WitnessTuple":
         expected = {"v", "x", "w", "y", "z", "polarity"}
-        if set(doc) != expected:
-            raise ValueError(f"witness tuple document must have fields {sorted(expected)}")
+        if not isinstance(doc, dict) or set(doc) != expected:
+            raise ValueError(f"witness tuple must be an object with fields {sorted(expected)}")
         return WitnessTuple(**doc)
 
 
@@ -232,15 +232,17 @@ def find_witness(m: Dpda, budgets: SearchBudgets = SearchBudgets()) -> WitnessTu
             deepest = _deeper(deepest, "z_probe")
             failures = 0
             for z in _z_candidates(mc.input_alphabet, budgets.z_length):
-                with_gamma = config_member(mc, Configuration(q, pump.gamma + pump.delta), z)
-                without = config_member(mc, Configuration(q, pump.delta), z)
-                if with_gamma == without:
-                    continue
-                deepest = _deeper(deepest, "stabilize")
-                seq = [
+                # seq[l] is z's membership from q gamma^l delta: the probe
+                # compares l = 0 with l = 1, and stabilization reads on.
+                levels = (
                     config_member(mc, Configuration(q, pump.gamma * l + pump.delta), z)
                     for l in range(budgets.max_l + 1)
-                ]
+                )
+                seq = [next(levels), next(levels)]
+                if seq[0] == seq[1]:
+                    continue
+                deepest = _deeper(deepest, "stabilize")
+                seq += levels
                 changes = [l for l in range(budgets.max_l) if seq[l] != seq[l + 1]]
                 l0 = changes[-1]
                 if l0 > budgets.max_l - STABLE_TAIL:
@@ -344,14 +346,9 @@ def _check_reducer_agreement(
     stack: list[tuple[str, Optional[str], str]] = [("", reducer.start_state, "")]
     delta = reducer.delta
     outputs = reducer.outputs
-    per_state = reducer.per_state
     while stack:
         word, state, out = stack.pop()
-        if state is None:
-            verdict = False
-        else:
-            suffixes, table = per_state[state]
-            verdict = table.value([membership(out + s) for s in suffixes])
+        verdict = state is not None and _verdict(reducer, state, out, membership)
         if verdict != is_lsharp(word):
             raise AgreementFailureError(word)
         checked += 1

@@ -106,6 +106,37 @@ def bfs_pop_states(m, state, stack, max_word_len):
     return frozenset(out)
 
 
+def least_pop_words(m, state, stack, max_len):
+    """For each end state, the first word of length <= max_len in (length,
+    lex) order on which the run from (state, stack), stack topmost first,
+    first empties the stack exactly at the word's end, ε-closure included."""
+    visible, eps = _rule_tables(m)
+    sigma = sorted(m.input_alphabet)
+
+    def close(state, stack):
+        while stack and (state, stack[0]) in eps:
+            to, push = eps[(state, stack[0])]
+            state, stack = to, push + stack[1:]
+        return state, stack
+
+    out = {}
+    layer = [("", *close(state, tuple(stack)))]
+    for n in range(max_len + 1):
+        alive = []
+        for word, st, sk in layer:
+            if not sk:
+                out.setdefault(st, word)
+            elif n < max_len:
+                alive.append((word, st, sk))
+        layer = []
+        for word, st, sk in alive:
+            for ch in sigma:
+                hit = visible.get((st, sk[0], ch))
+                if hit is not None:
+                    layer.append((word + ch, *close(hit[0], hit[1] + sk[1:])))
+    return out
+
+
 def eps_pop_end(m, state, stack):
     """Endpoint of the ε-only pop chain across the whole stack, or None."""
     stack = tuple(stack)

@@ -91,6 +91,28 @@ class TestPopSummaries:
                     assert res is not None, (p, x, q, w)
                     assert res[0] == Configuration(q, ()), (p, x, q, w)
 
+    @pytest.mark.parametrize(
+        "m",
+        [pytest.param(machine(name), id=name) for name in corpus.names()]
+        + [
+            pytest.param(make(random_eps_machine(random.Random(seed))), id=f"eps{seed}{form}")
+            for seed in range(30)
+            for form, make in (("", lambda raw: raw), ("-completed", complete_dpda))
+        ],
+    )
+    def test_witnesses_are_least(self, m):
+        """Each witness, of one symbol or composed along two, is the
+        (length, lex)-least word that pops them, where that word has
+        length <= 7."""
+        s = pop_summaries(m)
+        for p in sorted(m.states):
+            for x in sorted(m.stack_alphabet):
+                got = {q: w for q, w in s.entries.get((p, x), {}).items() if len(w) <= 7}
+                assert got == bf.least_pop_words(m, p, (x,), 7), (p, x)
+                for y in sorted(m.stack_alphabet):
+                    got = {q: w for q, w in pop_witnesses(s, p, (x, y)).items() if len(w) <= 7}
+                    assert got == bf.least_pop_words(m, p, (x, y), 7), (p, x, y)
+
     def test_eps_entries_on_eps_machine(self, eps_chain):
         assert eps_down_state(eps_chain, Configuration("pe", ("A", "A", "X0"))) == "done"
         assert eps_down_state(eps_chain, Configuration("pe", ("A",))) == "hit"

@@ -1,11 +1,17 @@
 import json
+import os
+import tempfile
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcflab import corpus
-from dcflab.cli import run_cli
+from dcflab.cli import _build_parser, run_cli
 from dcflab.dpda import dpda_to_document, validate_dpda
 from dcflab.mealy import mealy_to_document, identity_machine, validate_mealy
+from dcflab.witness import SearchBudgets
 
 import bruteforce as bf
 
@@ -190,3 +196,111 @@ def test_non_string_witness_component_is_exit_2(tmp_path, name):
     outcome = run_cli(["witness", "verify", str(tup), "--oracle", "lsharp"])
     assert outcome.exit_code == 2
     assert f"{name} must be a string" in outcome.report
+
+
+def _identity_doc():
+    return mealy_to_document(identity_machine("01"))
+
+
+def _with(doc, path, value):
+    cur = doc
+    for key in path[:-1]:
+        cur = cur[key]
+    cur[path[-1]] = value
+    return doc
+
+
+EVAL = ["mealy", "eval", "{}", "01", "--oracle", "lsharp"]
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (EVAL, _with(_identity_doc(), ["lambda", 0, "out"], 0)),
+        (EVAL, _with(_identity_doc(), ["delta", 0, "from"], ["q"])),
+        (EVAL, [["states"]]),
+        (["pda", "validate", "{}"], [["states"]]),
+        (["witness", "verify", "{}", "--oracle", "lsharp"], [["v"]]),
+        (EVAL, _with(_identity_doc(), ["states"], "q")),
+        (EVAL, _with(_with(_identity_doc(), ["queries", 0, "suffixes"], ""), ["queries", 0, "table"], [1])),
+        (EVAL, _with(_identity_doc(), ["queries", 0, "table"], [False, True])),
+    ],
+    ids=[
+        "lambda-out-int",
+        "delta-from-list",
+        "mealy-not-an-object",
+        "dpda-not-an-object",
+        "tuple-not-an-object",
+        "mealy-states-string",
+        "mealy-suffixes-string",
+        "mealy-table-bools",
+    ],
+)
+def test_malformed_document_is_exit_2(tmp_path, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    outcome = run_cli([str(path) if a == "{}" else a for a in argv])
+    assert outcome.exit_code == 2, outcome.report
+
+
+def test_member_word_outside_the_alphabet_is_exit_2(lsharp_file):
+    assert run_cli(["pda", "member", lsharp_file, "0a1"]).exit_code == 2
+
+
+def test_witness_find_flags_mirror_search_budgets():
+    parser = _build_parser()
+    args = parser.parse_args(["witness", "find", "--lang", "lsharp"])
+    for f in fields(SearchBudgets):
+        assert getattr(args, f.name) == f.default, f.name
+        flag = "--" + f.name.replace("_", "-")
+        args = parser.parse_args(["witness", "find", "--lang", "lsharp", flag, "7"])
+        assert getattr(args, f.name) == 7, flag
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=10,
+)
+VALID_DOCS = [
+    bf.LSHARP_RAW,
+    _identity_doc(),
+    {"v": "", "x": "0", "w": "", "y": "1", "z": "", "polarity": "direct"},
+]
+
+
+@st.composite
+def cli_documents(draw):
+    """Any JSON value, or a valid document with one value somewhere inside
+    it replaced by any JSON value (which reaches the deeper checks)."""
+    if draw(st.booleans()):
+        return draw(JSON_VALUES)
+    doc = json.loads(json.dumps(draw(st.sampled_from(VALID_DOCS))))
+    cur = doc
+    while True:
+        key = draw(st.sampled_from(sorted(cur) if isinstance(cur, dict) else range(len(cur))))
+        if isinstance(cur[key], (dict, list)) and cur[key] and draw(st.booleans()):
+            cur = cur[key]
+            continue
+        cur[key] = draw(JSON_VALUES)
+        return doc
+
+
+@given(cli_documents())
+@settings(max_examples=150, deadline=None)
+def test_any_json_document_keeps_the_exit_contract(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = os.path.join(tmp, "out.json")
+        for argv in (
+            ["pda", "validate", path],
+            ["pda", "member", path, "01"],
+            ["mealy", "eval", path, "01", "--oracle", "lsharp"],
+            ["mealy", "compose", path, path, "-o", out],
+            ["witness", "verify", path, "--oracle", "lsharp", "--m-bound", "3", "--n-bound", "3"],
+            ["refute", "lr", path, "--k-max", "3"],
+        ):
+            assert run_cli(argv).exit_code in (0, 1, 2), argv

@@ -25,6 +25,7 @@ from dcflab.mealy import (
     transduce,
     validate_mealy,
 )
+from dcflab.witness import build_lsharp_reducer, find_witness
 
 import bruteforce as bf
 
@@ -195,6 +196,19 @@ class TestEvaluate:
             assert oracle.membership(w) == entry.predicate(w)
 
 
+NONREGULAR = [name for name in corpus.names() if name != "even_length_reg"]
+
+
+@pytest.fixture(scope="module")
+def lsharp_reducers():
+    """The certified 0^n 1^n reducer to each non-regular corpus language."""
+    out = {}
+    for name in NONREGULAR:
+        m = corpus.get_entry(name).machine
+        out[name] = build_lsharp_reducer(find_witness(m), sorted(m.input_alphabet))
+    return out
+
+
 class TestCompose:
     def test_identity_with_identity(self):
         ident = identity_machine("01")
@@ -231,6 +245,17 @@ class TestCompose:
         assert len(words("01", 6)) == 127
         for w in words("01", 6):
             assert evaluate(comp, oracle, w) == evaluate(front, middle, w), w
+
+    @pytest.mark.parametrize("name", NONREGULAR)
+    def test_real_reducers_compose_like_sequential_evaluation(self, name, lsharp_reducers):
+        """lsharp -> lsharp chained with lsharp -> L, on every binary word
+        of length <= 10."""
+        front, back = lsharp_reducers["lsharp"], lsharp_reducers[name]
+        oracle = corpus.oracle_of(corpus.get_entry(name))
+        middle = oracle_from_machine(back, oracle)
+        comp = compose(front, back)
+        for w in words("01", 10):
+            assert evaluate(comp, oracle, w) == evaluate(front, middle, w) == corpus.is_lsharp(w), w
 
     def test_back_end_dies_mid_output(self):
         # front machine flips bits and accepts exactly when its single query
