@@ -29,8 +29,10 @@ from .dpda import (
     step_closure,
 )
 
-# Caps for the product-simulation search for a distinguishing word; beyond
-# them two configurations are treated as equivalent at this scale.
+# Caps for the product-simulation search for a distinguishing word.  A
+# search that closes under them proves the two configurations equivalent;
+# one cut at a cap proves nothing, and the caller treats the pair as
+# equivalent at this scale.
 DISTINGUISH_MAX_LEN = 64
 DISTINGUISH_NODE_CAP = 20_000
 
@@ -240,9 +242,12 @@ def distinguishing_word(
     separator.  A product node holds each side as a plain (state, stack
     with the top last) pair, stepped by `_drive` on a list copy, or None
     once that side is stranded (empty stack); a stranded side rejects
-    everything from then on.  None covers two cases: the product search
-    closed with no separator, which proves the reachable pairs equivalent,
-    and the search was cut at `max_len` or `node_cap`, which proves nothing.
+    everything from then on.  A pair whose two sides coincide, stranded or
+    not, accepts the same words from then on, so it is skipped as
+    equivalent and never counts against `node_cap`.  None covers two cases:
+    the product search closed with no separator, which proves the reachable
+    pairs equivalent, and the search was cut at `max_len` or `node_cap`,
+    which proves nothing.
     """
     if summary is not None:
         # Words that pop some prefix of either stack drive that side to a
@@ -285,7 +290,7 @@ def distinguishing_word(
             e2, b2 = probe(d2, ch)
             if b1 != b2:
                 return word + ch
-            if e1 is None and e2 is None:
+            if e1 == e2:
                 continue
             key = (e1, e2)
             if key in seen:

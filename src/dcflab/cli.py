@@ -45,9 +45,16 @@ class UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    """argparse's help action; run_cli returns the text as exit 0."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); raise instead
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
+
+    def print_help(self, file=None):  # argparse would print and sys.exit(0)
+        raise _HelpRequested(self.format_help().rstrip("\n"))
 
 
 def _build_parser() -> _Parser:
@@ -225,6 +232,8 @@ def run_cli(argv: Sequence[str]) -> CommandOutcome:
     try:
         args = parser.parse_args(list(argv))
         return _dispatch(args)
+    except _HelpRequested as exc:
+        return CommandOutcome(0, str(exc))
     except UsageError as exc:
         return CommandOutcome(2, str(exc))
     except InvalidMachineError as exc:

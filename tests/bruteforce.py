@@ -55,6 +55,58 @@ def ref_config_member(m, state, stack, word):
     return acc
 
 
+def ref_distinguishing_word(m, c1, c2, max_len, node_cap):
+    """The first separator of two configurations (state, stack topmost
+    first) in a plain breadth-first product simulation straight off the
+    rules: letters in sorted order, each side ε-closed after every letter,
+    a side that cannot read a letter stranded (it rejects everything from
+    then on); a pair already seen, or with both sides stranded, is not
+    expanded.  Returns (word or None, closed); closed is False when the
+    search was cut at `max_len` or after `node_cap` expanded pairs, which
+    proves nothing."""
+    visible, eps = _rule_tables(m)
+    sigma = sorted(m.input_alphabet)
+
+    def close(state, stack, acc):
+        while stack and (state, stack[0]) in eps:
+            to, push = eps[(state, stack[0])]
+            state, stack = to, push + stack[1:]
+            acc = acc or state in m.accepting
+        return (state, stack), acc
+
+    def step(side, ch):
+        if side is None or not side[1]:
+            return None, False
+        hit = visible.get((side[0], side[1][0], ch))
+        if hit is None:
+            return None, False
+        return close(hit[0], hit[1] + side[1][1:], hit[0] in m.accepting)
+
+    s1, a1 = close(c1[0], tuple(c1[1]), c1[0] in m.accepting)
+    s2, a2 = close(c2[0], tuple(c2[1]), c2[0] in m.accepting)
+    if a1 != a2:
+        return "", True
+    seen = {(s1, s2)}
+    queue = deque([(s1, s2, "")])
+    closed = True
+    while queue:
+        d1, d2, word = queue.popleft()
+        if len(word) >= max_len:
+            closed = False
+            continue
+        for ch in sigma:
+            (e1, b1), (e2, b2) = step(d1, ch), step(d2, ch)
+            if b1 != b2:
+                return word + ch, True
+            if (e1 is None and e2 is None) or (e1, e2) in seen:
+                continue
+            seen.add((e1, e2))
+            if len(seen) > node_cap + 1:
+                return None, False
+            queue.append((e1, e2, word + ch))
+    return None, closed
+
+
 def _rule_tables(m):
     """(state, top, letter) -> (to, push) and (state, top) -> (to, push) for
     the ε-rules, read straight off the rule list."""

@@ -188,10 +188,12 @@ class TestDistinguishing:
     @pytest.mark.parametrize("seed", range(30))
     def test_product_search_against_reference(self, seed):
         # Pairs of configurations reached by words of length <= 3, on the
-        # raw machine (runs stick) and on its completion.  A found word
-        # separates the pair and no shorter word does; None means no word
-        # of length <= 6 separates it, since the depth-6 product tree (126
-        # nodes) lies far below the node cap.
+        # raw machine (runs stick) and on its completion.  Wherever a plain
+        # product BFS off the rule list closes under its own cap, the
+        # distinguisher returns its very word, or None.  In any case a
+        # found word separates the pair and no shorter word does; None
+        # means no word of length <= 6 separates it, since the depth-6
+        # product tree (126 nodes) lies far below the node cap.
         raw = random_eps_machine(random.Random(seed))
         short = list(bf.iter_words("01", 6))
         for m in (raw, complete_dpda(raw)):
@@ -207,12 +209,50 @@ class TestDistinguishing:
             for i, c1 in enumerate(configs):
                 for c2 in configs[i + 1 :]:
                     w = distinguishing_word(m, c1, c2)
+                    want, closed = bf.ref_distinguishing_word(
+                        m, (c1.state, c1.stack), (c2.state, c2.stack), max_len=64, node_cap=2_000
+                    )
+                    if closed:
+                        assert w == want, (c1, c2)
                     if w is None:
                         assert verdicts(c1, short) == verdicts(c2, short), (c1, c2)
                         continue
                     assert verdicts(c1, [w]) != verdicts(c2, [w]), (c1, c2, w)
                     shorter = list(bf.iter_words("01", len(w) - 1)) if w else []
                     assert verdicts(c1, shorter) == verdicts(c2, shorter), (c1, c2, w)
+
+    def test_coinciding_sides_end_the_search(self, monkeypatch):
+        # From every state and top, a and b both go to r, so (p, X) and
+        # (q, X) coincide after any letter; a walk through r's growing
+        # stacks would reach the node cap.
+        rules = [
+            {"from": p, "top": top, "label": a, "to": "r", "push": [push, top]}
+            for p in "pqr"
+            for top in "XY"
+            for a, push in (("a", "X"), ("b", "Y"))
+        ]
+        m = validate_dpda(
+            {
+                "states": ["p", "q", "r"],
+                "input_alphabet": ["a", "b"],
+                "stack_alphabet": ["X", "Y"],
+                "rules": rules,
+                "start_state": "p",
+                "start_symbol": "X",
+                "accepting": [],
+            }
+        )
+        calls = 0
+        drive = analysis._drive
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return drive(*args)
+
+        monkeypatch.setattr(analysis, "_drive", counted)
+        assert distinguishing_word(m, Configuration("p", ("X",)), Configuration("q", ("X",))) is None
+        assert calls <= 2 + 2 * len(m.input_alphabet)
 
     def test_none_at_the_node_cap_proves_nothing(self, lsharp):
         c1 = advance(lsharp, lsharp.start_configuration(), "00")[0]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcflab import corpus
-from dcflab.cli import _build_parser, run_cli
+from dcflab.cli import _build_parser, main, run_cli
 from dcflab.dpda import dpda_to_document, validate_dpda
 from dcflab.mealy import mealy_to_document, identity_machine, validate_mealy
 from dcflab.witness import SearchBudgets
@@ -145,6 +145,26 @@ def test_usage_error_is_exit_2():
     assert run_cli(["pda"]).exit_code == 2
     assert run_cli(["witness", "verify"]).exit_code == 2
     assert run_cli([]).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["--help"], "usage: dcflab [-h]"),
+        (["pda", "--help"], "usage: dcflab pda [-h]"),
+        (["witness", "find", "-h"], "usage: dcflab witness find [-h]"),
+    ],
+)
+def test_help_is_an_outcome(argv, usage, capsys, monkeypatch):
+    outcome = run_cli(argv)
+    assert outcome.exit_code == 0
+    assert outcome.report.startswith(usage)
+    assert capsys.readouterr().out == ""
+    monkeypatch.setattr("sys.argv", ["dcflab", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == outcome.report + "\n"
 
 
 def test_missing_file_is_exit_2():
