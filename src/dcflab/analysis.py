@@ -319,9 +319,11 @@ def find_divergent_word(m: Dpda, target_length: int, suffix_budget: int) -> Word
     downstream stair analysis needs.  Signatures are taken over a suffix
     set that starts with all words of length <= 2 and grows by
     distinguishing words discovered when two prefixes collide, capped at
-    `suffix_budget`.  Raises ExhaustedError when no extension survives,
-    which signals regular-looking behavior at this scale (or too small a
-    budget).
+    `suffix_budget`.  A new suffix adds one bit to each kept signature and
+    to the candidate's, which is the signature over the grown set, so no
+    prefix is signed again.  Raises ExhaustedError when no extension
+    survives, which signals regular-looking behavior at this scale (or too
+    small a budget).
 
     `distinguishing_word` runs at most once per ordered (candidate, earlier
     prefix) pair per call: its verdict depends only on the machine, the
@@ -347,10 +349,6 @@ def find_divergent_word(m: Dpda, target_length: int, suffix_budget: int) -> Word
                 ranked.append((-len(res[0].stack), symbol, res[0]))
         ranked.sort()
         return iter([(symbol, cfg) for _, symbol, cfg in ranked])
-
-    def resign() -> None:
-        for i, c in enumerate(configs):
-            sigs[i] = signature(m, c, suffixes).bits
 
     pending = [extensions(start)]
     while True:
@@ -381,8 +379,9 @@ def find_divergent_word(m: Dpda, target_length: int, suffix_budget: int) -> Word
                 ok = False
                 break
             suffixes.append(extra)
-            resign()
-            sig = signature(m, cand, suffixes).bits
+            for i, c in enumerate(configs):
+                sigs[i] += (config_member(m, c, extra),)
+            sig += (config_member(m, cand, extra),)
         if not ok:
             continue
         word.append(symbol)

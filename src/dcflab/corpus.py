@@ -52,6 +52,13 @@ def is_lsharp(w: str) -> bool:
     return n >= 1 and w == "0" * n + "1" * n
 
 
+def is_lsharp_prefix(w: str) -> bool:
+    """Whether some extension of w, w itself included, lies in 0^n 1^n."""
+    zeros = len(w) - len(w.lstrip("0"))
+    ones = len(w) - zeros
+    return ones <= zeros and w[zeros:] == "1" * ones
+
+
 def is_l1_le(w: str) -> bool:
     """0^m 1^n with 1 <= m <= n."""
     m = len(w) - len(w.lstrip("0"))

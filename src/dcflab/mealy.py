@@ -15,9 +15,19 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .dpda import Dpda, InvalidMachineError, Violation, _check_fields, _fresh, complete_dpda, member
+from .dpda import (
+    Dpda,
+    InvalidMachineError,
+    Violation,
+    _check_fields,
+    _fresh,
+    advance,
+    complete_dpda,
+    config_member,
+    member,
+)
 
 
 @dataclass(frozen=True)
@@ -64,13 +74,44 @@ class OracleMealyMachine:
     per_state: Mapping[str, QuerySpec]
 
 
+class Positions(NamedTuple):
+    """Resumable run positions of a language (see `LanguageOracle`)."""
+
+    start: Callable[[], Any]
+    step: Callable[[Any, str], Any]
+    accepts: Callable[[Any, str], bool]
+
+
 @dataclass(frozen=True)
 class LanguageOracle:
-    """A total, deterministic membership predicate over a fixed alphabet."""
+    """A total, deterministic membership predicate over a fixed alphabet.
+
+    `start`, `step` and `accepts` read the same language from resumable
+    run positions: `start()` is the position before any input, `step(p,
+    word)` the position after reading `word` from p, and `accepts(p, s)`
+    whether the word read up to p, followed by s, is in the language.
+    Stepping by "" leaves a position unchanged.  By default a position is
+    the prefix read so far; `positions` may supply a cheaper one (see
+    `oracle_from_dpda`).
+    """
 
     alphabet: frozenset[str]
     membership: Callable[[str], bool]
     name: str = ""
+    positions: Optional[Positions] = None
+
+    def start(self) -> Any:
+        return "" if self.positions is None else self.positions.start()
+
+    def step(self, position: Any, word: str) -> Any:
+        if self.positions is None:
+            return position + word
+        return self.positions.step(position, word)
+
+    def accepts(self, position: Any, suffix: str) -> bool:
+        if self.positions is None:
+            return self.membership(position + suffix)
+        return self.positions.accepts(position, suffix)
 
 
 @dataclass(frozen=True)
@@ -272,14 +313,36 @@ def _verdict(
 
 
 def oracle_from_dpda(m: Dpda) -> LanguageOracle:
-    """Wrap a machine's accepted language as a (memoized) oracle."""
+    """Wrap a machine's accepted language as a (memoized) oracle.
+
+    A run position is a stable configuration of the completed machine with
+    `advance`'s flag, which tells whether the word read so far is
+    accepted, so reading on from a position costs only the new letters.
+    """
     mc = m if m.completed else complete_dpda(m)
 
     @lru_cache(maxsize=1 << 20)
     def membership(word: str) -> bool:
         return member(mc, word)
 
-    return LanguageOracle(alphabet=mc.input_alphabet, membership=membership, name="dpda")
+    def start():
+        return advance(mc, mc.start_configuration(), "")
+
+    def step(position, word: str):
+        # Re-closing the stable configuration on "" would drop an accepting
+        # state seen inside the ε-chain that led to it.
+        return advance(mc, position[0], word) if word else position
+
+    def accepts(position, suffix: str) -> bool:
+        config, accepted = position
+        return config_member(mc, config, suffix) if suffix else accepted
+
+    return LanguageOracle(
+        alphabet=mc.input_alphabet,
+        membership=membership,
+        name="dpda",
+        positions=Positions(start, step, accepts),
+    )
 
 
 def oracle_from_machine(

@@ -30,7 +30,7 @@ from .analysis import (
     pop_summaries,
     pop_witnesses,
 )
-from .corpus import is_lsharp
+from .corpus import is_lsharp, is_lsharp_prefix
 from .dpda import Configuration, Dpda, Word, complete_dpda, config_member
 from .mealy import (
     LanguageOracle,
@@ -141,19 +141,29 @@ def verify_witness(
 
     For every m in [0, m_bound] and n in [1, n_bound] the pair of membership
     answers for v x^m w y^(n-1) z and v x^m w y^n z (with the tuple's
-    polarity applied) must spell out m = n.
+    polarity applied) must spell out m = n.  Each row asks the oracle once
+    for the answer a_j on v x^m w y^j z, j in [0, n_bound], and reads the
+    pair at n as (a_(n-1), a_n).  The words are read through the oracle's
+    run positions: v x^m is one x past the previous row's, and each y^j
+    one y past the last.  A bound below 1 raises ValueError: the grid
+    would hold no point with m = n.
     """
+    for name, bound in (("m_bound", m_bound), ("n_bound", n_bound)):
+        if bound < 1:
+            raise ValueError(f"{name} must be >= 1, not {bound}")
     flip = t.polarity == COMPLEMENT
     counterexamples: list[tuple[int, int, bool, bool]] = []
-    prefix = t.v
+    prefix = oracle.step(oracle.start(), t.v)
     for m in range(m_bound + 1):
-        body = prefix + t.w
+        position = oracle.step(prefix, t.w)
+        left = oracle.accepts(position, t.z) ^ flip
         for n in range(1, n_bound + 1):
-            left = oracle.membership(body + t.y * (n - 1) + t.z) ^ flip
-            right = oracle.membership(body + t.y * n + t.z) ^ flip
+            position = oracle.step(position, t.y)
+            right = oracle.accepts(position, t.z) ^ flip
             if ((not left) and right) != (m == n):
                 counterexamples.append((m, n, left, right))
-        prefix += t.x
+            left = right
+        prefix = oracle.step(prefix, t.x)
     return VerificationReport(
         m_bound=m_bound,
         n_bound=n_bound,
@@ -336,10 +346,14 @@ def _check_reducer_agreement(
     reducer: OracleMealyMachine, oracle: LanguageOracle, max_len: int
 ) -> int:
     """Walk the binary prefix tree up to max_len comparing the reducer's
-    verdict with the 0^n 1^n predicate; raises on the first mismatch.
+    verdict with the 0^n 1^n predicate; raises on the first mismatch and
+    returns the number of words checked, 2^(max_len+1) - 1 on success.
 
     The walk advances the transducer incrementally, which agrees with
-    `evaluate` by the transduction morphism."""
+    `evaluate` by the transduction morphism.  A word on which the
+    transducer has died is rejected, and so is every extension of it; when
+    no extension lies in 0^n 1^n either, the whole subtree agrees and is
+    counted without being walked."""
     membership = oracle.membership
     checked = 0
     # (word, state or None, oracle-tape content)
@@ -348,6 +362,9 @@ def _check_reducer_agreement(
     outputs = reducer.outputs
     while stack:
         word, state, out = stack.pop()
+        if state is None and not is_lsharp_prefix(word):
+            checked += 2 ** (max_len - len(word) + 1) - 1
+            continue
         verdict = state is not None and _verdict(reducer, state, out, membership)
         if verdict != is_lsharp(word):
             raise AgreementFailureError(word)
@@ -355,14 +372,11 @@ def _check_reducer_agreement(
         if len(word) == max_len:
             continue
         for ch in ("0", "1"):
-            if state is None:
+            nxt = None if state is None else delta.get((state, ch))
+            if nxt is None:
                 stack.append((word + ch, None, ""))
             else:
-                nxt = delta.get((state, ch))
-                if nxt is None:
-                    stack.append((word + ch, None, ""))
-                else:
-                    stack.append((word + ch, nxt, out + outputs[(state, ch)]))
+                stack.append((word + ch, nxt, out + outputs[(state, ch)]))
     return checked
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -281,6 +282,27 @@ class TestDivergentWord:
         with pytest.raises(ExhaustedError) as excinfo:
             find_divergent_word(machine("even_length_reg"), 8, 64)
         assert len(excinfo.value.best_prefix) < 8
+
+    @pytest.mark.parametrize("name, length", [("lsharp", 8), ("dyck1", 8), ("l_m_nn", 12)])
+    def test_kept_signature_bits_match_a_fresh_signature(self, monkeypatch, name, length):
+        # Each distinguisher call meets a clash in the kept signatures; at
+        # that moment every kept signature, and the candidate's, must be
+        # the one signed afresh over the suffixes known so far.
+        real = analysis.distinguishing_word
+        sizes = []
+
+        def checking(m, c1, c2, summary=None):
+            search = sys._getframe(1).f_locals
+            suffixes = search["suffixes"]
+            for c, bits in zip(search["configs"], search["sigs"], strict=True):
+                assert bits == signature(m, c, suffixes).bits
+            assert search["sig"] == signature(m, search["cand"], suffixes).bits
+            sizes.append(len(suffixes))
+            return real(m, c1, c2, summary)
+
+        monkeypatch.setattr(analysis, "distinguishing_word", checking)
+        find_divergent_word(machine(name), length, 64)
+        assert len(set(sizes)) > 2
 
     def test_one_distinguisher_run_per_pair(self, monkeypatch):
         # Backtracking meets the same clashing pair four times on this

@@ -97,6 +97,17 @@ def test_witness_verify_flipped_fails_with_listing(tmp_path):
     assert outcome.payload["counterexamples"]
 
 
+@pytest.mark.parametrize("bound", [["--m-bound", "-1"], ["--n-bound", "0"], ["--n-bound", "-3"]])
+def test_witness_verify_without_grid_points_is_exit_2(tmp_path, bound):
+    tup = tmp_path / "tuple.json"
+    tup.write_text(json.dumps({"v": "0", "x": "1", "w": "1", "y": "1", "z": "1", "polarity": "direct"}))
+    argv = ["witness", "verify", str(tup), "--oracle", "lsharp"]
+    assert run_cli(argv).exit_code == 1
+    outcome = run_cli(argv + bound)
+    assert outcome.exit_code == 2
+    assert "bound must be >= 1" in outcome.report
+
+
 def test_witness_find_writes_tuple(tmp_path):
     out = tmp_path / "found.json"
     outcome = run_cli(["witness", "find", "--lang", "lsharp", "-o", str(out)])

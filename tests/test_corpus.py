@@ -56,6 +56,14 @@ def test_oracle_wraps_predicate():
     assert oracle.alphabet == frozenset("01")
 
 
+def test_lsharp_prefix_against_the_language():
+    # w extends into 0^n 1^n exactly when it is a prefix of one of the
+    # words 0^n 1^n of length <= 2|w| + 2, w itself included.
+    for w in bf.iter_words("01", 10):
+        want = any(("0" * n + "1" * n).startswith(w) for n in range(1, len(w) + 2))
+        assert corpus.is_lsharp_prefix(w) == want, w
+
+
 def test_lsharp_squared_oracle_splits():
     oracle = corpus.oracle_of(corpus.get_entry("lsharp_squared"))
     assert oracle.membership("0101")

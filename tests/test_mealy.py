@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcflab import corpus
-from dcflab.dpda import InvalidMachineError
+from dcflab.dpda import InvalidMachineError, validate_dpda
 from dcflab.mealy import (
     Dfa,
     LanguageOracle,
@@ -194,6 +194,24 @@ class TestEvaluate:
         oracle = oracle_from_dpda(entry.machine)
         for w in words("01", 8):
             assert oracle.membership(w) == entry.predicate(w)
+
+    @pytest.mark.parametrize("raw", [bf.EPS_CHAIN_RAW, bf.LSHARP_EPS_RAW, bf.EMPTY_LANGUAGE_RAW])
+    def test_positions_read_every_split_of_a_word(self, raw):
+        # Reading u = a·b·s as start, step a, step b, accepts s gives u's
+        # membership, for the machine's positions and the string default.
+        machine_oracle = oracle_from_dpda(validate_dpda(raw))
+        string_oracle = LanguageOracle(machine_oracle.alphabet, machine_oracle.membership)
+        for o in (machine_oracle, string_oracle):
+            for u in words("01", 5):
+                for i in range(len(u) + 1):
+                    for j in range(i, len(u) + 1):
+                        position = o.step(o.step(o.start(), u[:i]), u[i:j])
+                        assert o.accepts(position, u[j:]) == o.membership(u), (u, i, j)
+
+    def test_string_positions_are_prefixes(self):
+        oracle = lsharp_oracle()
+        assert oracle.step(oracle.step(oracle.start(), "00"), "1") == "001"
+        assert oracle.accepts("001", "1") and not oracle.accepts("001", "")
 
 
 NONREGULAR = [name for name in corpus.names() if name != "even_length_reg"]

@@ -1,12 +1,18 @@
+from dataclasses import replace
+from itertools import product
+
 import pytest
 
 from dcflab import corpus
-from dcflab.mealy import evaluate, oracle_from_dpda, transduce
+from dcflab.dpda import validate_dpda
+from dcflab.mealy import LanguageOracle, TruthTable, evaluate, oracle_from_dpda, transduce
 from dcflab.witness import (
+    AgreementFailureError,
     AgreementReport,
     SearchBudgets,
     SearchExhaustedError,
     WitnessTuple,
+    _check_reducer_agreement,
     build_lsharp_reducer,
     find_witness,
     reduce_lsharp,
@@ -80,6 +86,41 @@ class TestVerifyWitness:
             assert left == (not pred("0" * m + "1" * (n - 1)))
             assert right == (not pred("0" * m + "1" * n))
 
+    @pytest.mark.parametrize("m_bound, n_bound", [(-1, 25), (0, 25), (25, 0), (25, -3)])
+    def test_bounds_below_one_raise(self, m_bound, n_bound):
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            verify_witness(oracle("lsharp"), MINIMAL_TUPLE, m_bound, n_bound)
+
+
+GRID_WORDS = ("", "0", "1", "00", "01", "10")
+
+
+class TestResumableGrid:
+    @pytest.mark.parametrize(
+        "raw",
+        [bf.EPS_CHAIN_RAW, bf.LSHARP_EPS_RAW, bf.LSHARP_RAW],
+        ids=["eps_chain", "lsharp_eps", "lsharp"],
+    )
+    def test_machine_positions_give_the_string_grid(self, raw):
+        # 3,888 tuples per machine; empty w and z step and accept by "".
+        resumable = oracle_from_dpda(validate_dpda(raw))
+        strings = LanguageOracle(resumable.alphabet, resumable.membership)
+        for v, w, z in product(GRID_WORDS, repeat=3):
+            for x, y, polarity in product(("0", "1", "01"), ("0", "1", "10"), ("direct", "complement")):
+                t = WitnessTuple(v=v, x=x, w=w, y=y, z=z, polarity=polarity)
+                assert verify_witness(resumable, t, 5, 5) == verify_witness(strings, t, 5, 5), t
+
+    def test_empty_step_keeps_acceptance_seen_inside_an_eps_chain(self):
+        # After "001" the run rests in the non-accepting `done`, having
+        # accepted only in `hit` inside the ε-chain.
+        o = oracle_from_dpda(validate_dpda(bf.EPS_CHAIN_RAW))
+        position = o.step(o.start(), "001")
+        assert o.step(position, "") == position
+        assert o.accepts(position, "")
+        t = WitnessTuple(v="00", x="1", w="", y="1", z="", polarity="complement")
+        strings = LanguageOracle(o.alphabet, o.membership)
+        assert verify_witness(o, t, 25, 25) == verify_witness(strings, t, 25, 25)
+
 
 class TestRepair:
     def test_repaired_tuple_is_nonempty_and_still_passes(self):
@@ -96,6 +137,23 @@ class TestFindWitness:
     def test_lsharp_deterministic_output(self):
         t = find_witness(corpus.get_entry("lsharp").machine)
         assert t == WitnessTuple(v="00", x="00", w="1", y="11", z="1", polarity="direct")
+
+    # lsharp's tuple is pinned above.
+    @pytest.mark.parametrize(
+        "name, pinned",
+        [
+            ("l1_le", ("00", "0", "1", "1", "1")),
+            ("dyck1", ("((", "((", ")", "))", ")")),
+            ("lr", ("aa", "aa", "ca", "aa", "a")),
+            ("l_mm_n", ("00", "00", "1", "11", "10")),
+            ("l_m_nn", ("011", "11", "0", "00", "0")),
+            ("lsharp_squared", ("00", "00", "1", "11", "101")),
+        ],
+    )
+    def test_corpus_tuples_are_pinned(self, name, pinned):
+        t = find_witness(corpus.get_entry(name).machine)
+        v, x, w, y, z = pinned
+        assert t.to_json_dict() == {"v": v, "x": x, "w": w, "y": y, "z": z, "polarity": "direct"}
 
     @pytest.mark.parametrize(
         "name", ["lsharp", "l1_le", "dyck1", "lr", "l_mm_n", "l_m_nn", "lsharp_squared"]
@@ -192,3 +250,39 @@ class TestReduceLsharp:
         entry = corpus.get_entry("even_length_reg")
         with pytest.raises(SearchExhaustedError):
             reduce_lsharp(entry.machine, SearchBudgets(word_length=6), check_len=4)
+
+
+@pytest.fixture(scope="module")
+def lsharp_reducer():
+    entry = corpus.get_entry("lsharp")
+    reducer = build_lsharp_reducer(find_witness(entry.machine), "01")
+    return reducer, oracle_from_dpda(entry.machine)
+
+
+class TestAgreementWalk:
+    def test_every_word_is_counted(self, lsharp_reducer):
+        reducer, o = lsharp_reducer
+        for max_len in range(17):
+            assert _check_reducer_agreement(reducer, o, max_len) == 2 ** (max_len + 1) - 1
+
+    def test_flipped_final_table_is_caught(self, lsharp_reducer):
+        reducer, o = lsharp_reducer
+        suffixes, table = reducer.per_state["q2"]
+        flipped = TruthTable(table.arity, tuple(not r for r in table.rows))
+        bad = replace(reducer, per_state={**reducer.per_state, "q2": (suffixes, flipped)})
+        with pytest.raises(AgreementFailureError) as excinfo:
+            _check_reducer_agreement(bad, o, 16)
+        assert excinfo.value.word == "01"
+
+    def test_live_transition_outside_the_prefixes_is_caught(self, lsharp_reducer):
+        # (q2, "0") keeps words such as 0010 alive although no extension of
+        # them lies in 0^n 1^n, so their subtrees must still be walked.
+        reducer, o = lsharp_reducer
+        bad = replace(
+            reducer,
+            delta={**reducer.delta, ("q2", "0"): "q2"},
+            outputs={**reducer.outputs, ("q2", "0"): reducer.outputs[("q2", "1")]},
+        )
+        with pytest.raises(AgreementFailureError) as excinfo:
+            _check_reducer_agreement(bad, o, 16)
+        assert excinfo.value.word == "0010"
