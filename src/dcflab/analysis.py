@@ -239,15 +239,20 @@ def distinguishing_word(
     Tries pop-guided probes first (words that unwind either stack reach the
     depth at which the configurations differ without any search), then
     falls back to breadth-first product simulation for the shortest
-    separator.  A product node holds each side as a plain (state, stack
-    with the top last) pair, stepped by `_drive` on a list copy, or None
-    once that side is stranded (empty stack); a stranded side rejects
-    everything from then on.  A pair whose two sides coincide, stranded or
-    not, accepts the same words from then on, so it is skipped as
-    equivalent and never counts against `node_cap`.  None covers two cases:
-    the product search closed with no separator, which proves the reachable
-    pairs equivalent, and the search was cut at `max_len` or `node_cap`,
-    which proves nothing.
+    separator.  Each side of a product pair is a (state, stack node) pair,
+    or None once that side is stranded (empty stack or stuck); a stranded
+    side rejects everything from then on.  Stack nodes are hash-consed for
+    the length of one call: node 0 is the empty stack and node i stands for
+    (top symbol, node below), so equal stacks get equal ids and comparing or
+    hashing a side is O(1).  A step reads only the top symbol, so `_drive`
+    runs on that one-symbol window once per (state, top, letter or ε) and
+    its result is kept; a window that runs empty hands the run to the node
+    below with the unread rest of the letter.  A pair whose two sides
+    coincide, stranded or not, accepts the same words from then on, so it
+    is skipped as equivalent and never counts against `node_cap`.  None
+    covers two cases: the product search closed with no separator, which
+    proves the reachable pairs equivalent, and the search was cut at
+    `max_len` or `node_cap`, which proves nothing.
     """
     if summary is not None:
         # Words that pop some prefix of either stack drive that side to a
@@ -262,19 +267,55 @@ def distinguishing_word(
             if config_member(m, c1, cand) != config_member(m, c2, cand):
                 return cand
 
-    Side = Optional[tuple[str, StackWord]]
+    cells: list[tuple[str, int]] = [("", 0)]  # node -> (top, node below)
+    ids: dict[tuple[str, int], int] = {}  # (top, node below) -> node
+    steps: dict[tuple[str, str, Word], tuple[str, StackWord, bool, int]] = {}
+
+    def push(symbols, node: int) -> int:
+        """The node for `symbols` (top last) stacked on `node`."""
+        for symbol in symbols:
+            cell = (symbol, node)
+            node = ids.get(cell, 0)
+            if not node:
+                node = ids[cell] = len(cells)
+                cells.append(cell)
+        return node
+
+    Side = Optional[tuple[str, int]]
 
     def probe(side: Side, ch: Word) -> tuple[Side, bool]:
         if side is None:
             return None, False
-        stack = list(side[1])
-        state, acc, consumed = _drive(m, side[0], stack, ch)
-        if consumed < len(ch):
+        state, node = side
+        # As in `_drive`: a window's flag replaces the side's once a letter
+        # has been read and is OR-ed into it otherwise.
+        acc = False
+        while node:
+            top, node = cells[node]
+            key = (state, top, ch)
+            hit = steps.get(key)
+            if hit is None:
+                window = [top]
+                end, flag, consumed = _drive(m, state, window, ch)
+                hit = steps[key] = (end, tuple(window), flag, consumed)
+            state, window, flag, consumed = hit
+            if consumed:
+                acc, ch = flag, ""
+            else:
+                acc = acc or flag
+            if window:
+                # The run ended on the window: stuck if the letter is unread.
+                if ch:
+                    return None, False
+                return (state, push(window, node)), acc
+        if ch:
             return None, False
-        return (state, tuple(stack)), acc
+        # Only a side that starts on the empty stack has not yet counted
+        # its own state.
+        return (state, 0), acc or state in m.accepting
 
-    s1, a1 = probe((c1.state, c1.stack[::-1]), "")
-    s2, a2 = probe((c2.state, c2.stack[::-1]), "")
+    s1, a1 = probe((c1.state, push(c1.stack[::-1], 0)), "")
+    s2, a2 = probe((c2.state, push(c2.stack[::-1], 0)), "")
     if a1 != a2:
         return ""
     sigma = sorted(m.input_alphabet)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dcflab import analysis, corpus
 from dcflab.analysis import (
+    DISTINGUISH_NODE_CAP,
     ExhaustedError,
     NoLevelsError,
     NoPeriodFoundError,
@@ -260,6 +261,110 @@ class TestDistinguishing:
         c2 = advance(lsharp, lsharp.start_configuration(), "0000")[0]
         assert distinguishing_word(lsharp, c1, c2) == "11"
         assert distinguishing_word(lsharp, c1, c2, node_cap=1) is None
+
+    def test_one_drive_per_state_top_and_letter(self, monkeypatch, lsharp):
+        # Steps are memoised per call: `_drive` runs at most once per
+        # (state, top, letter or ε), on lsharp's separating search and its
+        # cap walk, and on twin states p, q whose every letter pushes, so
+        # the product grows without bound and walks to the full node cap.
+        twins = validate_dpda(
+            {
+                "states": ["p", "q"],
+                "input_alphabet": ["a", "b"],
+                "stack_alphabet": ["X", "Y"],
+                "rules": [
+                    {"from": s, "top": top, "label": a, "to": s, "push": [push, top]}
+                    for s in "pq"
+                    for top in "XY"
+                    for a, push in (("a", "X"), ("b", "Y"))
+                ],
+                "start_state": "p",
+                "start_symbol": "X",
+                "accepting": [],
+            }
+        )
+        runs = []
+        drive = analysis._drive
+
+        def counted(m, state, stack, word):
+            runs.append((state, stack[-1], word))
+            return drive(m, state, stack, word)
+
+        monkeypatch.setattr(analysis, "_drive", counted)
+        c1 = advance(lsharp, lsharp.start_configuration(), "00")[0]
+        c2 = advance(lsharp, lsharp.start_configuration(), "0000")[0]
+        p, q = Configuration("p", ("X",)), Configuration("q", ("X",))
+        searches = [
+            (lsharp, c1, c2, DISTINGUISH_NODE_CAP, "11"),
+            (lsharp, c1, c2, 1, None),
+            (twins, p, q, DISTINGUISH_NODE_CAP, None),
+        ]
+        for m, c1, c2, node_cap, want in searches:
+            runs.clear()
+            assert distinguishing_word(m, c1, c2, node_cap=node_cap) == want
+            bound = len(m.states) * len(m.stack_alphabet) * (len(m.input_alphabet) + 1)
+            assert len(runs) == len(set(runs)) <= bound, runs
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_deep_stacks_against_reference(self, seed):
+        # Configurations reached by words of length <= 6 stack up to nine
+        # symbols, so steps pop through many stack nodes and ε-chains
+        # run below the one-symbol window.  Wherever the reference closes,
+        # the distinguisher returns its very word.
+        raw = random_eps_machine(random.Random(seed))
+        for m in (raw, complete_dpda(raw)):
+            runs = (advance(m, m.start_configuration(), u) for u in bf.iter_words("01", 6))
+            configs = list(dict.fromkeys(r[0] for r in runs if r is not None))
+            for i, c1 in enumerate(configs):
+                for c2 in configs[i + 1 :]:
+                    want, closed = bf.ref_distinguishing_word(
+                        m, (c1.state, c1.stack), (c2.state, c2.stack), max_len=64, node_cap=2_000
+                    )
+                    if closed:
+                        assert distinguishing_word(m, c1, c2) == want, (c1, c2)
+
+    def test_an_eps_chain_that_strands_the_side(self):
+        # From p, the letter a sets off an ε-chain e, o, e, ... that pops
+        # every X, passing the accepting o.  On X^4 it leaves the side on
+        # the empty stack, so the next letter strands it; on X^4 Y it stops
+        # at e over Y, where a accepts.
+        rules = [
+            {"from": "p", "top": "X", "label": "a", "to": "e", "push": ["X"]},
+            {"from": "p", "top": "X", "label": "b", "to": "p", "push": ["X"]},
+            {"from": "e", "top": "X", "label": "", "to": "o", "push": []},
+            {"from": "o", "top": "X", "label": "", "to": "e", "push": []},
+            {"from": "e", "top": "Y", "label": "a", "to": "f", "push": ["Y"]},
+            {"from": "e", "top": "Y", "label": "b", "to": "p", "push": ["Y"]},
+            {"from": "o", "top": "Y", "label": "a", "to": "p", "push": ["Y"]},
+            {"from": "o", "top": "Y", "label": "b", "to": "f", "push": ["Y"]},
+            {"from": "p", "top": "Y", "label": "a", "to": "f", "push": []},
+            {"from": "p", "top": "Y", "label": "b", "to": "p", "push": ["X", "Y"]},
+            {"from": "f", "top": "Y", "label": "a", "to": "f", "push": ["Y"]},
+        ]
+        raw = validate_dpda(
+            {
+                "states": ["p", "e", "o", "f"],
+                "input_alphabet": ["a", "b"],
+                "stack_alphabet": ["X", "Y"],
+                "rules": rules,
+                "start_state": "p",
+                "start_symbol": "X",
+                "accepting": ["o", "f"],
+            }
+        )
+        stacks = [("X",) * k + bottom for k in range(1, 5) for bottom in ((), ("Y",))]
+        configs = [Configuration("p", stack) for stack in stacks]
+        assert distinguishing_word(raw, configs[-2], configs[-1]) == "aa"
+        # Sides that start on the empty stack: only their own state counts.
+        configs += [Configuration("o", ()), Configuration("e", ())]
+        for m in (raw, complete_dpda(raw)):
+            for i, c1 in enumerate(configs):
+                for c2 in configs[i + 1 :]:
+                    want, closed = bf.ref_distinguishing_word(
+                        m, (c1.state, c1.stack), (c2.state, c2.stack), max_len=64, node_cap=2_000
+                    )
+                    assert closed, (c1, c2)
+                    assert distinguishing_word(m, c1, c2) == want, (c1, c2)
 
 
 class TestDivergentWord:
