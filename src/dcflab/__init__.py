@@ -5,7 +5,6 @@ from .analysis import (
     PeriodicityReport,
     PopSummary,
     Pump,
-    QuotientSignature,
     StairFactorization,
     down_states,
     eps_down_state,
@@ -30,7 +29,6 @@ from .dpda import (
     load_dpda,
     member,
     run,
-    step_closure,
     validate_dpda,
 )
 from .mealy import (

@@ -26,7 +26,6 @@ from .dpda import (
     _drive,
     advance,
     config_member,
-    step_closure,
 )
 
 # Caps for the product-simulation search for a distinguishing word.  A
@@ -85,34 +84,22 @@ class PopSummary:
 
 
 @dataclass(frozen=True)
-class StairLevel:
-    state: str
-    symbol: str
-    pushed: StackWord
-    chunk: Word
-
-
-@dataclass(frozen=True)
 class StairFactorization:
-    """Levels of a stack-increasing run.
+    """Levels of a stack-increasing run on a word u.
 
-    Replaying chunks 0..k from the start configuration lands exactly in
-    configuration (state_k, (symbol_k,) + pushed_k + ... + pushed_0); every
-    chunk and every pushed segment is nonempty.
+    Each level is a pair (i, c): reading u[:i] from the start configuration
+    lands in the stable configuration c, and the rest of the run on u never
+    touches c's stack.  Positions and stack heights strictly increase along
+    the levels.
     """
 
-    levels: tuple[StairLevel, ...]
+    levels: tuple[tuple[int, Configuration], ...]
 
     def to_json_dict(self) -> dict:
         return {
             "levels": [
-                {
-                    "state": lv.state,
-                    "symbol": lv.symbol,
-                    "pushed": list(lv.pushed),
-                    "chunk": lv.chunk,
-                }
-                for lv in self.levels
+                {"position": i, "state": c.state, "stack": list(c.stack)}
+                for i, c in self.levels
             ]
         }
 
@@ -138,11 +125,6 @@ class PeriodicityReport:
     k: int
     period: int
     table: tuple[bool, ...]
-
-
-@dataclass(frozen=True)
-class QuotientSignature:
-    bits: tuple[bool, ...]
 
 
 def _less(a: Word, b: Optional[Word]) -> bool:
@@ -216,14 +198,14 @@ def down_states(s: PopSummary, c: Configuration) -> frozenset[str]:
 def eps_down_state(m: Dpda, c: Configuration) -> Optional[str]:
     """The unique state reached from c by ε-popping the whole stack, if any:
     the end of c's ε-closure when that closure empties the stack."""
-    end, _ = step_closure(m, c)
+    end, _ = advance(m, c, "")
     return None if end.stack else end.state
 
 
-def signature(m: Dpda, c: Configuration, suffixes: list[Word]) -> QuotientSignature:
+def signature(m: Dpda, c: Configuration, suffixes: list[Word]) -> tuple[bool, ...]:
     """Bounded approximation of the configuration's language class: one
     membership bit per test suffix."""
-    return QuotientSignature(tuple(config_member(m, c, s) for s in suffixes))
+    return tuple(config_member(m, c, s) for s in suffixes)
 
 
 def distinguishing_word(
@@ -376,9 +358,9 @@ def find_divergent_word(m: Dpda, target_length: int, suffix_budget: int) -> Word
     summary = pop_summaries(m)
     verdicts: dict[tuple[Configuration, Configuration], Optional[Word]] = {}
 
-    start, _ = step_closure(m, m.start_configuration())
+    start, _ = advance(m, m.start_configuration(), "")
     configs = [start]
-    sigs = [signature(m, start, suffixes).bits]
+    sigs = [signature(m, start, suffixes)]
     word: list[str] = []
     best = ""
 
@@ -403,7 +385,7 @@ def find_divergent_word(m: Dpda, target_length: int, suffix_budget: int) -> Word
             sigs.pop()
             continue
         symbol, cand = nxt
-        sig = signature(m, cand, suffixes).bits
+        sig = signature(m, cand, suffixes)
         ok = True
         while True:
             clash = next((i for i, s in enumerate(sigs) if s == sig), None)
@@ -435,15 +417,23 @@ def find_divergent_word(m: Dpda, target_length: int, suffix_budget: int) -> Word
         pending.append(extensions(cand))
 
 
-def _micro_heights(m: Dpda, u: Word) -> tuple[list[tuple[int, Configuration]], list[int]]:
-    """Stable configurations per consumed prefix plus the heights of every
-    configuration visited (including unstable ones inside ε-chains)."""
+def stair_factorize(m: Dpda, u: Word) -> StairFactorization:
+    """Decompose the run on u along positions whose stack is never touched
+    again within u.
+
+    A position is a level when every configuration visited strictly after
+    it, unstable ones inside ε-chains included, keeps a strictly taller
+    stack.  The first level is left out, so pumps are based at the second
+    and later ones.  Levels near the end of u may be artifacts of the
+    finite run; pump verification filters them.
+    """
     stack = [m.start_symbol]
-    heights = [len(stack)]
+    heights = [len(stack)]  # after every step, as `visit` sees it
 
     def visit(label: str, state: str, stack: list[str]) -> None:
         heights.append(len(stack))
 
+    # Per read prefix u[:i]: (index into heights, stable configuration).
     state, _, _ = _drive(m, m.start_state, stack, "", visit)
     stables = [(len(heights) - 1, _configuration(state, stack))]
     for ch in u:
@@ -451,97 +441,39 @@ def _micro_heights(m: Dpda, u: Word) -> tuple[list[tuple[int, Configuration]], l
         if not consumed:
             break
         stables.append((len(heights) - 1, _configuration(state, stack)))
-    return stables, heights
 
-
-def stair_factorize(m: Dpda, u: Word) -> StairFactorization:
-    """Decompose the run on u along positions whose stack is never touched
-    again within u.
-
-    A position is a level when every configuration visited strictly after
-    it (unstable ones included) keeps a strictly larger stack.  The segment
-    up to the second level is merged into the first chunk so that replaying
-    chunks reproduces the level configurations exactly.  Levels near the
-    end of u may be artifacts of the finite run; pump verification filters
-    them.
-    """
-    stables, heights = _micro_heights(m, u)
-
-    suffix_min = [0] * (len(heights) + 1)
-    suffix_min[len(heights)] = len(heights) + 10**9
-    for i in range(len(heights) - 1, -1, -1):
-        suffix_min[i] = min(heights[i], suffix_min[i + 1])
-
-    level_positions = [
-        pos
-        for pos, (t, c) in enumerate(stables)
-        if suffix_min[t + 1] > len(c.stack)
-    ]
-    if len(level_positions) < 2:
-        raise NoLevelsError(f"only {len(level_positions)} level(s) on {u!r}")
-
-    levels: list[StairLevel] = []
-    prev_cfg = stables[level_positions[0]][1]
-    first = True
-    start_of_chunk = 0
-    for pos in level_positions[1:]:
-        cfg = stables[pos][1]
-        if first:
-            pushed = cfg.stack[1:]
-            first = False
-        else:
-            keep = len(prev_cfg.stack) - 1
-            pushed = cfg.stack[1 : len(cfg.stack) - keep]
-            assert cfg.stack[len(cfg.stack) - keep :] == prev_cfg.stack[1:]
-        levels.append(
-            StairLevel(
-                state=cfg.state,
-                symbol=cfg.stack[0],
-                pushed=pushed,
-                chunk=u[start_of_chunk:pos],
-            )
-        )
-        start_of_chunk = pos
-        prev_cfg = cfg
-    return StairFactorization(tuple(levels))
+    after = [float("inf")] * len(heights)  # least height visited after step t
+    for t in range(len(heights) - 1, 0, -1):
+        after[t - 1] = min(heights[t], after[t])
+    levels = [(i, c) for i, (t, c) in enumerate(stables) if after[t] > len(c.stack)]
+    if len(levels) < 2:
+        raise NoLevelsError(f"only {len(levels)} level(s) on {u!r}")
+    return StairFactorization(tuple(levels[1:]))
 
 
 def find_pump(m: Dpda, u: Word) -> list[Pump]:
-    """Stack-increasing loops extracted from repeated level pairs.
+    """Stack-increasing loops read off repeated level pairs.
 
-    For every pair of levels j' < j with the same (state, symbol): v is the
-    input up to j', x the input from j' to j, gamma the stack pushed in
-    between, delta what lies below.  Every candidate is re-verified by
-    simulation (start -v-> pX·delta and pX -x-> pX·gamma) before being
-    returned, which discards the spurious trailing levels of the finite
-    run.
+    For every two levels (i, c_i) and (j, c_j), i < j, with the same state
+    p and top symbol X: v = u[:i] and x = u[i:j], delta is c_i's stack
+    below X, and gamma is what c_j's stack holds between X and delta.  x and
+    gamma are nonempty because positions and stack heights strictly
+    increase along the levels.  Every candidate is re-checked by simulation
+    (pX -x-> pX·gamma from the bare stack X) before being returned, which
+    discards the spurious trailing levels of the finite run.
     """
-    stair = stair_factorize(m, u)
-    levels = stair.levels
-    chunks = [lv.chunk for lv in levels]
+    levels = stair_factorize(m, u).levels
     pumps: list[Pump] = []
-    for j_lo in range(len(levels)):
-        for j_hi in range(j_lo + 1, len(levels)):
-            lo, hi = levels[j_lo], levels[j_hi]
-            if (lo.state, lo.symbol) != (hi.state, hi.symbol):
+    for lo, (i, ci) in enumerate(levels):
+        p, X, delta = ci.state, ci.stack[0], ci.stack[1:]
+        for j, cj in levels[lo + 1 :]:
+            if (cj.state, cj.stack[0]) != (p, X):
                 continue
-            v = "".join(chunks[: j_lo + 1])
-            x = "".join(chunks[j_lo + 1 : j_hi + 1])
-            gamma: StackWord = ()
-            for k in range(j_hi, j_lo, -1):
-                gamma = gamma + levels[k].pushed
-            delta: StackWord = ()
-            for k in range(j_lo, -1, -1):
-                delta = delta + levels[k].pushed
-            if not x or not gamma:
+            gamma = cj.stack[1 : len(cj.stack) - len(delta)]
+            looped = advance(m, Configuration(p, (X,)), u[i:j])
+            if looped is None or looped[0] != Configuration(p, (X,) + gamma):
                 continue
-            reached = advance(m, m.start_configuration(), v)
-            if reached is None or reached[0] != Configuration(lo.state, (lo.symbol,) + delta):
-                continue
-            looped = advance(m, Configuration(lo.state, (lo.symbol,)), x)
-            if looped is None or looped[0] != Configuration(lo.state, (lo.symbol,) + gamma):
-                continue
-            pumps.append(Pump(v=v, x=x, p=lo.state, X=lo.symbol, gamma=gamma, delta=delta))
+            pumps.append(Pump(v=u[:i], x=u[i:j], p=p, X=X, gamma=gamma, delta=delta))
     if not pumps:
         raise NoPumpError(f"no verified repeated level pair on {u!r}")
     return pumps

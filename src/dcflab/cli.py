@@ -89,7 +89,7 @@ def _build_parser() -> _Parser:
     witness = group("witness", "witness tuples")
     p = command(witness, "verify", "check the grid property of a tuple")
     p.add_argument("tuple_file")
-    p.add_argument("--oracle", required=True, help="corpus name")
+    p.add_argument("--oracle", required=True, help="corpus name or DPDA JSON file")
     p.add_argument("--m-bound", type=int, default=25)
     p.add_argument("--n-bound", type=int, default=25)
     p = command(witness, "find", "extract a tuple from a corpus language")

@@ -341,18 +341,6 @@ def _configuration(state: str, stack: list[str]) -> Configuration:
     return Configuration(state, tuple(reversed(stack)))
 
 
-def step_closure(m: Dpda, c: Configuration) -> tuple[Configuration, bool]:
-    """Follow the maximal ε-chain from c.
-
-    Returns the stable endpoint together with the flag telling whether any
-    state on the chain (including c's own state) is accepting.  The chain is
-    finite because every ε-step pops exactly one symbol.
-    """
-    stack = list(reversed(c.stack))
-    state, acc, _ = _drive(m, c.state, stack, EPSILON)
-    return _configuration(state, stack), acc
-
-
 def complete_dpda(m: Dpda) -> Dpda:
     """Return a machine that reads every input word in full.
 
@@ -375,7 +363,7 @@ def complete_dpda(m: Dpda) -> Dpda:
     moves = m.moves
 
     # ε-closure of the conceptual start q0 X0 ⊥ (⊥ has no rules).
-    start, start_acc = step_closure(m, Configuration(m.start_state, (m.start_symbol, bot)))
+    start, start_acc = advance(m, Configuration(m.start_state, (m.start_symbol, bot)), "")
     if start_acc:
         accepting.add(init)
     letters = moves.get((start.state, start.stack[0]), {})

@@ -20,6 +20,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 from .dpda import (
     Dpda,
     InvalidMachineError,
+    StuckError,
     Violation,
     _check_fields,
     _fresh,
@@ -318,12 +319,17 @@ def oracle_from_dpda(m: Dpda) -> LanguageOracle:
     A run position is a stable configuration of the completed machine with
     `advance`'s flag, which tells whether the word read so far is
     accepted, so reading on from a position costs only the new letters.
+    A word the machine cannot read (a letter outside its alphabet) is
+    rejected, as is every extension of it: its position is None.
     """
     mc = m if m.completed else complete_dpda(m)
 
     @lru_cache(maxsize=1 << 20)
     def membership(word: str) -> bool:
-        return member(mc, word)
+        try:
+            return member(mc, word)
+        except StuckError:
+            return False
 
     def start():
         return advance(mc, mc.start_configuration(), "")
@@ -331,9 +337,13 @@ def oracle_from_dpda(m: Dpda) -> LanguageOracle:
     def step(position, word: str):
         # Re-closing the stable configuration on "" would drop an accepting
         # state seen inside the ε-chain that led to it.
-        return advance(mc, position[0], word) if word else position
+        if position is None or not word:
+            return position
+        return advance(mc, position[0], word)
 
     def accepts(position, suffix: str) -> bool:
+        if position is None:
+            return False
         config, accepted = position
         return config_member(mc, config, suffix) if suffix else accepted
 

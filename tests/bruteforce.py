@@ -107,6 +107,34 @@ def ref_distinguishing_word(m, c1, c2, max_len, node_cap):
     return None, closed
 
 
+def ref_levels(m, u):
+    """Levels of the run on u straight off the rules, as (position, (state,
+    stack)) pairs, stack topmost first: the prefixes u[:i] whose stable
+    configuration is followed only by strictly taller stacks, the stack
+    being measured after every ε- or letter step.  The run ends at the
+    first letter it cannot read."""
+    visible, eps = _rule_tables(m)
+    state, stack = m.start_state, (m.start_symbol,)
+    heights = [len(stack)]
+    stables = []
+    for i in range(len(u) + 1):
+        while stack and (state, stack[0]) in eps:
+            to, push = eps[(state, stack[0])]
+            state, stack = to, push + stack[1:]
+            heights.append(len(stack))
+        stables.append((i, len(heights), state, stack))
+        hit = visible.get((state, stack[0], u[i])) if i < len(u) and stack else None
+        if hit is None:
+            break
+        state, stack = hit[0], hit[1] + stack[1:]
+        heights.append(len(stack))
+    return [
+        (i, (state, stack))
+        for i, after, state, stack in stables
+        if all(h > len(stack) for h in heights[after:])
+    ]
+
+
 def _rule_tables(m):
     """(state, top, letter) -> (to, push) and (state, top) -> (to, push) for
     the ε-rules, read straight off the rule list."""

@@ -149,7 +149,7 @@ class TestPopSummaries:
 
 class TestSignature:
     def test_empty_suffixes(self, lsharp):
-        assert signature(lsharp, lsharp.start_configuration(), []).bits == ()
+        assert signature(lsharp, lsharp.start_configuration(), []) == ()
 
     def test_equal_configurations_equal_signatures(self, lsharp):
         c = advance(lsharp, lsharp.start_configuration(), "00")[0]
@@ -400,8 +400,8 @@ class TestDivergentWord:
             search = sys._getframe(1).f_locals
             suffixes = search["suffixes"]
             for c, bits in zip(search["configs"], search["sigs"], strict=True):
-                assert bits == signature(m, c, suffixes).bits
-            assert search["sig"] == signature(m, search["cand"], suffixes).bits
+                assert bits == signature(m, c, suffixes)
+            assert search["sig"] == signature(m, search["cand"], suffixes)
             sizes.append(len(suffixes))
             return real(m, c1, c2, summary)
 
@@ -429,25 +429,22 @@ class TestDivergentWord:
 class TestStairs:
     def test_lsharp_0000(self, lsharp):
         st_ = stair_factorize(lsharp, "0000")
-        assert len(st_.levels) == 4
-        assert [lv.chunk for lv in st_.levels] == ["0", "0", "0", "0"]
-        assert all(len(lv.pushed) >= 1 for lv in st_.levels)
+        assert [i for i, _ in st_.levels] == [1, 2, 3, 4]
+        assert [c.stack[0] for _, c in st_.levels] == ["A0", "A", "A", "A"]
+        assert all(c.state == "q0" for _, c in st_.levels)
 
-    def test_replaying_chunks_reproduces_levels(self, lsharp):
-        st_ = stair_factorize(lsharp, "000000")
-        prefix = ""
-        below = ()
-        for lv in st_.levels:
-            prefix += lv.chunk
-            below = lv.pushed + below
-            reached = advance(lsharp, lsharp.start_configuration(), prefix)[0]
-            assert reached == Configuration(lv.state, (lv.symbol,) + below)
-
-    def test_chunks_concatenate_to_prefix(self, lsharp):
+    def test_replaying_prefixes_reproduces_levels(self, lsharp):
         u = "000000"
-        st_ = stair_factorize(lsharp, u)
-        joined = "".join(lv.chunk for lv in st_.levels)
-        assert u.startswith(joined)
+        for i, c in stair_factorize(lsharp, u).levels:
+            assert advance(lsharp, lsharp.start_configuration(), u[:i])[0] == c
+
+    def test_positions_and_heights_increase(self, lsharp):
+        u = "000000"
+        levels = stair_factorize(lsharp, u).levels
+        for (i, ci), (j, cj) in zip(levels, levels[1:]):
+            assert 0 < i < j <= len(u)
+            assert len(ci.stack) < len(cj.stack)
+            assert cj.stack[-len(ci.stack) :] == ci.stack
 
     def test_fail_word_has_no_levels(self, lsharp):
         with pytest.raises(NoLevelsError):
@@ -455,9 +452,22 @@ class TestStairs:
 
     def test_json_shape(self, lsharp):
         payload = stair_factorize(lsharp, "0000").to_json_dict()
-        assert all(
-            set(lv) == {"state", "symbol", "pushed", "chunk"} for lv in payload["levels"]
-        )
+        assert payload["levels"][0] == {"position": 1, "state": "q0", "stack": ["A0", "X0", "⊥"]}
+        assert all(set(lv) == {"position", "state", "stack"} for lv in payload["levels"])
+
+    @pytest.mark.parametrize("complete", [False, True])
+    def test_levels_match_the_rules_only_reference(self, complete):
+        machines = [validate_dpda(corpus._ENTRIES[name][0]()) for name in corpus.names()]
+        machines += [random_eps_machine(random.Random(seed)) for seed in range(30)]
+        for m in machines:
+            m = complete_dpda(m) if complete else m
+            for u in bf.iter_words(m.input_alphabet, 6):
+                ref = [(i, Configuration(*c)) for i, c in bf.ref_levels(m, u)]
+                if len(ref) < 2:
+                    with pytest.raises(NoLevelsError):
+                        stair_factorize(m, u)
+                else:
+                    assert stair_factorize(m, u).levels == tuple(ref[1:]), u
 
 
 class TestPumps:
@@ -503,15 +513,12 @@ class TestPumps:
                 except NoLevelsError:
                     continue
                 factorized += 1
-                prefix, below = "", ()
-                for lv in st_.levels:
-                    assert lv.chunk and lv.pushed
-                    prefix += lv.chunk
-                    below = lv.pushed + below
-                    got = advance(m, m.start_configuration(), prefix)[0]
-                    assert got == Configuration(lv.state, (lv.symbol,) + below), (name, u)
+                for i, c in st_.levels:
+                    got = advance(m, m.start_configuration(), u[:i])[0]
+                    assert got == c, (name, u)
                 try:
                     for p in find_pump(m, u)[:4]:
+                        assert p.x and p.gamma, (name, u)
                         for reps in range(4):
                             r = advance(m, Configuration(p.p, (p.X,)), p.x * reps)
                             assert r is not None

@@ -68,6 +68,23 @@ def test_mealy_eval_with_machine_file_oracle(identity_file, lsharp_file):
     assert outcome.exit_code == 0
 
 
+def test_machine_file_oracle_rejects_a_letter_outside_its_alphabet(tmp_path, lsharp_file):
+    # The machine writes "a" to its oracle tape, which lsharp cannot read.
+    machine = tmp_path / "a.json"
+    machine.write_text(json.dumps(mealy_to_document(identity_machine("a"))))
+    for oracle in ("lsharp", lsharp_file):
+        assert run_cli(["mealy", "eval", str(machine), "a", "--oracle", oracle]).exit_code == 1
+
+
+def test_witness_verify_with_machine_file_oracle_rejects_an_unreadable_tuple(tmp_path, lsharp_file):
+    tup = tmp_path / "tuple.json"
+    tup.write_text(json.dumps({"v": "a", "x": "0", "w": "", "y": "1", "z": "", "polarity": "direct"}))
+    for oracle in ("lsharp", lsharp_file):
+        outcome = run_cli(["witness", "verify", str(tup), "--oracle", oracle])
+        assert outcome.exit_code == 1, oracle
+        assert outcome.payload["counterexamples"]
+
+
 def test_mealy_compose_writes_machine(identity_file, tmp_path):
     out = tmp_path / "composed.json"
     outcome = run_cli(["mealy", "compose", identity_file, identity_file, "-o", str(out)])
@@ -326,12 +343,17 @@ def test_any_json_document_keeps_the_exit_contract(doc):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         out = os.path.join(tmp, "out.json")
+        machine = os.path.join(tmp, "lsharp.json")
+        with open(machine, "w", encoding="utf-8") as fh:
+            json.dump(bf.LSHARP_RAW, fh)
         for argv in (
             ["pda", "validate", path],
             ["pda", "member", path, "01"],
             ["mealy", "eval", path, "01", "--oracle", "lsharp"],
+            ["mealy", "eval", path, "01", "--oracle", machine],
             ["mealy", "compose", path, path, "-o", out],
             ["witness", "verify", path, "--oracle", "lsharp", "--m-bound", "3", "--n-bound", "3"],
+            ["witness", "verify", path, "--oracle", machine, "--m-bound", "3", "--n-bound", "3"],
             ["refute", "lr", path, "--k-max", "3"],
         ):
             assert run_cli(argv).exit_code in (0, 1, 2), argv

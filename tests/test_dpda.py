@@ -16,7 +16,6 @@ from dcflab.dpda import (
     dpda_to_document,
     member,
     run,
-    step_closure,
     validate_dpda,
 )
 
@@ -200,19 +199,19 @@ class TestRun:
 class TestStepClosure:
     def test_stable_configuration_is_fixed(self, lsharp):
         c = Configuration("q0", ("A", "X0"))
-        stable, acc = step_closure(lsharp, c)
+        stable, acc = advance(lsharp, c, "")
         assert stable == c
         assert not acc
 
     def test_one_step_chain_into_accepting(self, eps_chain):
-        stable, acc = step_closure(eps_chain, Configuration("pe", ("A", "X0")))
+        stable, acc = advance(eps_chain, Configuration("pe", ("A", "X0")), "")
         assert acc
         assert stable.state == "done"
         assert stable.stack == ()
 
     def test_chain_length_bounded_by_stack(self, eps_chain):
         stack = ("A",) * 6 + ("X0",)
-        stable, acc = step_closure(eps_chain, Configuration("pe", stack))
+        stable, acc = advance(eps_chain, Configuration("pe", stack), "")
         assert stable.stack == ()
         assert acc
 
