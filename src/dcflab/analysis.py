@@ -8,7 +8,9 @@ runs, pump detection, and eventual periodicity of y-iterates.
 Exact configuration equivalence is out of desk scope; wherever a decision
 would need it, these routines use bounded search (signatures over a finite
 suffix set, product-simulation distinguishers) and leave final soundness to
-simulation re-checks by their callers.
+simulation re-checks by their callers.  The distinguisher proves some pairs
+equivalent, by a closed product search or by a decomposition proof through
+pop summaries; a search cut at a cap proves nothing.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from .dpda import (
     config_member,
 )
 
-# Caps for the product-simulation search for a distinguishing word.  A
-# search that closes under them proves the two configurations equivalent;
-# one cut at a cap proves nothing, and the caller treats the pair as
+# Caps for the search for a distinguishing word.  A decomposition proof
+# that closes under `DISTINGUISH_NODE_CAP` pairs, or a product search that
+# closes under both caps, proves the two configurations equivalent; a
+# search cut at a cap proves nothing, and the caller treats the pair as
 # equivalent at this scale.
 DISTINGUISH_MAX_LEN = 64
 DISTINGUISH_NODE_CAP = 20_000
@@ -208,6 +211,143 @@ def signature(m: Dpda, c: Configuration, suffixes: list[Word]) -> tuple[bool, ..
     return tuple(config_member(m, c, s) for s in suffixes)
 
 
+_Side = Optional[tuple[str, int]]
+
+
+class _Product:
+    """Hash-consed stacks and memoised steps for the sides of one
+    distinguisher call.
+
+    A side is a (state, stack node) pair, or None once it is stranded
+    (empty stack or stuck); a stranded side rejects everything from then
+    on.  Stack nodes are hash-consed for the life of the object: node 0 is
+    the empty stack and node i stands for (top symbol, node below), so
+    equal stacks get equal ids and comparing or hashing a side is O(1).  A
+    step reads only the top symbol, so `_drive` runs on that one-symbol
+    window once per (state, top, letter or ε) and its result is kept; a
+    window that runs empty hands the run to the node below with the unread
+    rest of the letter.
+    """
+
+    def __init__(self, m: Dpda):
+        self.m = m
+        self.cells: list[tuple[str, int]] = [("", 0)]  # node -> (top, node below)
+        self.ids: dict[tuple[str, int], int] = {}  # (top, node below) -> node
+        self.steps: dict[tuple[str, str, Word], tuple[str, StackWord, bool, int]] = {}
+
+    def push(self, symbols, node: int) -> int:
+        """The node for `symbols` (top last) stacked on `node`."""
+        cells, ids = self.cells, self.ids
+        for symbol in symbols:
+            cell = (symbol, node)
+            node = ids.get(cell, 0)
+            if not node:
+                node = ids[cell] = len(cells)
+                cells.append(cell)
+        return node
+
+    def close(self, c: Configuration) -> tuple[_Side, bool]:
+        """c's side after its ε-closure, and whether the closure accepts."""
+        return self.probe((c.state, self.push(c.stack[::-1], 0)), "")
+
+    def probe(self, side: _Side, ch: Word) -> tuple[_Side, bool]:
+        """The side after reading `ch` (one letter, or "" to ε-close) and
+        whether that reading accepts."""
+        if side is None:
+            return None, False
+        cells, steps = self.cells, self.steps
+        state, node = side
+        # As in `_drive`: a window's flag replaces the side's once a letter
+        # has been read and is OR-ed into it otherwise.
+        acc = False
+        while node:
+            top, node = cells[node]
+            key = (state, top, ch)
+            hit = steps.get(key)
+            if hit is None:
+                window = [top]
+                end, flag, consumed = _drive(self.m, state, window, ch)
+                hit = steps[key] = (end, tuple(window), flag, consumed)
+            state, window, flag, consumed = hit
+            if consumed:
+                acc, ch = flag, ""
+            else:
+                acc = acc or flag
+            if window:
+                # The run ended on the window: stuck if the letter is unread.
+                if ch:
+                    return None, False
+                return (state, self.push(window, node)), acc
+        if ch:
+            return None, False
+        # Only a side that starts on the empty stack has not yet counted
+        # its own state.
+        return (state, 0), acc or state in self.m.accepting
+
+
+def _proves_equivalent(
+    product: _Product, summary: PopSummary, s1: _Side, s2: _Side, node_cap: int
+) -> bool:
+    """Whether a decomposition proof shows that the stable sides s1 and s2
+    accept the same nonempty words.
+
+    A worklist of side pairs, starting from (s1, s2).  A pair whose sides
+    coincide needs nothing.  A pair whose sides share the state p and the
+    top symbol is split: with α the longest common top segment, so that
+    the stacks are α·ρ1 and α·ρ2, each down-state r of α from p gives the
+    ε-closures of (r, ρ1) and (r, ρ2); their two flags must agree, and the
+    closed pair joins the worklist.  Every other pair is expanded by each
+    letter, whose two flags must agree, and the successor pair joins the
+    worklist.  A flag disagreement, or more than `node_cap` pairs, ends
+    the pass unproved.
+
+    Why an emptied worklist is a proof: say some pair in it has a
+    separator, and take a shortest one, w, over all its pairs.  For an
+    expanded pair, w = a·w' with w' empty (then the flags of a disagree)
+    or w' a shorter separator of the successor pair.  For a split pair,
+    the two runs on w are the same step for step until α is popped, so w
+    pops α, into some down-state r; since the sides are stable, the top of
+    α has no ε-rule in p and that pop takes at least one letter.  The rest
+    w' of w is read from the ε-closures of (r, ρ1) and (r, ρ2): w' empty
+    means their flags disagree, and w' nonempty is a strictly shorter
+    separator of the closed pair.  Each case contradicts the checks or the
+    choice of w.
+    """
+    cells, probe = product.cells, product.probe
+    sigma = sorted(product.m.input_alphabet)
+    seen = {(s1, s2)}
+    work = deque(seen)
+    while work:
+        d1, d2 = work.popleft()
+        if d1 == d2:
+            continue
+        if d1 and d2 and d1[0] == d2[0] and cells[d1[1]][0] == cells[d2[1]][0]:
+            # Distinct nodes with one top have distinct nodes below, and
+            # the empty stack's top "" is no symbol, so this ends on two
+            # distinct rests with different tops.
+            (p, n1), (_, n2) = d1, d2
+            alpha = []
+            while cells[n1][0] == cells[n2][0]:
+                alpha.append(cells[n1][0])
+                n1, n2 = cells[n1][1], cells[n2][1]
+            nexts = [
+                (probe((r, n1), ""), probe((r, n2), ""))
+                for r in pop_witnesses(summary, p, tuple(alpha))
+            ]
+        else:
+            nexts = [(probe(d1, ch), probe(d2, ch)) for ch in sigma]
+        for (e1, b1), (e2, b2) in nexts:
+            if b1 != b2:
+                return False
+            if e1 == e2 or (e1, e2) in seen:
+                continue
+            seen.add((e1, e2))
+            if len(seen) > node_cap:
+                return False
+            work.append((e1, e2))
+    return True
+
+
 def distinguishing_word(
     m: Dpda,
     c1: Configuration,
@@ -218,24 +358,21 @@ def distinguishing_word(
 ) -> Optional[Word]:
     """A word on which exactly one of the two configurations accepts.
 
-    Tries pop-guided probes first (words that unwind either stack reach the
-    depth at which the configurations differ without any search), then
-    falls back to breadth-first product simulation for the shortest
-    separator.  Each side of a product pair is a (state, stack node) pair,
-    or None once that side is stranded (empty stack or stuck); a stranded
-    side rejects everything from then on.  Stack nodes are hash-consed for
-    the length of one call: node 0 is the empty stack and node i stands for
-    (top symbol, node below), so equal stacks get equal ids and comparing or
-    hashing a side is O(1).  A step reads only the top symbol, so `_drive`
-    runs on that one-symbol window once per (state, top, letter or ε) and
-    its result is kept; a window that runs empty hands the run to the node
-    below with the unread rest of the letter.  A pair whose two sides
-    coincide, stranded or not, accepts the same words from then on, so it
-    is skipped as equivalent and never counts against `node_cap`.  None
-    covers two cases: the product search closed with no separator, which
-    proves the reachable pairs equivalent, and the search was cut at
-    `max_len` or `node_cap`, which proves nothing.
+    Equal configurations have none.  With a pop summary, pop-guided probes
+    come first (words that unwind either stack reach the depth at which the
+    configurations differ without any search), and then the decomposition
+    proof of `_proves_equivalent`, which ends the call with None when it
+    shows that no separator exists.  The fallback is breadth-first product
+    simulation over `_Product` for the shortest separator.  A pair whose two
+    sides coincide, stranded or not, accepts the same words from then on,
+    so it is skipped as equivalent and never counts against `node_cap`.
+    None covers three cases: the proof succeeded or the product search
+    closed with no separator, both of which prove the configurations
+    equivalent, and the search was cut at `max_len` or `node_cap`, which
+    proves nothing.
     """
+    if c1 == c2:
+        return None
     if summary is not None:
         # Words that pop some prefix of either stack drive that side to a
         # known state with a known stack remainder.
@@ -249,57 +386,14 @@ def distinguishing_word(
             if config_member(m, c1, cand) != config_member(m, c2, cand):
                 return cand
 
-    cells: list[tuple[str, int]] = [("", 0)]  # node -> (top, node below)
-    ids: dict[tuple[str, int], int] = {}  # (top, node below) -> node
-    steps: dict[tuple[str, str, Word], tuple[str, StackWord, bool, int]] = {}
-
-    def push(symbols, node: int) -> int:
-        """The node for `symbols` (top last) stacked on `node`."""
-        for symbol in symbols:
-            cell = (symbol, node)
-            node = ids.get(cell, 0)
-            if not node:
-                node = ids[cell] = len(cells)
-                cells.append(cell)
-        return node
-
-    Side = Optional[tuple[str, int]]
-
-    def probe(side: Side, ch: Word) -> tuple[Side, bool]:
-        if side is None:
-            return None, False
-        state, node = side
-        # As in `_drive`: a window's flag replaces the side's once a letter
-        # has been read and is OR-ed into it otherwise.
-        acc = False
-        while node:
-            top, node = cells[node]
-            key = (state, top, ch)
-            hit = steps.get(key)
-            if hit is None:
-                window = [top]
-                end, flag, consumed = _drive(m, state, window, ch)
-                hit = steps[key] = (end, tuple(window), flag, consumed)
-            state, window, flag, consumed = hit
-            if consumed:
-                acc, ch = flag, ""
-            else:
-                acc = acc or flag
-            if window:
-                # The run ended on the window: stuck if the letter is unread.
-                if ch:
-                    return None, False
-                return (state, push(window, node)), acc
-        if ch:
-            return None, False
-        # Only a side that starts on the empty stack has not yet counted
-        # its own state.
-        return (state, 0), acc or state in m.accepting
-
-    s1, a1 = probe((c1.state, push(c1.stack[::-1], 0)), "")
-    s2, a2 = probe((c2.state, push(c2.stack[::-1], 0)), "")
+    product = _Product(m)
+    probe = product.probe
+    s1, a1 = product.close(c1)
+    s2, a2 = product.close(c2)
     if a1 != a2:
         return ""
+    if summary is not None and _proves_equivalent(product, summary, s1, s2, node_cap):
+        return None
     sigma = sorted(m.input_alphabet)
     seen = {(s1, s2)}
     frontier = deque([(s1, s2, "")])

@@ -367,6 +367,98 @@ class TestDistinguishing:
                     assert distinguishing_word(m, c1, c2) == want, (c1, c2)
 
 
+def proved(m, c1, c2, node_cap=DISTINGUISH_NODE_CAP):
+    """Whether the decomposition proof alone shows c1 and c2 equivalent."""
+    sides = analysis._Product(m)
+    (s1, a1), (s2, a2) = sides.close(c1), sides.close(c2)
+    return a1 == a2 and analysis._proves_equivalent(sides, pop_summaries(m), s1, s2, node_cap)
+
+
+class TestDecompositionProof:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_proved_pairs_have_no_separator(self, seed):
+        # Pairs of configurations reached by words of length <= 6, raw and
+        # completed: wherever the proof succeeds, the plain product BFS off
+        # the rule list finds no separator.
+        raw = random_eps_machine(random.Random(seed))
+        for m in (raw, complete_dpda(raw)):
+            runs = (advance(m, m.start_configuration(), u) for u in bf.iter_words("01", 6))
+            configs = list(dict.fromkeys(r[0] for r in runs if r is not None))
+            for i, c1 in enumerate(configs):
+                for c2 in configs[i + 1 :]:
+                    if proved(m, c1, c2):
+                        want, _ = bf.ref_distinguishing_word(
+                            m, (c1.state, c1.stack), (c2.state, c2.stack), max_len=64, node_cap=2_000
+                        )
+                        assert want is None, (c1, c2, want)
+
+    def test_closure_flags_after_the_common_top(self):
+        # b pops the common top A into r, and r's ε-closure passes the
+        # accepting s over X but not over Y; after that both sides are
+        # stuck.  So b is the only separator, and only the closure flags
+        # show it.
+        m = validate_dpda(
+            {
+                "states": ["p", "r", "s", "t"],
+                "input_alphabet": ["a", "b"],
+                "stack_alphabet": ["A", "X", "Y"],
+                "rules": [
+                    {"from": "p", "top": "A", "label": "b", "to": "r", "push": []},
+                    {"from": "r", "top": "X", "label": "", "to": "s", "push": []},
+                    {"from": "r", "top": "Y", "label": "", "to": "t", "push": []},
+                ],
+                "start_state": "p",
+                "start_symbol": "A",
+                "accepting": ["s"],
+            }
+        )
+        c1, c2 = Configuration("p", ("A", "X")), Configuration("p", ("A", "Y"))
+        assert not proved(m, c1, c2)
+        assert distinguishing_word(m, c1, c2, pop_summaries(m)) == "b"
+
+    def test_growing_stacks_are_proved_under_a_small_cap(self, monkeypatch):
+        # The only state accepts, a and b push A and B above a bottom Z
+        # that never pops, and c pops.  Over A Z and B Z the product holds
+        # the pair (w A Z, w B Z) for every stack word w, so the BFS walks
+        # to its cap: each expanded pair adds at most two new ones, so
+        # passing 50 pairs takes over 25 expansions of 2 * 3 probes each.
+        # The proof splits off each common top and closes on three pairs.
+        rules = [
+            {"from": "q", "top": top, "label": a, "to": "q", "push": [push, top]}
+            for top in "ABZ"
+            for a, push in (("a", "A"), ("b", "B"))
+        ]
+        rules += [{"from": "q", "top": top, "label": "c", "to": "q", "push": []} for top in "AB"]
+        rules.append({"from": "q", "top": "Z", "label": "c", "to": "q", "push": ["Z"]})
+        m = validate_dpda(
+            {
+                "states": ["q"],
+                "input_alphabet": ["a", "b", "c"],
+                "stack_alphabet": ["A", "B", "Z"],
+                "rules": rules,
+                "start_state": "q",
+                "start_symbol": "Z",
+                "accepting": ["q"],
+            }
+        )
+        calls = 0
+        probe = analysis._Product.probe
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return probe(*args)
+
+        monkeypatch.setattr(analysis._Product, "probe", counted)
+        c1, c2 = Configuration("q", ("A", "Z")), Configuration("q", ("B", "Z"))
+        assert distinguishing_word(m, c1, c2, node_cap=50) is None
+        assert calls > 150
+        assert proved(m, c1, c2, node_cap=50)
+        calls = 0
+        assert distinguishing_word(m, c1, c2, pop_summaries(m), node_cap=50) is None
+        assert calls <= 2 + 3 * 2 + 2 * 2
+
+
 class TestDivergentWord:
     def test_lsharp_grows_zeros(self, lsharp):
         assert find_divergent_word(lsharp, 8, 64) == "00000000"
