@@ -8,9 +8,10 @@ runs, pump detection, and eventual periodicity of y-iterates.
 Exact configuration equivalence is out of desk scope; wherever a decision
 would need it, these routines use bounded search (signatures over a finite
 suffix set, product-simulation distinguishers) and leave final soundness to
-simulation re-checks by their callers.  The distinguisher proves some pairs
-equivalent, by a closed product search or by a decomposition proof through
-pop summaries; a search cut at a cap proves nothing.
+simulation re-checks by their callers.  The distinguisher is one search over
+pairs of configurations, with no length cap, that splits common stack tops
+through pop summaries; when it closes, its None proves the pair equivalent,
+and a search cut at its node cap proves nothing.
 """
 
 from __future__ import annotations
@@ -30,12 +31,10 @@ from .dpda import (
     config_member,
 )
 
-# Caps for the search for a distinguishing word.  A decomposition proof
-# that closes under `DISTINGUISH_NODE_CAP` pairs, or a product search that
-# closes under both caps, proves the two configurations equivalent; a
-# search cut at a cap proves nothing, and the caller treats the pair as
+# Cap on the pairs the search for a distinguishing word may visit.  A
+# search that closes under it proves the two configurations equivalent; a
+# search cut at it proves nothing, and the caller treats the pair as
 # equivalent at this scale.
-DISTINGUISH_MAX_LEN = 64
 DISTINGUISH_NODE_CAP = 20_000
 
 
@@ -285,43 +284,52 @@ class _Product:
         return (state, 0), acc or state in self.m.accepting
 
 
-def _proves_equivalent(
-    product: _Product, summary: PopSummary, s1: _Side, s2: _Side, node_cap: int
-) -> bool:
-    """Whether a decomposition proof shows that the stable sides s1 and s2
-    accept the same nonempty words.
+def _search(
+    product: _Product, summary: Optional[PopSummary], s1: _Side, s2: _Side, node_cap: int
+) -> tuple[Optional[Word], bool]:
+    """A word that separates the stable sides s1 and s2, found by a
+    breadth-first walk over side pairs, each carrying the word that leads
+    to it.  Returns (word, True), (None, True) when the walk closes, which
+    proves that no nonempty word separates them, or (None, False) once it
+    meets more than `node_cap` pairs past the first, which proves nothing.
 
-    A worklist of side pairs, starting from (s1, s2).  A pair whose sides
-    coincide needs nothing.  A pair whose sides share the state p and the
-    top symbol is split: with α the longest common top segment, so that
-    the stacks are α·ρ1 and α·ρ2, each down-state r of α from p gives the
-    ε-closures of (r, ρ1) and (r, ρ2); their two flags must agree, and the
-    closed pair joins the worklist.  Every other pair is expanded by each
-    letter, whose two flags must agree, and the successor pair joins the
-    worklist.  A flag disagreement, or more than `node_cap` pairs, ends
-    the pass unproved.
+    A pair whose sides coincide needs nothing.  With a summary, a pair
+    whose sides share the state p and the top symbol is split: with α the
+    longest common top segment, so that the stacks are α·ρ1 and α·ρ2, each
+    down-state r of α from p, with pop witness u, gives the ε-closures of
+    (r, ρ1) and (r, ρ2), reached by the pair's word followed by u.  A split
+    needs the two closure flags of every r to agree.  Every other pair, and
+    a split pair whose flags disagree for some r, is expanded by each
+    letter; a letter whose two flags disagree ends the walk with the pair's
+    word and that letter.  Without a summary this is plain product
+    simulation, and the word found is the shortest separator.
 
-    Why an emptied worklist is a proof: say some pair in it has a
-    separator, and take a shortest one, w, over all its pairs.  For an
-    expanded pair, w = a·w' with w' empty (then the flags of a disagree)
-    or w' a shorter separator of the successor pair.  For a split pair,
-    the two runs on w are the same step for step until α is popped, so w
-    pops α, into some down-state r; since the sides are stable, the top of
-    α has no ε-rule in p and that pop takes at least one letter.  The rest
-    w' of w is read from the ε-closures of (r, ρ1) and (r, ρ2): w' empty
-    means their flags disagree, and w' nonempty is a strictly shorter
-    separator of the closed pair.  Each case contradicts the checks or the
-    choice of w.
+    Every returned word separates: u drives (p, α·ρ) to the ε-closure of
+    (r, ρ), since α is popped only after u's last letter.
+
+    Why a closed walk is a proof: say some pair in it has a separator, and
+    take a shortest one, w, over all its pairs.  For an expanded pair,
+    w = a·w' with w' empty (then the flags of a disagree) or w' a shorter
+    separator of the successor pair.  For a split pair, the two runs on w
+    are the same step for step until α is popped, so w pops α, into some
+    down-state r; since the sides are stable, the top of α has no ε-rule
+    in p and that pop takes at least one letter.  The rest w' of w is read
+    from the ε-closures of (r, ρ1) and (r, ρ2): w' empty means their flags
+    disagree, and w' nonempty is a strictly shorter separator of the
+    closed pair.  Each case contradicts the checks or the choice of w.
     """
     cells, probe = product.cells, product.probe
     sigma = sorted(product.m.input_alphabet)
     seen = {(s1, s2)}
-    work = deque(seen)
+    work = deque([(s1, s2, "")])
     while work:
-        d1, d2 = work.popleft()
+        d1, d2, word = work.popleft()
         if d1 == d2:
             continue
-        if d1 and d2 and d1[0] == d2[0] and cells[d1[1]][0] == cells[d2[1]][0]:
+        nexts = None
+        if summary is not None and d1 and d2 and d1[0] == d2[0] and (
+            cells[d1[1]][0] == cells[d2[1]][0]
+        ):
             # Distinct nodes with one top have distinct nodes below, and
             # the empty stack's top "" is no symbol, so this ends on two
             # distinct rests with different tops.
@@ -331,21 +339,23 @@ def _proves_equivalent(
                 alpha.append(cells[n1][0])
                 n1, n2 = cells[n1][1], cells[n2][1]
             nexts = [
-                (probe((r, n1), ""), probe((r, n2), ""))
-                for r in pop_witnesses(summary, p, tuple(alpha))
+                (probe((r, n1), ""), probe((r, n2), ""), word + u)
+                for r, u in pop_witnesses(summary, p, tuple(alpha)).items()
             ]
-        else:
-            nexts = [(probe(d1, ch), probe(d2, ch)) for ch in sigma]
-        for (e1, b1), (e2, b2) in nexts:
+            if any(b1 != b2 for (_, b1), (_, b2), _ in nexts):
+                nexts = None
+        if nexts is None:
+            nexts = [(probe(d1, ch), probe(d2, ch), word + ch) for ch in sigma]
+        for (e1, b1), (e2, b2), w in nexts:
             if b1 != b2:
-                return False
+                return w, True
             if e1 == e2 or (e1, e2) in seen:
                 continue
             seen.add((e1, e2))
-            if len(seen) > node_cap:
-                return False
-            work.append((e1, e2))
-    return True
+            if len(seen) > node_cap + 1:
+                return None, False
+            work.append((e1, e2, w))
+    return None, True
 
 
 def distinguishing_word(
@@ -353,22 +363,16 @@ def distinguishing_word(
     c1: Configuration,
     c2: Configuration,
     summary: Optional[PopSummary] = None,
-    max_len: int = DISTINGUISH_MAX_LEN,
     node_cap: int = DISTINGUISH_NODE_CAP,
 ) -> Optional[Word]:
     """A word on which exactly one of the two configurations accepts.
 
     Equal configurations have none.  With a pop summary, pop-guided probes
-    come first (words that unwind either stack reach the depth at which the
-    configurations differ without any search), and then the decomposition
-    proof of `_proves_equivalent`, which ends the call with None when it
-    shows that no separator exists.  The fallback is breadth-first product
-    simulation over `_Product` for the shortest separator.  A pair whose two
-    sides coincide, stranded or not, accepts the same words from then on,
-    so it is skipped as equivalent and never counts against `node_cap`.
-    None covers three cases: the proof succeeded or the product search
-    closed with no separator, both of which prove the configurations
-    equivalent, and the search was cut at `max_len` or `node_cap`, which
+    come first: words that unwind either stack reach the depth at which the
+    configurations differ without any search.  Then `_search` walks the
+    pairs of sides over `_Product`, splitting common tops through the pop
+    summary.  None covers two cases: the walk closed, which proves the
+    configurations equivalent, or it was cut at `node_cap` pairs, which
     proves nothing.
     """
     if c1 == c2:
@@ -387,37 +391,11 @@ def distinguishing_word(
                 return cand
 
     product = _Product(m)
-    probe = product.probe
     s1, a1 = product.close(c1)
     s2, a2 = product.close(c2)
     if a1 != a2:
         return ""
-    if summary is not None and _proves_equivalent(product, summary, s1, s2, node_cap):
-        return None
-    sigma = sorted(m.input_alphabet)
-    seen = {(s1, s2)}
-    frontier = deque([(s1, s2, "")])
-    expanded = 0
-    while frontier:
-        d1, d2, word = frontier.popleft()
-        if len(word) >= max_len:
-            continue
-        for ch in sigma:
-            e1, b1 = probe(d1, ch)
-            e2, b2 = probe(d2, ch)
-            if b1 != b2:
-                return word + ch
-            if e1 == e2:
-                continue
-            key = (e1, e2)
-            if key in seen:
-                continue
-            seen.add(key)
-            expanded += 1
-            if expanded > node_cap:
-                return None
-            frontier.append((e1, e2, word + ch))
-    return None
+    return _search(product, summary, s1, s2, node_cap)[0]
 
 
 def _initial_suffixes(m: Dpda) -> list[Word]:
@@ -444,8 +422,8 @@ def find_divergent_word(m: Dpda, target_length: int, suffix_budget: int) -> Word
 
     `distinguishing_word` runs at most once per ordered (candidate, earlier
     prefix) pair per call: its verdict depends only on the machine, the
-    pair, the fixed pop summary and the module caps, and backtracking meets
-    the same pairs again, most often ones where it gave up at a cap.
+    pair, the fixed pop summary and the module's node cap, and backtracking
+    meets the same pairs again.
     """
     sigma = sorted(m.input_alphabet)
     suffixes = _initial_suffixes(m)

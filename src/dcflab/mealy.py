@@ -568,8 +568,10 @@ def refute_simplicity_LR(a: OracleMealyMachine, k_max: int) -> Optional[str]:
     on one of four candidate words; each candidate is confirmed against
     the direct predicate before being returned.  None means the bound was
     exhausted without a collision that confirms (the machine may still be
-    incorrect elsewhere).
+    incorrect elsewhere).  Raises ValueError when k_max is below 1.
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
     from .corpus import is_lr, is_lsharp  # corpus imports this module
 
     oracle = LanguageOracle(alphabet=a.oracle_alphabet, membership=is_lsharp, name="lsharp")

@@ -368,25 +368,34 @@ class TestDistinguishing:
 
 
 def proved(m, c1, c2, node_cap=DISTINGUISH_NODE_CAP):
-    """Whether the decomposition proof alone shows c1 and c2 equivalent."""
+    """Whether the search with a pop summary, past the pop probes, closes
+    with no separator, which proves c1 and c2 equivalent."""
     sides = analysis._Product(m)
     (s1, a1), (s2, a2) = sides.close(c1), sides.close(c2)
-    return a1 == a2 and analysis._proves_equivalent(sides, pop_summaries(m), s1, s2, node_cap)
+    return a1 == a2 and analysis._search(sides, pop_summaries(m), s1, s2, node_cap) == (None, True)
 
 
 class TestDecompositionProof:
     @pytest.mark.parametrize("seed", range(30))
     def test_proved_pairs_have_no_separator(self, seed):
         # Pairs of configurations reached by words of length <= 6, raw and
-        # completed: wherever the proof succeeds, the plain product BFS off
-        # the rule list finds no separator.
+        # completed: wherever the search proves a pair equivalent, or the
+        # distinguisher with a pop summary returns None, the plain product
+        # BFS off the rule list finds no separator; every word it returns
+        # separates the pair off the rule list.
         raw = random_eps_machine(random.Random(seed))
         for m in (raw, complete_dpda(raw)):
+            summary = pop_summaries(m)
             runs = (advance(m, m.start_configuration(), u) for u in bf.iter_words("01", 6))
             configs = list(dict.fromkeys(r[0] for r in runs if r is not None))
             for i, c1 in enumerate(configs):
                 for c2 in configs[i + 1 :]:
-                    if proved(m, c1, c2):
+                    w = distinguishing_word(m, c1, c2, summary)
+                    if w is not None:
+                        assert bf.ref_config_member(m, c1.state, c1.stack, w) != bf.ref_config_member(
+                            m, c2.state, c2.stack, w
+                        ), (c1, c2, w)
+                    if w is None or proved(m, c1, c2):
                         want, _ = bf.ref_distinguishing_word(
                             m, (c1.state, c1.stack), (c2.state, c2.stack), max_len=64, node_cap=2_000
                         )
@@ -415,6 +424,27 @@ class TestDecompositionProof:
         c1, c2 = Configuration("p", ("A", "X")), Configuration("p", ("A", "Y"))
         assert not proved(m, c1, c2)
         assert distinguishing_word(m, c1, c2, pop_summaries(m)) == "b"
+
+    def test_sides_that_coincide_after_closure(self):
+        # (p, X Y) ε-pops X into (q, Y): the two configurations differ,
+        # but their closed sides are one side, which needs no split.
+        m = validate_dpda(
+            {
+                "states": ["p", "q"],
+                "input_alphabet": ["a"],
+                "stack_alphabet": ["X", "Y"],
+                "rules": [
+                    {"from": "p", "top": "X", "label": "", "to": "q", "push": []},
+                    {"from": "q", "top": "Y", "label": "a", "to": "q", "push": ["Y", "Y"]},
+                ],
+                "start_state": "p",
+                "start_symbol": "X",
+                "accepting": [],
+            }
+        )
+        c1, c2 = Configuration("p", ("X", "Y")), Configuration("q", ("Y",))
+        assert proved(m, c1, c2)
+        assert distinguishing_word(m, c1, c2, pop_summaries(m)) is None
 
     def test_growing_stacks_are_proved_under_a_small_cap(self, monkeypatch):
         # The only state accepts, a and b push A and B above a bottom Z
@@ -457,6 +487,41 @@ class TestDecompositionProof:
         calls = 0
         assert distinguishing_word(m, c1, c2, pop_summaries(m), node_cap=50) is None
         assert calls <= 2 + 3 * 2 + 2 * 2
+
+    def test_separator_below_a_deep_common_top(self):
+        # Sides in q over Z^20 X and Z^20 Y: c pops a Z or a pushed A or B,
+        # and a, b push A, B on every top, so the product grows.  Only
+        # after c^20 pops the common top do the sides differ: a pushes into
+        # the accepting f over X and into q over Y.  Every pop probe ends in
+        # q, which rejects, and the shortest separator c^20 a lies deeper
+        # than a product walk capped at 200 pairs reaches; splitting the
+        # common top reaches it through its pop witness.
+        rules = [
+            {"from": "q", "top": top, "label": a, "to": "q", "push": [push, top]}
+            for top in "ABYZ"
+            for a, push in (("a", "A"), ("b", "B"))
+        ]
+        rules += [{"from": "q", "top": top, "label": "c", "to": "q", "push": []} for top in "ABZ"]
+        rules += [
+            {"from": "q", "top": "X", "label": "a", "to": "f", "push": ["A", "X"]},
+            {"from": "q", "top": "X", "label": "b", "to": "q", "push": ["B", "X"]},
+        ]
+        m = validate_dpda(
+            {
+                "states": ["q", "f"],
+                "input_alphabet": ["a", "b", "c"],
+                "stack_alphabet": ["A", "B", "X", "Y", "Z"],
+                "rules": rules,
+                "start_state": "q",
+                "start_symbol": "Z",
+                "accepting": ["f"],
+            }
+        )
+        c1, c2 = Configuration("q", ("Z",) * 20 + ("X",)), Configuration("q", ("Z",) * 20 + ("Y",))
+        w = distinguishing_word(m, c1, c2, pop_summaries(m), node_cap=200)
+        assert w is not None
+        assert bf.ref_config_member(m, "q", c1.stack, w) != bf.ref_config_member(m, "q", c2.stack, w)
+        assert distinguishing_word(m, c1, c2, node_cap=200) is None
 
 
 class TestDivergentWord:

@@ -224,6 +224,17 @@ def test_out_of_range_budget_is_exit_2(argv):
     assert run_cli(argv).exit_code == 2
 
 
+@pytest.mark.parametrize("k_max", ["0", "-3"])
+def test_refute_lr_k_max_below_1_is_exit_2(tmp_path, k_max):
+    from test_mealy import length_counter_machine
+
+    path = tmp_path / "candidate.json"
+    path.write_text(json.dumps(mealy_to_document(length_counter_machine())))
+    outcome = run_cli(["refute", "lr", str(path), "--k-max", k_max])
+    assert outcome.exit_code == 2
+    assert "k_max" in outcome.report
+
+
 @pytest.mark.parametrize("field", ["from", "top", "label", "to"])
 def test_non_string_rule_field_is_exit_2(tmp_path, field):
     doc = json.loads(json.dumps(bf.LSHARP_RAW))
