@@ -3,9 +3,7 @@ truth-table reductions between formal languages."""
 
 from .analysis import (
     PeriodicityReport,
-    PopSummary,
     Pump,
-    StairFactorization,
     down_states,
     eps_down_state,
     find_divergent_word,
@@ -21,14 +19,12 @@ from .dpda import (
     Dpda,
     InvalidMachineError,
     Rule,
-    RunResult,
     StuckError,
     complete_dpda,
     config_member,
     dpda_to_document,
     load_dpda,
     member,
-    run,
     validate_dpda,
 )
 from .mealy import (

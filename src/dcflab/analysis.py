@@ -3,7 +3,9 @@
 Pop-relation saturation (which states a configuration can reach with its
 stack fully consumed, and with which input words), divergent-word search
 driven by quotient signatures, stair factorization of stack-increasing
-runs, pump detection, and eventual periodicity of y-iterates.
+runs, pump detection, and eventual periodicity of y-iterates.  The pop
+summary is a plain mapping {(p, X): {q: witness word}}, and a stair
+factorization a plain tuple of (position, configuration) levels.
 
 Exact configuration equivalence is out of desk scope; wherever a decision
 would need it, these routines use bounded search (signatures over a finite
@@ -66,47 +68,6 @@ class NoPeriodFoundError(Exception):
 
 
 @dataclass(frozen=True)
-class PopSummary:
-    """Saturated pop relation of a machine.
-
-    entries[(p, X)] maps each state q reachable from pX with X fully popped
-    to one witness input word (minimal length, ties broken lexicographically).
-    """
-
-    entries: Mapping[tuple[str, str], Mapping[str, Word]]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "entries": [
-                {"from": p, "top": x, "to": q, "witness": w}
-                for (p, x) in sorted(self.entries)
-                for q, w in sorted(self.entries[(p, x)].items())
-            ],
-        }
-
-
-@dataclass(frozen=True)
-class StairFactorization:
-    """Levels of a stack-increasing run on a word u.
-
-    Each level is a pair (i, c): reading u[:i] from the start configuration
-    lands in the stable configuration c, and the rest of the run on u never
-    touches c's stack.  Positions and stack heights strictly increase along
-    the levels.
-    """
-
-    levels: tuple[tuple[int, Configuration], ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "levels": [
-                {"position": i, "state": c.state, "stack": list(c.stack)}
-                for i, c in self.levels
-            ]
-        }
-
-
-@dataclass(frozen=True)
 class Pump:
     """A stack-increasing loop: start -v-> (p, X·delta) and
     (p, X) -x-> (p, X·gamma), with x and gamma nonempty."""
@@ -156,8 +117,12 @@ def _pop_prefixes(entries, start: dict[str, Word], stack: StackWord):
             return
 
 
-def pop_summaries(m: Dpda) -> PopSummary:
-    """Least fixpoint of the pop relation.
+def pop_summaries(m: Dpda) -> dict[tuple[str, str], dict[str, Word]]:
+    """Least fixpoint of the pop relation, the pop summary of `m`.
+
+    It maps each (p, X) to {q: w} for every state q reachable from pX with
+    X fully popped, with one witness input word w (minimal length, ties
+    broken lexicographically); pairs that pop to no state are left out.
 
     A rule pX -a-> q Y1..Yk contributes (p, X) -> q' for every q' reached
     from q with witness a by popping Y1..Yk through the current summaries
@@ -178,21 +143,21 @@ def pop_summaries(m: Dpda) -> PopSummary:
                     targets[q2] = w
                     changed = True
 
-    return PopSummary(entries={k: dict(v) for k, v in entries.items() if v})
+    return {k: v for k, v in entries.items() if v}
 
 
-def pop_witnesses(s: PopSummary, state: str, stack: StackWord) -> dict[str, Word]:
+def pop_witnesses(s: Mapping, state: str, stack: StackWord) -> dict[str, Word]:
     """Witness words for popping the whole stack word from `state`.
 
     One (length, lex)-minimal composite witness per reachable end state.
     """
     current: dict[str, Word] = {state: ""}
-    for current in _pop_prefixes(s.entries, current, stack):
+    for current in _pop_prefixes(s, current, stack):
         pass
     return current
 
 
-def down_states(s: PopSummary, c: Configuration) -> frozenset[str]:
+def down_states(s: Mapping, c: Configuration) -> frozenset[str]:
     """States reachable from c with the entire stack consumed."""
     return frozenset(pop_witnesses(s, c.state, c.stack))
 
@@ -285,7 +250,7 @@ class _Product:
 
 
 def _search(
-    product: _Product, summary: Optional[PopSummary], s1: _Side, s2: _Side, node_cap: int
+    product: _Product, summary: Optional[Mapping], s1: _Side, s2: _Side, node_cap: int
 ) -> tuple[Optional[Word], bool]:
     """A word that separates the stable sides s1 and s2, found by a
     breadth-first walk over side pairs, each carrying the word that leads
@@ -362,7 +327,7 @@ def distinguishing_word(
     m: Dpda,
     c1: Configuration,
     c2: Configuration,
-    summary: Optional[PopSummary] = None,
+    summary: Optional[Mapping] = None,
     node_cap: int = DISTINGUISH_NODE_CAP,
 ) -> Optional[Word]:
     """A word on which exactly one of the two configurations accepts.
@@ -383,7 +348,7 @@ def distinguishing_word(
         probes = {
             w
             for c in (c1, c2)
-            for layer in _pop_prefixes(summary.entries, {c.state: ""}, c.stack)
+            for layer in _pop_prefixes(summary, {c.state: ""}, c.stack)
             for w in layer.values()
         }
         for cand in sorted(probes, key=lambda w: (len(w), w)):
@@ -406,7 +371,7 @@ def _initial_suffixes(m: Dpda) -> list[Word]:
     return out
 
 
-def find_divergent_word(m: Dpda, target_length: int, suffix_budget: int) -> Word:
+def find_divergent_word(m: Dpda, summary: Mapping, target_length: int, suffix_budget: int) -> Word:
     """Grow a word whose prefixes all lie in pairwise distinct quotients.
 
     Greedy extension with backtracking; extensions that grow the stack are
@@ -427,7 +392,6 @@ def find_divergent_word(m: Dpda, target_length: int, suffix_budget: int) -> Word
     """
     sigma = sorted(m.input_alphabet)
     suffixes = _initial_suffixes(m)
-    summary = pop_summaries(m)
     verdicts: dict[tuple[Configuration, Configuration], Optional[Word]] = {}
 
     start, _ = advance(m, m.start_configuration(), "")
@@ -489,9 +453,14 @@ def find_divergent_word(m: Dpda, target_length: int, suffix_budget: int) -> Word
         pending.append(extensions(cand))
 
 
-def stair_factorize(m: Dpda, u: Word) -> StairFactorization:
+def stair_factorize(m: Dpda, u: Word) -> tuple[tuple[int, Configuration], ...]:
     """Decompose the run on u along positions whose stack is never touched
     again within u.
+
+    Returns the levels (i, c): reading u[:i] from the start configuration
+    lands in the stable configuration c, and the rest of the run on u never
+    touches c's stack.  Positions and stack heights strictly increase along
+    the levels.
 
     A position is a level when every configuration visited strictly after
     it, unstable ones inside ε-chains included, keeps a strictly taller
@@ -502,7 +471,7 @@ def stair_factorize(m: Dpda, u: Word) -> StairFactorization:
     stack = [m.start_symbol]
     heights = [len(stack)]  # after every step, as `visit` sees it
 
-    def visit(label: str, state: str, stack: list[str]) -> None:
+    def visit(stack: list[str]) -> None:
         heights.append(len(stack))
 
     # Per read prefix u[:i]: (index into heights, stable configuration).
@@ -520,7 +489,7 @@ def stair_factorize(m: Dpda, u: Word) -> StairFactorization:
     levels = [(i, c) for i, (t, c) in enumerate(stables) if after[t] > len(c.stack)]
     if len(levels) < 2:
         raise NoLevelsError(f"only {len(levels)} level(s) on {u!r}")
-    return StairFactorization(tuple(levels[1:]))
+    return tuple(levels[1:])
 
 
 def find_pump(m: Dpda, u: Word) -> list[Pump]:
@@ -534,7 +503,7 @@ def find_pump(m: Dpda, u: Word) -> list[Pump]:
     (pX -x-> pX·gamma from the bare stack X) before being returned, which
     discards the spurious trailing levels of the finite run.
     """
-    levels = stair_factorize(m, u).levels
+    levels = stair_factorize(m, u)
     pumps: list[Pump] = []
     for lo, (i, ci) in enumerate(levels):
         p, X, delta = ci.state, ci.stack[0], ci.stack[1:]

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 for a negative-but-valid outcome (verification
 failed, refutation not found), 2 for usage or input errors.  `--json`
-switches the report payload to JSON on stdout.
+switches the report payload to JSON on stdout; an input error's payload is
+{"error": <report>}, or {"violations": [...]} for an invalid machine.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 from . import corpus
-from .dpda import InvalidMachineError, complete_dpda, load_dpda, member
+from .dpda import InvalidMachineError, _read_json, complete_dpda, load_dpda, member
 from .mealy import (
     LanguageOracle,
     compose,
@@ -120,8 +121,7 @@ def _oracle_from_ref(ref: str) -> LanguageOracle:
 
 
 def _load_tuple(path: str) -> WitnessTuple:
-    with open(path, "r", encoding="utf-8") as fh:
-        return WitnessTuple.from_json_dict(json.load(fh))
+    return WitnessTuple.from_json_dict(_read_json(path))
 
 
 def _dispatch(args) -> CommandOutcome:
@@ -227,6 +227,10 @@ def _dispatch(args) -> CommandOutcome:
     raise UsageError(f"unknown command {cmd}")
 
 
+def _input_error(report: str) -> CommandOutcome:
+    return CommandOutcome(2, report, {"error": report})
+
+
 def run_cli(argv: Sequence[str]) -> CommandOutcome:
     parser = _build_parser()
     try:
@@ -235,16 +239,16 @@ def run_cli(argv: Sequence[str]) -> CommandOutcome:
     except _HelpRequested as exc:
         return CommandOutcome(0, str(exc))
     except UsageError as exc:
-        return CommandOutcome(2, str(exc))
+        return _input_error(str(exc))
     except InvalidMachineError as exc:
         lines = ["invalid machine:"] + [f"  {v}" for v in exc.violations]
         return CommandOutcome(2, "\n".join(lines), {"violations": [str(v) for v in exc.violations]})
     except SearchExhaustedError as exc:
         return CommandOutcome(1, str(exc), {"stage": exc.stage})
     except corpus.UnknownNameError as exc:
-        return CommandOutcome(2, f"unknown corpus entry: {exc.args[0]}")
+        return _input_error(f"unknown corpus entry: {exc.args[0]}")
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        return CommandOutcome(2, f"error: {exc}")
+        return _input_error(f"error: {exc}")
 
 
 def main() -> None:

@@ -5,6 +5,9 @@ pure function, so machines and configurations can be shared freely between
 workers.  Input words are plain strings (one character per input symbol);
 stack words are tuples of stack-symbol strings with the topmost symbol
 first, matching the pXα convention where X is the top of the stack.
+
+Every run goes through the one stepping loop `_drive`, behind `member`,
+`advance` and `config_member`.
 """
 
 from __future__ import annotations
@@ -72,13 +75,6 @@ class Configuration:
 
 
 @dataclass(frozen=True)
-class RunResult:
-    final: Configuration
-    visited_accepting_after_consume: bool
-    trace: tuple[tuple[str, Configuration], ...]
-
-
-@dataclass(frozen=True)
 class Dpda:
     states: frozenset[str]
     input_alphabet: frozenset[str]
@@ -88,7 +84,7 @@ class Dpda:
     start_symbol: str
     accepting: frozenset[str]
     # Set by complete_dpda; completion guarantees every run reads its whole
-    # input, which `run` and `member` rely on.
+    # input, which `member` relies on.
     completed: bool = False
 
     @cached_property
@@ -284,9 +280,21 @@ def dpda_to_document(m: Dpda) -> dict:
     }
 
 
-def load_dpda(path: str) -> Dpda:
+def _read_json(path: str):
+    """The JSON document in the file at `path`.
+
+    A document nested too deeply for the parser raises ValueError, like any
+    other malformed document, rather than RecursionError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return validate_dpda(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON document nested too deeply") from None
+
+
+def load_dpda(path: str) -> Dpda:
+    return validate_dpda(_read_json(path))
 
 
 def _fresh(base: str, taken: frozenset[str]) -> str:
@@ -306,8 +314,8 @@ def _drive(m: Dpda, state: str, stack: list[str], word: Word, visit=None) -> tup
     state, whether an accepting state was seen since the last consumed
     letter (for the empty word: on the closure of the given state), and how
     many letters were consumed; fewer than len(word) means the run got
-    stuck.  `visit(label, state, stack)` is called after every step, with
-    label "" for ε-steps.  ε-steps pop, so every closure is finite.
+    stuck.  `visit(stack)` is called after every step, ε-steps included.
+    ε-steps pop, so every closure is finite.
     """
     moves = m.moves
     accepting = m.accepting
@@ -320,7 +328,7 @@ def _drive(m: Dpda, state: str, stack: list[str], word: Word, visit=None) -> tup
             stack.pop()
             acc = acc or state in accepting
             if visit is not None:
-                visit(EPSILON, state, stack)
+                visit(stack)
             continue
         if consumed == len(word) or move is None:
             return state, acc, consumed
@@ -334,7 +342,7 @@ def _drive(m: Dpda, state: str, stack: list[str], word: Word, visit=None) -> tup
         acc = state in accepting
         consumed += 1
         if visit is not None:
-            visit(a, state, stack)
+            visit(stack)
 
 
 def _configuration(state: str, stack: list[str]) -> Configuration:
@@ -397,38 +405,14 @@ def complete_dpda(m: Dpda) -> Dpda:
     )
 
 
-def run(m: Dpda, word: Word, keep_trace: bool = False) -> RunResult:
-    """Deterministically consume `word` from the start configuration.
-
-    `visited_accepting_after_consume` is true iff some configuration reached
-    by reading exactly `word` (the configuration right after the last
-    visible step, or any configuration on its trailing ε-chain) has an
-    accepting state.  Raises StuckError on machines that were not completed
-    when no rule applies.
-    """
-    trace: list[tuple[str, Configuration]] = []
-
-    def record(label: str, state: str, stack: list[str]) -> None:
-        trace.append((label, _configuration(state, stack)))
-
-    stack = [m.start_symbol]
-    state, acc, consumed = _drive(
-        m, m.start_state, stack, word, record if keep_trace else None
-    )
-    if consumed < len(word):
-        raise StuckError(consumed)
-    return RunResult(
-        final=_configuration(state, stack),
-        visited_accepting_after_consume=acc,
-        trace=tuple(trace),
-    )
-
-
 def member(m: Dpda, word: Word) -> bool:
     """Membership of `word` in the language of a completed machine.
 
-    Traceless fast path of `run`; verification grids call this millions of
-    times.
+    `word` is accepted iff some configuration reached by reading exactly
+    `word` (the one right after the last visible step, or any on its
+    trailing ε-chain) has an accepting state.  Raises StuckError, at the
+    position of the first unread letter, on a machine that was not
+    completed when no rule applies.
     """
     _, acc, consumed = _drive(m, m.start_state, [m.start_symbol], word)
     if consumed < len(word):

@@ -24,6 +24,7 @@ from .dpda import (
     Violation,
     _check_fields,
     _fresh,
+    _read_json,
     advance,
     complete_dpda,
     config_member,
@@ -273,8 +274,7 @@ def mealy_to_document(a: OracleMealyMachine) -> dict:
 
 
 def load_mealy(path: str) -> OracleMealyMachine:
-    with open(path, "r", encoding="utf-8") as fh:
-        return validate_mealy(json.load(fh))
+    return validate_mealy(_read_json(path))
 
 
 def _run_transducer(a: OracleMealyMachine, state: str, word: str) -> Optional[tuple[str, str]]:

@@ -189,7 +189,7 @@ def repair_nonempty(t: WitnessTuple) -> WitnessTuple:
 
 def _loop_candidates(summary, pump):
     """States q with nonempty pX ->w q and q gamma ->y q witnesses."""
-    pops_here = summary.entries.get((pump.p, pump.X), {})
+    pops_here = summary.get((pump.p, pump.X), {})
     for q in sorted(pops_here):
         w_word = pops_here[q]
         if not w_word:
@@ -210,22 +210,23 @@ def find_witness(m: Dpda, budgets: SearchBudgets = SearchBudgets()) -> WitnessTu
     """Extract a verified witness tuple from a machine with a non-regular
     language (the caller asserts non-regularity).
 
-    Pipeline: complete the machine; grow a divergent word; stair-factorize
-    it and collect verified pumps; for each pump find a state q reachable
-    by popping X and again by popping gamma (nonempty witnesses w and y);
-    probe words z on which L(q gamma delta) and L(q delta) differ; shift
-    the base by gamma^l0 so that the difference stabilizes; sample the
-    periodicity of y-iterates from the shifted base and raise x, y to a
-    multiple of the period above the threshold; fix the polarity by whether
-    z lies in the shifted base language; repair empty components and accept
-    the first tuple that passes verification at bounds (25, 25) against the
-    machine's own language.
+    Pipeline: complete the machine and compute its pop summary once; grow a
+    divergent word; stair-factorize it and collect verified pumps; for each
+    pump find a state q reachable by popping X and again by popping gamma
+    (nonempty witnesses w and y); probe words z on which L(q gamma delta)
+    and L(q delta) differ; shift the base by gamma^l0 so that the difference
+    stabilizes; sample the periodicity of y-iterates from the shifted base
+    and raise x, y to a multiple of the period above the threshold; fix the
+    polarity by whether z lies in the shifted base language; repair empty
+    components and accept the first tuple that passes verification at
+    bounds (25, 25) against the machine's own language.
     """
     mc = m if m.completed else complete_dpda(m)
     oracle = oracle_from_dpda(mc)
+    summary = pop_summaries(mc)
 
     try:
-        u = find_divergent_word(mc, budgets.word_length, budgets.suffix_budget)
+        u = find_divergent_word(mc, summary, budgets.word_length, budgets.suffix_budget)
     except ExhaustedError as exc:
         raise SearchExhaustedError("divergent_word", budgets) from exc
     try:
@@ -235,7 +236,6 @@ def find_witness(m: Dpda, budgets: SearchBudgets = SearchBudgets()) -> WitnessTu
     except NoPumpError as exc:
         raise SearchExhaustedError("pump", budgets) from exc
 
-    summary = pop_summaries(mc)
     deepest = "pop_witness"
     for pump in pumps:
         for q, w_word, y_word in _loop_candidates(summary, pump):
@@ -392,8 +392,9 @@ def reduce_lsharp(
     """
     if check_len < 0:
         raise ValueError(f"check_len must be >= 0, not {check_len}")
-    t = find_witness(m, budgets)
+    mc = m if m.completed else complete_dpda(m)
+    t = find_witness(mc, budgets)
     reducer = build_lsharp_reducer(t, sorted(m.input_alphabet))
-    oracle = oracle_from_dpda(m)
+    oracle = oracle_from_dpda(mc)
     checked = _check_reducer_agreement(reducer, oracle, check_len)
     return t, reducer, AgreementReport(max_len=check_len, words_checked=checked, passed=True)

@@ -56,7 +56,7 @@ class TestPopSummaries:
             "accepting": [],
         }
         s = pop_summaries(validate_dpda(doc))
-        assert s.entries[("p", "X")] == {"q": "a"}
+        assert s[("p", "X")] == {"q": "a"}
 
     def test_push_only_machine_has_no_entries(self):
         doc = {
@@ -69,7 +69,7 @@ class TestPopSummaries:
             "accepting": [],
         }
         s = pop_summaries(validate_dpda(doc))
-        assert s.entries.get(("p", "X"), {}) == {}
+        assert s.get(("p", "X"), {}) == {}
 
     @pytest.mark.parametrize("name", ["lsharp", "dyck1", "l1_le"])
     def test_matches_bfs_on_small_stacks(self, name):
@@ -87,7 +87,7 @@ class TestPopSummaries:
         for name in ("lsharp", "dyck1", "lr"):
             m = machine(name)
             s = pop_summaries(m)
-            for (p, x), targets in s.entries.items():
+            for (p, x), targets in s.items():
                 for q, w in targets.items():
                     res = advance(m, Configuration(p, (x,)), w)
                     assert res is not None, (p, x, q, w)
@@ -109,7 +109,7 @@ class TestPopSummaries:
         s = pop_summaries(m)
         for p in sorted(m.states):
             for x in sorted(m.stack_alphabet):
-                got = {q: w for q, w in s.entries.get((p, x), {}).items() if len(w) <= 7}
+                got = {q: w for q, w in s.get((p, x), {}).items() if len(w) <= 7}
                 assert got == bf.least_pop_words(m, p, (x,), 7), (p, x)
                 for y in sorted(m.stack_alphabet):
                     got = {q: w for q, w in pop_witnesses(s, p, (x, y)).items() if len(w) <= 7}
@@ -141,10 +141,6 @@ class TestPopSummaries:
     def test_down_states_empty_stack(self, lsharp):
         s = pop_summaries(lsharp)
         assert down_states(s, Configuration("q0", ())) == frozenset({"q0"})
-
-    def test_json_shape(self, lsharp):
-        payload = pop_summaries(lsharp).to_json_dict()
-        assert all(set(e) == {"from", "top", "to", "witness"} for e in payload["entries"])
 
 
 class TestSignature:
@@ -524,15 +520,19 @@ class TestDecompositionProof:
         assert distinguishing_word(m, c1, c2, node_cap=200) is None
 
 
+def divergent(m, length):
+    return find_divergent_word(m, pop_summaries(m), length, 64)
+
+
 class TestDivergentWord:
     def test_lsharp_grows_zeros(self, lsharp):
-        assert find_divergent_word(lsharp, 8, 64) == "00000000"
+        assert divergent(lsharp, 8) == "00000000"
 
     def test_dyck_grows_opens(self):
-        assert find_divergent_word(machine("dyck1"), 6, 64) == "(((((("
+        assert divergent(machine("dyck1"), 6) == "(((((("
 
     def test_prefix_signatures_pairwise_distinct(self, lsharp):
-        u = find_divergent_word(lsharp, 8, 64)
+        u = divergent(lsharp, 8)
         # confirmed by direct product simulation on every prefix pair
         configs = [advance(lsharp, lsharp.start_configuration(), u[:i])[0] for i in range(9)]
         s = pop_summaries(lsharp)
@@ -542,7 +542,7 @@ class TestDivergentWord:
 
     def test_regular_machine_exhausts(self):
         with pytest.raises(ExhaustedError) as excinfo:
-            find_divergent_word(machine("even_length_reg"), 8, 64)
+            divergent(machine("even_length_reg"), 8)
         assert len(excinfo.value.best_prefix) < 8
 
     @pytest.mark.parametrize("name, length", [("lsharp", 8), ("dyck1", 8), ("l_m_nn", 12)])
@@ -563,7 +563,7 @@ class TestDivergentWord:
             return real(m, c1, c2, summary)
 
         monkeypatch.setattr(analysis, "distinguishing_word", checking)
-        find_divergent_word(machine(name), length, 64)
+        divergent(machine(name), length)
         assert len(set(sizes)) > 2
 
     def test_one_distinguisher_run_per_pair(self, monkeypatch):
@@ -578,7 +578,7 @@ class TestDivergentWord:
 
         monkeypatch.setattr(analysis, "distinguishing_word", counting)
         with pytest.raises(ExhaustedError) as excinfo:
-            find_divergent_word(machine("even_length_reg"), 8, 64)
+            divergent(machine("even_length_reg"), 8)
         assert excinfo.value.best_prefix == "0"
         assert len(calls) == len(set(calls)) == 1
 
@@ -586,18 +586,18 @@ class TestDivergentWord:
 class TestStairs:
     def test_lsharp_0000(self, lsharp):
         st_ = stair_factorize(lsharp, "0000")
-        assert [i for i, _ in st_.levels] == [1, 2, 3, 4]
-        assert [c.stack[0] for _, c in st_.levels] == ["A0", "A", "A", "A"]
-        assert all(c.state == "q0" for _, c in st_.levels)
+        assert [i for i, _ in st_] == [1, 2, 3, 4]
+        assert [c.stack[0] for _, c in st_] == ["A0", "A", "A", "A"]
+        assert all(c.state == "q0" for _, c in st_)
 
     def test_replaying_prefixes_reproduces_levels(self, lsharp):
         u = "000000"
-        for i, c in stair_factorize(lsharp, u).levels:
+        for i, c in stair_factorize(lsharp, u):
             assert advance(lsharp, lsharp.start_configuration(), u[:i])[0] == c
 
     def test_positions_and_heights_increase(self, lsharp):
         u = "000000"
-        levels = stair_factorize(lsharp, u).levels
+        levels = stair_factorize(lsharp, u)
         for (i, ci), (j, cj) in zip(levels, levels[1:]):
             assert 0 < i < j <= len(u)
             assert len(ci.stack) < len(cj.stack)
@@ -606,11 +606,6 @@ class TestStairs:
     def test_fail_word_has_no_levels(self, lsharp):
         with pytest.raises(NoLevelsError):
             stair_factorize(lsharp, "10")
-
-    def test_json_shape(self, lsharp):
-        payload = stair_factorize(lsharp, "0000").to_json_dict()
-        assert payload["levels"][0] == {"position": 1, "state": "q0", "stack": ["A0", "X0", "⊥"]}
-        assert all(set(lv) == {"position", "state", "stack"} for lv in payload["levels"])
 
     @pytest.mark.parametrize("complete", [False, True])
     def test_levels_match_the_rules_only_reference(self, complete):
@@ -624,7 +619,7 @@ class TestStairs:
                     with pytest.raises(NoLevelsError):
                         stair_factorize(m, u)
                 else:
-                    assert stair_factorize(m, u).levels == tuple(ref[1:]), u
+                    assert stair_factorize(m, u) == tuple(ref[1:]), u
 
 
 class TestPumps:
@@ -670,7 +665,7 @@ class TestPumps:
                 except NoLevelsError:
                     continue
                 factorized += 1
-                for i, c in st_.levels:
+                for i, c in st_:
                     got = advance(m, m.start_configuration(), u[:i])[0]
                     assert got == c, (name, u)
                 try:

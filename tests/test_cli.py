@@ -302,6 +302,45 @@ def test_malformed_document_is_exit_2(tmp_path, argv, doc):
     assert outcome.exit_code == 2, outcome.report
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pda", "validate", "{}"],
+        ["pda", "member", "{}", "01"],
+        ["mealy", "eval", "{}", "01", "--oracle", "lsharp"],
+        ["mealy", "compose", "{}", "{}", "-o", "OUT"],
+        ["witness", "verify", "{}", "--oracle", "lsharp"],
+        ["refute", "lr", "{}"],
+    ],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_deeply_nested_json_is_exit_2(tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    files = {"{}": str(path), "OUT": str(tmp_path / "out.json")}
+    outcome = run_cli([files.get(a, a) for a in argv])
+    assert outcome.exit_code == 2, outcome.report
+    assert "nested too deeply" in outcome.report
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "find", "--lang", "nope"],
+        ["pda", "member", "/does/not/exist.json", "0"],
+        ["witness", "verify", "--oracle", "lsharp"],
+        ["reduce", "lsharp", "--lang", "lsharp", "--check-len", "-1"],
+    ],
+)
+def test_exit_2_prints_a_json_error_under_json(argv, capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["dcflab", *argv, "--json"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    report = run_cli([*argv, "--json"]).report
+    assert json.loads(capsys.readouterr().out) == {"error": report}
+
+
 def test_member_word_outside_the_alphabet_is_exit_2(lsharp_file):
     assert run_cli(["pda", "member", lsharp_file, "0a1"]).exit_code == 2
 

@@ -15,7 +15,6 @@ from dcflab.dpda import (
     config_member,
     dpda_to_document,
     member,
-    run,
     validate_dpda,
 )
 
@@ -108,9 +107,9 @@ class TestCompletion:
             assert member(eps_chain, w) == bf.ref_member(raw, w), w
 
     def test_bad_word_ends_in_fail_state(self, lsharp):
-        result = run(lsharp, "10")
-        assert not result.visited_accepting_after_consume
-        assert result.final.state == "fail"
+        final, accepted = advance(lsharp, lsharp.start_configuration(), "10")
+        assert not accepted
+        assert final.state == "fail"
 
     def test_double_completion_preserves_language(self, lsharp):
         twice = complete_dpda(lsharp)
@@ -120,19 +119,19 @@ class TestCompletion:
     def test_empty_language_machine_routes_to_fail(self):
         m = complete_dpda(validate_dpda(bf.EMPTY_LANGUAGE_RAW))
         for w in bf.iter_words("01", 4):
-            result = run(m, w)
-            assert not result.visited_accepting_after_consume
+            final, accepted = advance(m, m.start_configuration(), w)
+            assert not accepted
             if w:
-                assert result.final.state == "fail"
+                assert final.state == "fail"
 
     def test_totality(self, lsharp, eps_chain):
         for m in (lsharp, eps_chain):
             for w in bf.iter_words("01", 8):
-                run(m, w)  # must not raise
+                member(m, w)  # must not raise
 
     def test_raw_machine_can_stick(self, lsharp_raw):
         with pytest.raises(StuckError) as excinfo:
-            run(lsharp_raw, "10")
+            member(lsharp_raw, "10")
         assert excinfo.value.position == 0
 
     def test_start_epsilon_chain_that_empties_the_stack(self):
@@ -164,29 +163,20 @@ class TestRun:
 
     def test_acceptance_through_epsilon_chain(self, eps_chain):
         # the accepting state is only ever visited inside the ε-chain
-        result = run(eps_chain, "001")
-        assert result.visited_accepting_after_consume
-        assert result.final.state == "done"
+        final, accepted = advance(eps_chain, eps_chain.start_configuration(), "001")
+        assert accepted
+        assert final.state == "done"
         for w in bf.iter_words("01", 9):
             assert member(eps_chain, w) == bf.eps_chain_predicate(w), w
-
-    def test_trace_labels_concatenate_to_input(self, eps_chain):
-        result = run(eps_chain, "0001", keep_trace=True)
-        assert "".join(label for label, _ in result.trace) == "0001"
-        eps_steps = [cfg for label, cfg in result.trace if label == ""]
-        assert eps_steps, "expected ε-steps in the trace"
-        assert result.trace[-1][1] == result.final
-
-    def test_traceless_by_default(self, lsharp):
-        assert run(lsharp, "0011").trace == ()
 
     @given(st.text(alphabet="01", max_size=12))
     @settings(max_examples=60, deadline=None)
     def test_runs_are_deterministic(self, w):
         m = complete_dpda(validate_dpda(bf.LSHARP_RAW))
-        first = run(m, w, keep_trace=True)
-        second = run(m, w, keep_trace=True)
+        first = advance(m, m.start_configuration(), w)
+        second = advance(m, m.start_configuration(), w)
         assert first == second
+        assert member(m, w) == member(m, w) == first[1]
 
     @given(st.text(alphabet="01", max_size=12))
     @settings(max_examples=60, deadline=None)
@@ -290,7 +280,7 @@ def test_runs_agree_with_reference_on_random_eps_machines(seed):
     for w in WORDS_UP_TO_6:
         want = bf.ref_member(raw, w)
         assert member(m, w) == want, w
-        assert run(m, w).visited_accepting_after_consume == want, w
+        assert config_member(m, m.start_configuration(), w) == want, w
         assert advance(m, m.start_configuration(), w)[1] == want, w
         assert config_member(raw, raw.start_configuration(), w) == want, w
 

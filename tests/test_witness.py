@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from dcflab import corpus
+from dcflab import analysis, corpus, dpda, mealy, witness
 from dcflab.dpda import validate_dpda
 from dcflab.mealy import LanguageOracle, TruthTable, evaluate, oracle_from_dpda, transduce
 from dcflab.witness import (
@@ -187,6 +187,11 @@ class TestFindWitness:
         t = find_witness(machine)
         assert verify_witness(oracle("lsharp"), t, 25, 25).passed
 
+    def test_pop_summary_is_computed_once(self, monkeypatch):
+        calls = counting(monkeypatch, "pop_summaries", (analysis, witness))
+        find_witness(corpus.get_entry("lsharp").machine)
+        assert len(calls) == 1
+
 
 class TestReducer:
     def test_transduction_writes_v_xm_w_yn1(self):
@@ -233,6 +238,20 @@ class TestReducer:
         assert evaluate(comp, l1, "10")
 
 
+def counting(monkeypatch, name, modules):
+    """Record each call of the function `name` through any of `modules`."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 class TestReduceLsharp:
     def test_end_to_end_on_lsharp(self):
         entry = corpus.get_entry("lsharp")
@@ -245,6 +264,13 @@ class TestReduceLsharp:
         pred = corpus.get_entry("lsharp").predicate
         for w in ["", "01", "0011", "0101", "111", "000111"]:
             assert evaluate(reducer, oracle_m, w) == pred(w)
+
+    def test_raw_machine_is_completed_once(self, monkeypatch):
+        calls = counting(monkeypatch, "complete_dpda", (dpda, mealy, witness))
+        t, _, report = reduce_lsharp(validate_dpda(bf.LSHARP_RAW), check_len=8)
+        assert report.passed
+        assert t == find_witness(corpus.get_entry("lsharp").machine)
+        assert len(calls) == 1
 
     def test_budgets_are_threaded(self):
         entry = corpus.get_entry("even_length_reg")
