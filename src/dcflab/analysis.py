@@ -526,15 +526,24 @@ def periodicity(
     """Detect the eventual periodicity of membership of y^l z in L(base).
 
     Membership is sampled for l = 0..max_l by extending a snapshot by y at
-    each step and probing z from it.  The least (k, period) is returned,
-    k-major, with period <= max_l // 3 and the periodic pattern required to
-    hold over the whole sampled tail; table is indexed by l mod period.
+    each step and probing z from it.  Snapshots are values of a
+    deterministic run, so once one repeats, the samples cycle from its
+    first sighting on, and the rest of the sequence is filled from that
+    cycle instead of sampled.  The least (k, period) is returned, k-major,
+    with period <= max_l // 3 and the periodic pattern required to hold
+    over the whole sampled tail; table is indexed by l mod period.
     """
     if not y:
         raise ValueError("y must be nonempty")
     seq: list[bool] = []
+    seen: dict[Optional[tuple[Configuration, bool]], int] = {}
     snapshot: Optional[tuple[Configuration, bool]] = advance(m, base, "")
-    for _ in range(max_l + 1):
+    for l in range(max_l + 1):
+        first = seen.setdefault(snapshot, l)
+        if first < l:
+            cycle = seq[first:]
+            seq += [cycle[i % len(cycle)] for i in range(max_l + 1 - l)]
+            break
         if snapshot is None:
             seq.append(False)
             continue

@@ -9,6 +9,7 @@ switches the report payload to JSON on stdout; an input error's payload is
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -58,6 +59,9 @@ class _Parser(argparse.ArgumentParser):
         raise _HelpRequested(self.format_help().rstrip("\n"))
 
 
+# argparse keeps no state between parse_args calls, so one parser serves
+# every run_cli call in a process.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dcflab", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True)

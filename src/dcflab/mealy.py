@@ -94,7 +94,9 @@ class LanguageOracle:
     whether the word read up to p, followed by s, is in the language.
     Stepping by "" leaves a position unchanged.  By default a position is
     the prefix read so far; `positions` may supply a cheaper one (see
-    `oracle_from_dpda`).
+    `oracle_from_dpda`).  Equal positions must read the same language,
+    and so step to equal positions: readers such as `verify_witness` copy
+    answers once two positions compare equal.
     """
 
     alphabet: frozenset[str]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from itertools import product
-from typing import Optional
+from typing import Any, Optional
 
 from .analysis import (
     ExhaustedError,
@@ -36,7 +36,6 @@ from .mealy import (
     LanguageOracle,
     OracleMealyMachine,
     TruthTable,
-    _verdict,
     constant_table,
     oracle_from_dpda,
 )
@@ -141,28 +140,38 @@ def verify_witness(
 
     For every m in [0, m_bound] and n in [1, n_bound] the pair of membership
     answers for v x^m w y^(n-1) z and v x^m w y^n z (with the tuple's
-    polarity applied) must spell out m = n.  Each row asks the oracle once
-    for the answer a_j on v x^m w y^j z, j in [0, n_bound], and reads the
-    pair at n as (a_(n-1), a_n).  The words are read through the oracle's
-    run positions: v x^m is one x past the previous row's, and each y^j
-    one y past the last.  A bound below 1 raises ValueError: the grid
-    would hold no point with m = n.
+    polarity applied) must spell out m = n.  Each row holds the answer a_j
+    on v x^m w y^j z, j in [0, n_bound], and reads the pair at n as
+    (a_(n-1), a_n).  The words are read through the oracle's run
+    positions: v x^m is one x past the previous row's, and each y^j one y
+    past the last.  Once the position after v x^m w y^n equals the row
+    above's after v x^(m-1) w y^(n-1), as it does when each y pops what
+    one x pushed, every later answer in the row equals the row above's one
+    column back, and is copied instead of asked; string positions never
+    meet.  A bound below 1 raises ValueError: the grid would hold no point
+    with m = n.
     """
     for name, bound in (("m_bound", m_bound), ("n_bound", n_bound)):
         if bound < 1:
             raise ValueError(f"{name} must be >= 1, not {bound}")
     flip = t.polarity == COMPLEMENT
     counterexamples: list[tuple[int, int, bool, bool]] = []
+    above: list[tuple] = []  # the previous row's (position, answer) per j
     prefix = oracle.step(oracle.start(), t.v)
     for m in range(m_bound + 1):
         position = oracle.step(prefix, t.w)
-        left = oracle.accepts(position, t.z) ^ flip
+        row = [(position, oracle.accepts(position, t.z) ^ flip)]
         for n in range(1, n_bound + 1):
             position = oracle.step(position, t.y)
-            right = oracle.accepts(position, t.z) ^ flip
+            if above and position == above[n - 1][0]:
+                row += above[n - 1 : n_bound]
+                break
+            row.append((position, oracle.accepts(position, t.z) ^ flip))
+        for n in range(1, n_bound + 1):
+            left, right = row[n - 1][1], row[n][1]
             if ((not left) and right) != (m == n):
                 counterexamples.append((m, n, left, right))
-            left = right
+        above = row
         prefix = oracle.step(prefix, t.x)
     return VerificationReport(
         m_bound=m_bound,
@@ -350,22 +359,28 @@ def _check_reducer_agreement(
     returns the number of words checked, 2^(max_len+1) - 1 on success.
 
     The walk advances the transducer incrementally, which agrees with
-    `evaluate` by the transduction morphism.  A word on which the
-    transducer has died is rejected, and so is every extension of it; when
-    no extension lies in 0^n 1^n either, the whole subtree agrees and is
-    counted without being walked."""
-    membership = oracle.membership
+    `evaluate` by the transduction morphism, and carries the oracle's run
+    position on the tape: a child's is its parent's stepped by the
+    transition's output, and a verdict is the state's table over the
+    answers from that position.  A word on which the transducer has died
+    is rejected, and so is every extension of it; when no extension lies
+    in 0^n 1^n either, the whole subtree agrees and is counted without
+    being walked."""
     checked = 0
-    # (word, state or None, oracle-tape content)
-    stack: list[tuple[str, Optional[str], str]] = [("", reducer.start_state, "")]
+    # (word, state or None, oracle position after the tape)
+    stack: list[tuple[str, Optional[str], Any]] = [("", reducer.start_state, oracle.start())]
     delta = reducer.delta
     outputs = reducer.outputs
+    per_state = reducer.per_state
     while stack:
-        word, state, out = stack.pop()
+        word, state, position = stack.pop()
         if state is None and not is_lsharp_prefix(word):
             checked += 2 ** (max_len - len(word) + 1) - 1
             continue
-        verdict = state is not None and _verdict(reducer, state, out, membership)
+        verdict = False
+        if state is not None:
+            suffixes, table = per_state[state]
+            verdict = table.value([oracle.accepts(position, s) for s in suffixes])
         if verdict != is_lsharp(word):
             raise AgreementFailureError(word)
         checked += 1
@@ -374,9 +389,9 @@ def _check_reducer_agreement(
         for ch in ("0", "1"):
             nxt = None if state is None else delta.get((state, ch))
             if nxt is None:
-                stack.append((word + ch, None, ""))
+                stack.append((word + ch, None, None))
             else:
-                stack.append((word + ch, nxt, out + outputs[(state, ch)]))
+                stack.append((word + ch, nxt, oracle.step(position, outputs[(state, ch)])))
     return checked
 
 

@@ -34,6 +34,14 @@ def machine(name):
     return corpus.get_entry(name).machine
 
 
+# The corpus machines and 30 random ε-machines, raw and completed.
+SMALL_MACHINES = [pytest.param(machine(name), id=name) for name in corpus.names()] + [
+    pytest.param(make(random_eps_machine(random.Random(seed))), id=f"eps{seed}{form}")
+    for seed in range(30)
+    for form, make in (("", lambda raw: raw), ("-completed", complete_dpda))
+]
+
+
 @pytest.fixture(scope="module")
 def lsharp():
     return machine("lsharp")
@@ -93,15 +101,7 @@ class TestPopSummaries:
                     assert res is not None, (p, x, q, w)
                     assert res[0] == Configuration(q, ()), (p, x, q, w)
 
-    @pytest.mark.parametrize(
-        "m",
-        [pytest.param(machine(name), id=name) for name in corpus.names()]
-        + [
-            pytest.param(make(random_eps_machine(random.Random(seed))), id=f"eps{seed}{form}")
-            for seed in range(30)
-            for form, make in (("", lambda raw: raw), ("-completed", complete_dpda))
-        ],
-    )
+    @pytest.mark.parametrize("m", SMALL_MACHINES)
     def test_witnesses_are_least(self, m):
         """Each witness, of one symbol or composed along two, is the
         (length, lex)-least word that pops them, where that word has
@@ -727,3 +727,40 @@ class TestPeriodicity:
     def test_rejects_empty_y(self, lsharp):
         with pytest.raises(ValueError):
             periodicity(lsharp, lsharp.start_configuration(), "", "1")
+
+    @pytest.mark.parametrize("m", SMALL_MACHINES)
+    def test_matches_a_full_sample(self, m):
+        # The report read off a cycle of snapshots must be the one a full
+        # sample of every l gives, and so must a missing period.
+        sigma = sorted(m.input_alphabet)
+        rng = random.Random(len(m.rules))
+        words = list(bf.iter_words(sigma, 2))
+        for max_l in (4, 12, 30, 45):
+            for _ in range(3):
+                prefix, y, z = rng.choice(words), rng.choice(words[1:]), rng.choice(words)
+                res = advance(m, m.start_configuration(), prefix)
+                if res is None:
+                    continue
+                base = res[0]
+                want = reference_periodicity(m, base, y, z, max_l)
+                if want is None:
+                    with pytest.raises(NoPeriodFoundError):
+                        periodicity(m, base, y, z, max_l)
+                else:
+                    report = periodicity(m, base, y, z, max_l)
+                    assert (report.k, report.period, report.table) == want, (prefix, y, z, max_l)
+
+
+def reference_periodicity(m, base, y, z, max_l):
+    """The least (k, period, table) of `periodicity`'s search over all
+    max_l + 1 memberships of y^l z in L(base), each run from base by the
+    rules-only reference; None when no period fits."""
+    seq = [bf.ref_config_member(m, base.state, base.stack, y * l + z) for l in range(max_l + 1)]
+    for k in range(max_l + 1):
+        for p in range(1, min((max_l - k) // 3, max_l // 3) + 1):
+            if all(seq[l] == seq[l - p] for l in range(k + p, max_l + 1)):
+                table = [None] * p
+                for l in range(k, k + p):
+                    table[l % p] = seq[l]
+                return k, p, tuple(table)
+    return None

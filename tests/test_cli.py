@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcflab import corpus
+from dcflab import cli, corpus
 from dcflab.cli import _build_parser, main, run_cli
 from dcflab.dpda import dpda_to_document, validate_dpda
 from dcflab.mealy import mealy_to_document, identity_machine, validate_mealy
@@ -353,6 +353,27 @@ def test_witness_find_flags_mirror_search_budgets():
         flag = "--" + f.name.replace("_", "-")
         args = parser.parse_args(["witness", "find", "--lang", "lsharp", flag, "7"])
         assert getattr(args, f.name) == 7, flag
+
+
+def test_one_parser_serves_consecutive_calls(monkeypatch):
+    seen = []
+    real = cli.find_witness
+
+    def recording(machine, budgets):
+        seen.append(budgets)
+        return real(machine, budgets)
+
+    monkeypatch.setattr(cli, "find_witness", recording)
+    short = run_cli(["witness", "find", "--lang", "lsharp", "--word-length", "3"])
+    assert short.exit_code == 0
+    assert seen == [SearchBudgets(word_length=3)]
+    assert run_cli(["witness", "find", "--word-length", "3"]).exit_code == 2
+    assert run_cli(["witness", "find", "--help"]).exit_code == 0
+    outcome = run_cli(["witness", "find", "--lang", "lsharp"])
+    assert outcome.exit_code == 0
+    # The flag of the first call must not linger as a default.
+    assert seen == [SearchBudgets(word_length=3), SearchBudgets()]
+    assert _build_parser() is _build_parser()
 
 
 JSON_VALUES = st.recursive(

@@ -1,10 +1,11 @@
+import random
 from dataclasses import replace
 from itertools import product
 
 import pytest
 
 from dcflab import analysis, corpus, dpda, mealy, witness
-from dcflab.dpda import validate_dpda
+from dcflab.dpda import complete_dpda, validate_dpda
 from dcflab.mealy import LanguageOracle, TruthTable, evaluate, oracle_from_dpda, transduce
 from dcflab.witness import (
     AgreementFailureError,
@@ -21,10 +22,16 @@ from dcflab.witness import (
 )
 
 import bruteforce as bf
+from test_dpda import random_eps_machine
 
 
 def oracle(name):
     return corpus.oracle_of(corpus.get_entry(name))
+
+
+def string_prefixes(o):
+    """The same language read from string-prefix positions."""
+    return LanguageOracle(o.alphabet, o.membership)
 
 
 MINIMAL_TUPLE = WitnessTuple(v="", x="0", w="", y="1", z="", polarity="direct")
@@ -120,6 +127,55 @@ class TestResumableGrid:
         t = WitnessTuple(v="00", x="1", w="", y="1", z="", polarity="complement")
         strings = LanguageOracle(o.alphabet, o.membership)
         assert verify_witness(o, t, 25, 25) == verify_witness(strings, t, 25, 25)
+
+    @pytest.mark.parametrize("form", ["raw", "completed"])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_machines_give_the_string_grid(self, seed, form):
+        # Most drawn tuples fail, and on most of them rows meet the row
+        # above; a found tuple passes, and its flipped polarity fails.
+        raw = random_eps_machine(random.Random(seed))
+        m = raw if form == "raw" else complete_dpda(raw)
+        resumable = oracle_from_dpda(m)
+        strings = string_prefixes(resumable)
+        words = list(bf.iter_words("01", 2))
+        rng = random.Random(seed)
+        tuples = [
+            WitnessTuple(
+                v=rng.choice(words), x=rng.choice(words[1:]), w=rng.choice(words),
+                y=rng.choice(words[1:]), z=rng.choice(words),
+                polarity=rng.choice(("direct", "complement")),
+            )
+            for _ in range(40)
+        ]
+        try:
+            found = find_witness(m)
+        except SearchExhaustedError:
+            pass
+        else:
+            flipped = "complement" if found.polarity == "direct" else "direct"
+            tuples += [found, replace(found, polarity=flipped), replace(found, z=found.z + "0")]
+            assert verify_witness(resumable, found, 25, 25).passed
+        for t in tuples:
+            assert verify_witness(resumable, t, 9, 9) == verify_witness(strings, t, 9, 9), t
+
+    def test_rows_that_meet_the_row_above_are_copied(self):
+        # On a tuple read off a pump each y pops what one x pushed, so every
+        # row meets the row above after one y: about 3 steps a row, where
+        # stepping every grid point takes 26 * 27 + 1 = 703.
+        entry = corpus.get_entry("lsharp")
+        t = find_witness(entry.machine)
+        o = oracle_from_dpda(entry.machine)
+        steps = []
+
+        def step(position, word):
+            steps.append(word)
+            return o.positions.step(position, word)
+
+        counted = replace(o, positions=o.positions._replace(step=step))
+        report = verify_witness(counted, t, 25, 25)
+        assert report == verify_witness(string_prefixes(o), t, 25, 25)
+        assert report.passed
+        assert len(steps) <= 4 * (25 + 25 + 2)
 
 
 class TestRepair:
@@ -285,7 +341,19 @@ def lsharp_reducer():
     return reducer, oracle_from_dpda(entry.machine)
 
 
+NON_REGULAR = ["lsharp", "l1_le", "dyck1", "lr", "l_mm_n", "l_m_nn", "lsharp_squared"]
+
+
 class TestAgreementWalk:
+    @pytest.mark.parametrize("name", NON_REGULAR)
+    def test_both_position_kinds_count_the_same(self, name):
+        m = corpus.get_entry(name).machine
+        reducer = build_lsharp_reducer(find_witness(m), sorted(m.input_alphabet))
+        o = oracle_from_dpda(m)
+        checked = _check_reducer_agreement(reducer, o, 12)
+        assert checked == _check_reducer_agreement(reducer, string_prefixes(o), 12)
+        assert checked == 2**13 - 1
+
     def test_every_word_is_counted(self, lsharp_reducer):
         reducer, o = lsharp_reducer
         for max_len in range(17):
@@ -296,9 +364,10 @@ class TestAgreementWalk:
         suffixes, table = reducer.per_state["q2"]
         flipped = TruthTable(table.arity, tuple(not r for r in table.rows))
         bad = replace(reducer, per_state={**reducer.per_state, "q2": (suffixes, flipped)})
-        with pytest.raises(AgreementFailureError) as excinfo:
-            _check_reducer_agreement(bad, o, 16)
-        assert excinfo.value.word == "01"
+        for kind in (o, string_prefixes(o)):
+            with pytest.raises(AgreementFailureError) as excinfo:
+                _check_reducer_agreement(bad, kind, 16)
+            assert excinfo.value.word == "01"
 
     def test_live_transition_outside_the_prefixes_is_caught(self, lsharp_reducer):
         # (q2, "0") keeps words such as 0010 alive although no extension of
@@ -309,6 +378,7 @@ class TestAgreementWalk:
             delta={**reducer.delta, ("q2", "0"): "q2"},
             outputs={**reducer.outputs, ("q2", "0"): reducer.outputs[("q2", "1")]},
         )
-        with pytest.raises(AgreementFailureError) as excinfo:
-            _check_reducer_agreement(bad, o, 16)
-        assert excinfo.value.word == "0010"
+        for kind in (o, string_prefixes(o)):
+            with pytest.raises(AgreementFailureError) as excinfo:
+                _check_reducer_agreement(bad, kind, 16)
+            assert excinfo.value.word == "0010"
