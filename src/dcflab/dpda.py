@@ -7,7 +7,9 @@ stack words are tuples of stack-symbol strings with the topmost symbol
 first, matching the pXα convention where X is the top of the stack.
 
 Every run goes through the one stepping loop `_drive`, behind `member`,
-`advance` and `config_member`.
+`advance` and `config_member`.  It walks `Dpda.step_table`, compiled once
+per machine, whose letter moves hold the next move already resolved, so a
+letter costs one lookup.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ Word = str
 StackWord = tuple[str, ...]
 
 EPSILON = ""
+
+_STUCK: dict = {}  # the move of a rule-less (state, top) pair or an empty stack
 
 _RULE_FIELDS = frozenset({"from", "top", "label", "to", "push"})
 
@@ -88,16 +92,21 @@ class Dpda:
     completed: bool = False
 
     @cached_property
-    def moves(self) -> dict[tuple[str, str], str | dict[str, tuple[str, StackWord]]]:
-        """(state, top) -> the target state of its ε-rule, or a dict from
-        each letter to (next state, pushed word with the top last)."""
-        table: dict = {}
+    def step_table(self) -> dict[str, dict[str, str | dict[str, tuple]]]:
+        """state -> top -> the target state of its ε-rule, or a dict from
+        each letter to (next state, pushed word with the top last, whether
+        the next state accepts, next move): the next state's entry on the
+        pushed top, or None when the rule pops.  Rule-less pairs are absent."""
+        table: dict = {q: {} for q in self.states}
         for r in self.rules:
-            key = (r.from_state, r.top)
-            if r.label == EPSILON:
-                table[key] = r.to_state
-            else:
-                table.setdefault(key, {})[r.label] = (r.to_state, r.push[::-1])
+            table[r.from_state].setdefault(r.top, r.to_state if r.label == EPSILON else {})
+        # Every entry exists before a next move is resolved, or it reads stuck.
+        for r in self.rules:
+            if r.label != EPSILON:
+                pushed = r.push[::-1]
+                nxt = table[r.to_state].get(pushed[-1], _STUCK) if pushed else None
+                hit = (r.to_state, pushed, r.to_state in self.accepting, nxt)
+                table[r.from_state][r.top][r.label] = hit
         return table
 
     def start_configuration(self) -> Configuration:
@@ -307,8 +316,9 @@ def _fresh(base: str, taken: frozenset[str]) -> str:
 
 
 def _drive(m: Dpda, state: str, stack: list[str], word: Word, visit=None) -> tuple[str, bool, int]:
-    """The one stepping loop: ε-close, then read `word` letter by letter,
-    ε-closing after each letter.
+    """The one stepping loop, over `m.step_table`: ε-close, then read
+    `word` letter by letter, ε-closing after each letter.  A letter costs
+    one lookup; the next move is looked up by (state, top) only after a pop.
 
     `stack` holds the top last and is updated in place.  Returns the final
     state, whether an accepting state was seen since the last consumed
@@ -317,32 +327,37 @@ def _drive(m: Dpda, state: str, stack: list[str], word: Word, visit=None) -> tup
     stuck.  `visit(stack)` is called after every step, ε-steps included.
     ε-steps pop, so every closure is finite.
     """
-    moves = m.moves
+    table = m.step_table
     accepting = m.accepting
     acc = state in accepting
+    move = table.get(state, _STUCK).get(stack[-1], _STUCK) if stack else _STUCK
+    while type(move) is str:
+        state = move
+        stack.pop()
+        acc = acc or state in accepting
+        if visit is not None:
+            visit(stack)
+        move = table.get(state, _STUCK).get(stack[-1], _STUCK) if stack else _STUCK
     consumed = 0
-    while True:
-        move = moves.get((state, stack[-1])) if stack else None
-        if type(move) is str:
+    for a in word:
+        hit = move.get(a)
+        if hit is None:
+            break
+        state, pushed, acc, move = hit
+        stack[-1:] = pushed
+        consumed += 1
+        if visit is not None:
+            visit(stack)
+        if move is None:
+            move = table.get(state, _STUCK).get(stack[-1], _STUCK) if stack else _STUCK
+        while type(move) is str:
             state = move
             stack.pop()
             acc = acc or state in accepting
             if visit is not None:
                 visit(stack)
-            continue
-        if consumed == len(word) or move is None:
-            return state, acc, consumed
-        a = word[consumed]
-        hit = move.get(a)
-        if hit is None:
-            return state, acc, consumed
-        state, pushed = hit
-        stack.pop()
-        stack.extend(pushed)
-        acc = state in accepting
-        consumed += 1
-        if visit is not None:
-            visit(stack)
+            move = table.get(state, _STUCK).get(stack[-1], _STUCK) if stack else _STUCK
+    return state, acc, consumed
 
 
 def _configuration(state: str, stack: list[str]) -> Configuration:
@@ -368,25 +383,25 @@ def complete_dpda(m: Dpda) -> Dpda:
     stack_alphabet = set(m.stack_alphabet) | {bot}
     accepting = set(m.accepting)
     sigma = sorted(m.input_alphabet)
-    moves = m.moves
+    table = m.step_table
 
     # ε-closure of the conceptual start q0 X0 ⊥ (⊥ has no rules).
     start, start_acc = advance(m, Configuration(m.start_state, (m.start_symbol, bot)), "")
     if start_acc:
         accepting.add(init)
-    letters = moves.get((start.state, start.stack[0]), {})
+    letters = table[start.state].get(start.stack[0], _STUCK)
     for a in sigma:
         hit = letters.get(a)
         if hit is None:
             rules.append(Rule(init, bot, a, fail, (bot,)))
         else:
-            to_state, pushed = hit
+            to_state, pushed, _, _ = hit
             rules.append(Rule(init, bot, a, to_state, pushed[::-1] + start.stack[1:]))
 
     # Route every remaining stuck (state, top, symbol) hole to the fail state.
     for q in sorted(states - {init}):
         for x in sorted(stack_alphabet):
-            letters = moves.get((q, x), {})
+            letters = table.get(q, _STUCK).get(x, _STUCK)
             if type(letters) is str:
                 continue  # an ε-rule applies
             for a in sigma:

@@ -107,6 +107,26 @@ def ref_distinguishing_word(m, c1, c2, max_len, node_cap):
     return None, closed
 
 
+def ref_heights(m, state, stack, word):
+    """The stack height after every ε- or letter step of the run on `word`
+    from (state, stack), stack topmost first, straight off the rules: ε-rules
+    are followed before the first letter and after each one, and the run
+    ends at the first letter it cannot read."""
+    visible, eps = _rule_tables(m)
+    stack = tuple(stack)
+    heights = []
+    for i in range(len(word) + 1):
+        while stack and (state, stack[0]) in eps:
+            state, push = eps[(state, stack[0])]
+            stack = push + stack[1:]
+            heights.append(len(stack))
+        hit = visible.get((state, stack[0], word[i])) if i < len(word) and stack else None
+        if hit is None:
+            return heights
+        state, stack = hit[0], hit[1] + stack[1:]
+        heights.append(len(stack))
+
+
 def ref_levels(m, u):
     """Levels of the run on u straight off the rules, as (position, (state,
     stack)) pairs, stack topmost first: the prefixes u[:i] whose stable

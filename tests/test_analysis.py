@@ -27,19 +27,11 @@ from dcflab.analysis import (
 from dcflab.dpda import Configuration, advance, config_member, complete_dpda, validate_dpda
 
 import bruteforce as bf
-from test_dpda import random_eps_machine
+from test_dpda import SMALL_MACHINES, random_eps_machine
 
 
 def machine(name):
     return corpus.get_entry(name).machine
-
-
-# The corpus machines and 30 random ε-machines, raw and completed.
-SMALL_MACHINES = [pytest.param(machine(name), id=name) for name in corpus.names()] + [
-    pytest.param(make(random_eps_machine(random.Random(seed))), id=f"eps{seed}{form}")
-    for seed in range(30)
-    for form, make in (("", lambda raw: raw), ("-completed", complete_dpda))
-]
 
 
 @pytest.fixture(scope="module")

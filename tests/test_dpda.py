@@ -1,15 +1,18 @@
 import ast
 import copy
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcflab import corpus
 from dcflab.dpda import (
     Configuration,
     InvalidMachineError,
     StuckError,
+    _drive,
     advance,
     complete_dpda,
     config_member,
@@ -231,6 +234,13 @@ class TestConfigMember:
         assert config_member(lsharp, empty_acc, "")
         assert not config_member(lsharp, empty_acc, "1")
 
+    def test_foreign_state_or_symbol_is_stuck(self, lsharp):
+        for c in (Configuration("nowhere", ("A",)), Configuration("q0", ("nothing",))):
+            assert not config_member(lsharp, c, "")
+            assert not config_member(lsharp, c, "01")
+            assert advance(lsharp, c, "0") is None
+            assert advance(lsharp, c, "") == (c, False)
+
 
 WORDS_UP_TO_6 = list(bf.iter_words("01", 6))
 
@@ -285,6 +295,60 @@ def test_runs_agree_with_reference_on_random_eps_machines(seed):
         assert config_member(raw, raw.start_configuration(), w) == want, w
 
 
+# The corpus machines and 30 random ε-machines, raw and completed.
+SMALL_MACHINES = [
+    pytest.param(corpus.get_entry(name).machine, id=name) for name in corpus.names()
+] + [
+    pytest.param(make(random_eps_machine(random.Random(seed))), id=f"eps{seed}{form}")
+    for seed in range(30)
+    for form, make in (("", lambda raw: raw), ("-completed", complete_dpda))
+]
+
+
+def visited_stacks(m, w):
+    """The stacks, topmost first, that `_drive` shows `visit` on the run on
+    w from the start configuration."""
+    stacks = []
+    _drive(m, m.start_state, [m.start_symbol], w, lambda s: stacks.append(tuple(s[::-1])))
+    return stacks
+
+
+def run_record(m, w):
+    """Everything the public runs and `visit` report on w from the start."""
+    try:
+        accepted = member(m, w)
+    except StuckError as e:
+        accepted = ("stuck", e.position)
+    start = m.start_configuration()
+    return accepted, advance(m, start, w), config_member(m, start, w), visited_stacks(m, w)
+
+
+@pytest.mark.parametrize("m", SMALL_MACHINES)
+def test_rule_order_does_not_matter(m):
+    # A step table that resolved a rule's next move before that move's own
+    # entry was made would read it as stuck for some rule orders.
+    words = list(bf.iter_words(m.input_alphabet, 6))
+    want = [run_record(m, w) for w in words]
+    for w, (accepted, _, in_language, _) in zip(words, want):
+        assert in_language == bf.ref_member(m, w), w
+        if m.completed:
+            assert accepted == in_language, w
+    for seed in range(3):
+        rules = list(m.rules)
+        random.Random(seed).shuffle(rules)
+        shuffled = dataclasses.replace(m, rules=tuple(rules))
+        assert [run_record(shuffled, w) for w in words] == want, seed
+
+
+@pytest.mark.parametrize("m", SMALL_MACHINES)
+def test_visit_heights_match_the_reference(m):
+    # `stair_factorize` reads levels off these heights, ε-steps included.
+    start = (m.start_symbol,)
+    for w in bf.iter_words(m.input_alphabet, 6):
+        got = [len(s) for s in visited_stacks(m, w)]
+        assert got == bf.ref_heights(m, m.start_state, start, w), w
+
+
 def test_reference_reads_only_the_rule_list():
     tree = ast.parse(open(bf.__file__, encoding="utf-8").read())
     for node in ast.walk(tree):
@@ -293,4 +357,4 @@ def test_reference_reads_only_the_rule_list():
         elif isinstance(node, ast.ImportFrom):
             assert (node.module or "").split(".")[0] != "dcflab", node.lineno
         elif isinstance(node, ast.Attribute):
-            assert node.attr not in {"visible", "eps", "moves"}, node.lineno
+            assert node.attr not in {"visible", "eps", "moves", "step_table"}, node.lineno
