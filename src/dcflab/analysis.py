@@ -13,7 +13,9 @@ suffix set, product-simulation distinguishers) and leave final soundness to
 simulation re-checks by their callers.  The distinguisher is one search over
 pairs of configurations, with no length cap, that splits common stack tops
 through pop summaries; when it closes, its None proves the pair equivalent,
-and a search cut at its node cap proves nothing.
+and a search cut at its node cap proves nothing.  One graph of hash-consed
+sides with memoised steps serves a whole divergent-word search, its
+distinguisher calls included, so no step is taken twice in one search.
 """
 
 from __future__ import annotations
@@ -179,8 +181,9 @@ _Side = Optional[tuple[str, int]]
 
 
 class _Product:
-    """Hash-consed stacks and memoised steps for the sides of one
-    distinguisher call.
+    """Hash-consed stacks and memoised steps over one machine's
+    configurations, shared by a whole divergent-word search and every
+    distinguisher call it makes.
 
     A side is a (state, stack node) pair, or None once it is stranded
     (empty stack or stuck); a stranded side rejects everything from then
@@ -190,7 +193,8 @@ class _Product:
     step reads only the top symbol, so `_drive` runs on that one-symbol
     window once per (state, top, letter or ε) and its result is kept; a
     window that runs empty hands the run to the node below with the unread
-    rest of the letter.
+    rest of the letter.  `moves` keeps each side's step on each letter (or
+    ε-closure), so reading a letter a second time is one lookup.
     """
 
     def __init__(self, m: Dpda):
@@ -198,8 +202,9 @@ class _Product:
         self.cells: list[tuple[str, int]] = [("", 0)]  # node -> (top, node below)
         self.ids: dict[tuple[str, int], int] = {}  # (top, node below) -> node
         self.steps: dict[tuple[str, str, Word], tuple[str, StackWord, bool, int]] = {}
+        self.moves: dict[tuple[_Side, Word], tuple[_Side, bool]] = {}
 
-    def push(self, symbols, node: int) -> int:
+    def push(self, node: int, symbols) -> int:
         """The node for `symbols` (top last) stacked on `node`."""
         cells, ids = self.cells, self.ids
         for symbol in symbols:
@@ -212,7 +217,29 @@ class _Product:
 
     def close(self, c: Configuration) -> tuple[_Side, bool]:
         """c's side after its ε-closure, and whether the closure accepts."""
-        return self.probe((c.state, self.push(c.stack[::-1], 0)), "")
+        return self.read((c.state, self.push(0, c.stack[::-1])), "")
+
+    def configuration(self, side: tuple[str, int]) -> Configuration:
+        """The configuration that a side that is not stranded stands for."""
+        state, node = side
+        stack = []
+        while node:
+            top, node = self.cells[node]
+            stack.append(top)
+        return Configuration(state, tuple(stack))
+
+    def read(self, side: _Side, word: Word) -> tuple[_Side, bool]:
+        """The side after reading `word` from `side`, and whether that
+        reading accepts, which is `config_member`'s answer; the empty word
+        ε-closes.  Each letter is one lookup in `moves`, which `probe`
+        fills on a miss."""
+        moves = self.moves
+        for ch in word or ("",):
+            out = moves.get((side, ch))
+            if out is None:
+                out = moves[side, ch] = self.probe(side, ch)
+            side = out[0]
+        return out
 
     def probe(self, side: _Side, ch: Word) -> tuple[_Side, bool]:
         """The side after reading `ch` (one letter, or "" to ε-close) and
@@ -241,7 +268,7 @@ class _Product:
                 # The run ended on the window: stuck if the letter is unread.
                 if ch:
                     return None, False
-                return (state, self.push(window, node)), acc
+                return (state, self.push(node, window)), acc
         if ch:
             return None, False
         # Only a side that starts on the empty stack has not yet counted
@@ -283,7 +310,7 @@ def _search(
     disagree, and w' nonempty is a strictly shorter separator of the
     closed pair.  Each case contradicts the checks or the choice of w.
     """
-    cells, probe = product.cells, product.probe
+    cells, read = product.cells, product.read
     sigma = sorted(product.m.input_alphabet)
     seen = {(s1, s2)}
     work = deque([(s1, s2, "")])
@@ -304,13 +331,13 @@ def _search(
                 alpha.append(cells[n1][0])
                 n1, n2 = cells[n1][1], cells[n2][1]
             nexts = [
-                (probe((r, n1), ""), probe((r, n2), ""), word + u)
+                (read((r, n1), ""), read((r, n2), ""), word + u)
                 for r, u in pop_witnesses(summary, p, tuple(alpha)).items()
             ]
             if any(b1 != b2 for (_, b1), (_, b2), _ in nexts):
                 nexts = None
         if nexts is None:
-            nexts = [(probe(d1, ch), probe(d2, ch), word + ch) for ch in sigma]
+            nexts = [(read(d1, ch), read(d2, ch), word + ch) for ch in sigma]
         for (e1, b1), (e2, b2), w in nexts:
             if b1 != b2:
                 return w, True
@@ -329,19 +356,27 @@ def distinguishing_word(
     c2: Configuration,
     summary: Optional[Mapping] = None,
     node_cap: int = DISTINGUISH_NODE_CAP,
+    *,
+    graph: Optional[_Product] = None,
 ) -> Optional[Word]:
     """A word on which exactly one of the two configurations accepts.
 
     Equal configurations have none.  With a pop summary, pop-guided probes
     come first: words that unwind either stack reach the depth at which the
     configurations differ without any search.  Then `_search` walks the
-    pairs of sides over `_Product`, splitting common tops through the pop
-    summary.  None covers two cases: the walk closed, which proves the
-    configurations equivalent, or it was cut at `node_cap` pairs, which
-    proves nothing.
+    pairs of sides, splitting common tops through the pop summary.  None
+    covers two cases: the walk closed, which proves the configurations
+    equivalent, or it was cut at `node_cap` pairs, which proves nothing.
+
+    Every probe and step is read on `graph`, the `_Product` of m.  A
+    divergent-word search passes the one graph it reads everything on, so
+    steps taken in earlier calls are lookups; without one, the call builds
+    its own.
     """
     if c1 == c2:
         return None
+    graph = _Product(m) if graph is None else graph
+    u1, u2 = ((c.state, graph.push(0, c.stack[::-1])) for c in (c1, c2))
     if summary is not None:
         # Words that pop some prefix of either stack drive that side to a
         # known state with a known stack remainder.
@@ -352,15 +387,13 @@ def distinguishing_word(
             for w in layer.values()
         }
         for cand in sorted(probes, key=lambda w: (len(w), w)):
-            if config_member(m, c1, cand) != config_member(m, c2, cand):
+            if graph.read(u1, cand)[1] != graph.read(u2, cand)[1]:
                 return cand
 
-    product = _Product(m)
-    s1, a1 = product.close(c1)
-    s2, a2 = product.close(c2)
+    (s1, a1), (s2, a2) = graph.read(u1, ""), graph.read(u2, "")
     if a1 != a2:
         return ""
-    return _search(product, summary, s1, s2, node_cap)[0]
+    return _search(graph, summary, s1, s2, node_cap)[0]
 
 
 def _initial_suffixes(m: Dpda) -> list[Word]:
@@ -385,6 +418,11 @@ def find_divergent_word(m: Dpda, summary: Mapping, target_length: int, suffix_bu
     survives, which signals regular-looking behavior at this scale (or too
     small a budget).
 
+    One `_Product` serves the whole search: the start, every candidate and
+    every kept prefix is a side of it, and each letter of an extension, a
+    signature bit or a distinguisher probe is one memoised step.  The
+    distinguisher reads on the same graph.
+
     `distinguishing_word` runs at most once per ordered (candidate, earlier
     prefix) pair per call: its verdict depends only on the machine, the
     pair, the fixed pop summary and the module's node cap, and backtracking
@@ -392,22 +430,26 @@ def find_divergent_word(m: Dpda, summary: Mapping, target_length: int, suffix_bu
     """
     sigma = sorted(m.input_alphabet)
     suffixes = _initial_suffixes(m)
-    verdicts: dict[tuple[Configuration, Configuration], Optional[Word]] = {}
+    verdicts: dict[tuple[_Side, _Side], Optional[Word]] = {}
+    graph = _Product(m)
+    read = graph.read
 
-    start, _ = advance(m, m.start_configuration(), "")
-    configs = [start]
-    sigs = [signature(m, start, suffixes)]
+    start, _ = graph.close(m.start_configuration())
+    sides = [start]
+    configs = [graph.configuration(start)]
+    sigs = [tuple(read(start, s)[1] for s in suffixes)]
     word: list[str] = []
     best = ""
 
-    def extensions(c: Configuration):
+    def extensions(side: _Side):
         ranked = []
         for symbol in sigma:
-            res = advance(m, c, symbol)
-            if res is not None:
-                ranked.append((-len(res[0].stack), symbol, res[0]))
+            nxt = read(side, symbol)[0]
+            if nxt is not None:
+                cfg = graph.configuration(nxt)
+                ranked.append((-len(cfg.stack), symbol, nxt, cfg))
         ranked.sort()
-        return iter([(symbol, cfg) for _, symbol, cfg in ranked])
+        return iter([entry[1:] for entry in ranked])
 
     pending = [extensions(start)]
     while True:
@@ -417,11 +459,12 @@ def find_divergent_word(m: Dpda, summary: Mapping, target_length: int, suffix_bu
             if not pending:
                 raise ExhaustedError(best)
             word.pop()
+            sides.pop()
             configs.pop()
             sigs.pop()
             continue
-        symbol, cand = nxt
-        sig = signature(m, cand, suffixes)
+        symbol, side, cand = nxt
+        sig = tuple(read(side, s)[1] for s in suffixes)
         ok = True
         while True:
             clash = next((i for i, s in enumerate(sigs) if s == sig), None)
@@ -430,27 +473,28 @@ def find_divergent_word(m: Dpda, summary: Mapping, target_length: int, suffix_bu
             if len(suffixes) >= suffix_budget:
                 ok = False
                 break
-            pair = (cand, configs[clash])
+            pair = (side, sides[clash])
             if pair not in verdicts:
-                verdicts[pair] = distinguishing_word(m, cand, configs[clash], summary)
+                verdicts[pair] = distinguishing_word(m, cand, configs[clash], summary, graph=graph)
             extra = verdicts[pair]
             if extra is None:
                 ok = False
                 break
             suffixes.append(extra)
-            for i, c in enumerate(configs):
-                sigs[i] += (config_member(m, c, extra),)
-            sig += (config_member(m, cand, extra),)
+            for i, s in enumerate(sides):
+                sigs[i] += (read(s, extra)[1],)
+            sig += (read(side, extra)[1],)
         if not ok:
             continue
         word.append(symbol)
+        sides.append(side)
         configs.append(cand)
         sigs.append(sig)
         if len(word) > len(best):
             best = "".join(word)
         if len(word) == target_length:
             return "".join(word)
-        pending.append(extensions(cand))
+        pending.append(extensions(side))
 
 
 def stair_factorize(m: Dpda, u: Word) -> tuple[tuple[int, Configuration], ...]:

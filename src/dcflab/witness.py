@@ -16,7 +16,7 @@ against the 0^n 1^n predicate on every binary word up to a length bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from itertools import product
+from itertools import accumulate, product, repeat
 from typing import Any, Optional
 
 from .analysis import (
@@ -24,6 +24,7 @@ from .analysis import (
     NoLevelsError,
     NoPumpError,
     NoPeriodFoundError,
+    _Product,
     find_divergent_word,
     find_pump,
     periodicity,
@@ -31,7 +32,7 @@ from .analysis import (
     pop_witnesses,
 )
 from .corpus import is_lsharp, is_lsharp_prefix
-from .dpda import Configuration, Dpda, Word, complete_dpda, config_member
+from .dpda import Configuration, Dpda, Word, complete_dpda
 from .mealy import (
     LanguageOracle,
     OracleMealyMachine,
@@ -245,18 +246,19 @@ def find_witness(m: Dpda, budgets: SearchBudgets = SearchBudgets()) -> WitnessTu
     except NoPumpError as exc:
         raise SearchExhaustedError("pump", budgets) from exc
 
+    graph = _Product(mc)
     deepest = "pop_witness"
     for pump in pumps:
+        gamma, bottom = pump.gamma[::-1], graph.push(0, pump.delta[::-1])
         for q, w_word, y_word in _loop_candidates(summary, pump):
             deepest = _deeper(deepest, "z_probe")
             failures = 0
             for z in _z_candidates(mc.input_alphabet, budgets.z_length):
-                # seq[l] is z's membership from q gamma^l delta: the probe
-                # compares l = 0 with l = 1, and stabilization reads on.
-                levels = (
-                    config_member(mc, Configuration(q, pump.gamma * l + pump.delta), z)
-                    for l in range(budgets.max_l + 1)
-                )
+                # seq[l] is z's membership from q gamma^l delta, whose stack
+                # node pushes gamma onto level l - 1's: the probe compares
+                # l = 0 with l = 1, and stabilization reads on.
+                nodes = accumulate(repeat(gamma, budgets.max_l), graph.push, initial=bottom)
+                levels = (graph.read((q, node), z)[1] for node in nodes)
                 seq = [next(levels), next(levels)]
                 if seq[0] == seq[1]:
                     continue

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcflab import analysis, corpus
+from dcflab import analysis, corpus, dpda
 from dcflab.analysis import (
     DISTINGUISH_NODE_CAP,
     ExhaustedError,
@@ -25,6 +25,7 @@ from dcflab.analysis import (
     stair_factorize,
 )
 from dcflab.dpda import Configuration, advance, config_member, complete_dpda, validate_dpda
+from dcflab.witness import SearchBudgets
 
 import bruteforce as bf
 from test_dpda import SMALL_MACHINES, random_eps_machine
@@ -512,6 +513,49 @@ class TestDecompositionProof:
         assert distinguishing_word(m, c1, c2, node_cap=200) is None
 
 
+def graph_read_ends(m):
+    """Check the graph's reading of every word of length <= 6 against
+    `config_member`, `advance` and, on a completed machine, the rules-only
+    reference, from each stable configuration reached by a word of length
+    <= 3 and from an empty stack.  Returns the kinds of reads that end on
+    no side: "stranded" from the empty stack, "stuck" from any other."""
+    start = m.start_configuration()
+    configs = {Configuration(m.start_state, ())}
+    for u in bf.iter_words(m.input_alphabet, 3):
+        reached = advance(m, start, u)
+        if reached is not None:
+            configs.add(reached[0])
+    graph = analysis._Product(m)
+    kinds = set()
+    for c in sorted(configs, key=lambda c: (c.state, len(c.stack), c.stack)):
+        side = graph.close(c)[0]
+        for w in bf.iter_words(m.input_alphabet, 6):
+            end, flag = graph.read(side, w)
+            assert flag == config_member(m, c, w), (c, w)
+            if m.completed:
+                assert flag == bf.ref_config_member(m, c.state, c.stack, w), (c, w)
+            reached = advance(m, c, w)
+            if end is None:
+                assert reached is None, (c, w)
+                kinds.add("stuck" if c.stack else "stranded")
+            else:
+                assert graph.configuration(end) == reached[0], (c, w)
+    return kinds
+
+
+@pytest.mark.parametrize("m", SMALL_MACHINES)
+def test_graph_reads_match_config_member(m):
+    kinds = graph_read_ends(m)
+    assert "stranded" in kinds
+    if m.completed:
+        assert "stuck" not in kinds
+
+
+def test_graph_reads_get_stuck_on_raw_machines():
+    raw = (random_eps_machine(random.Random(seed)) for seed in range(30))
+    assert any("stuck" in graph_read_ends(m) for m in raw)
+
+
 def divergent(m, length):
     return find_divergent_word(m, pop_summaries(m), length, 64)
 
@@ -545,18 +589,40 @@ class TestDivergentWord:
         real = analysis.distinguishing_word
         sizes = []
 
-        def checking(m, c1, c2, summary=None):
+        def checking(m, c1, c2, summary=None, **kwargs):
             search = sys._getframe(1).f_locals
             suffixes = search["suffixes"]
             for c, bits in zip(search["configs"], search["sigs"], strict=True):
                 assert bits == signature(m, c, suffixes)
             assert search["sig"] == signature(m, search["cand"], suffixes)
             sizes.append(len(suffixes))
-            return real(m, c1, c2, summary)
+            return real(m, c1, c2, summary, **kwargs)
 
         monkeypatch.setattr(analysis, "distinguishing_word", checking)
         divergent(machine(name), length)
         assert len(set(sizes)) > 2
+
+    @pytest.mark.parametrize("m", SMALL_MACHINES)
+    def test_drive_runs_are_bounded_by_the_step_keys(self, monkeypatch, m):
+        # One graph serves the whole search, distinguisher calls included,
+        # so `_drive` runs at most once per (state, top, letter or ε).
+        runs = 0
+        real = dpda._drive
+
+        def counted(*args, **kwargs):
+            nonlocal runs
+            runs += 1
+            return real(*args, **kwargs)
+
+        summary = pop_summaries(m)
+        monkeypatch.setattr(dpda, "_drive", counted)
+        monkeypatch.setattr(analysis, "_drive", counted)
+        budgets = SearchBudgets()
+        try:
+            find_divergent_word(m, summary, budgets.word_length, budgets.suffix_budget)
+        except ExhaustedError:
+            pass
+        assert runs <= len(m.states) * len(m.stack_alphabet) * (len(m.input_alphabet) + 1)
 
     def test_one_distinguisher_run_per_pair(self, monkeypatch):
         # Backtracking meets the same clashing pair four times on this
@@ -564,9 +630,9 @@ class TestDivergentWord:
         calls = []
         real = analysis.distinguishing_word
 
-        def counting(m, c1, c2, summary=None):
+        def counting(m, c1, c2, summary=None, **kwargs):
             calls.append((c1, c2))
-            return real(m, c1, c2, summary)
+            return real(m, c1, c2, summary, **kwargs)
 
         monkeypatch.setattr(analysis, "distinguishing_word", counting)
         with pytest.raises(ExhaustedError) as excinfo:

@@ -1,6 +1,8 @@
+import json
 import random
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +24,12 @@ from dcflab.witness import (
 )
 
 import bruteforce as bf
-from test_dpda import random_eps_machine
+from test_dpda import SMALL_MACHINES, random_eps_machine
+
+# Each SMALL_MACHINES id's find_witness outcome at default budgets: the
+# tuple's JSON object, or "exhausted:<stage>".  Runs under PYTHONHASHSEED=0
+# and =1 write the same file.
+OUTCOMES = Path(__file__).parent / "data" / "witness_outcomes.json"
 
 
 def oracle(name):
@@ -247,6 +254,16 @@ class TestFindWitness:
         calls = counting(monkeypatch, "pop_summaries", (analysis, witness))
         find_witness(corpus.get_entry("lsharp").machine)
         assert len(calls) == 1
+
+    def test_outcomes_match_the_golden_file(self):
+        got = {}
+        for param in SMALL_MACHINES:
+            (m,) = param.values
+            try:
+                got[param.id] = find_witness(m).to_json_dict()
+            except SearchExhaustedError as e:
+                got[param.id] = f"exhausted:{e.stage}"
+        assert got == json.loads(OUTCOMES.read_text(encoding="utf-8"))
 
 
 class TestReducer:
