@@ -129,13 +129,18 @@ def pop_summaries(m: Dpda) -> dict[tuple[str, str], dict[str, Word]]:
     A rule pX -a-> q Y1..Yk contributes (p, X) -> q' for every q' reached
     from q with witness a by popping Y1..Yk through the current summaries
     (k = 0 is a popping rule: q itself, with witness a).  The iteration
-    keeps the (length, lexicographic)-minimal word per target.
+    keeps the (length, lexicographic)-minimal word per target, and re-runs
+    a rule only after an entry on a symbol it pushes has changed.
     """
     entries: dict[tuple[str, str], dict[str, Word]] = {}
-    changed = True
-    while changed:
-        changed = False
-        for r in m.rules:
+    tops = {r.top for r in m.rules}
+    readers = {x: [i for i, r in enumerate(m.rules) if x in r.push] for x in tops}
+    dirty = [True] * len(m.rules)
+    while any(dirty):
+        for i, r in enumerate(m.rules):
+            if not dirty[i]:
+                continue
+            dirty[i] = False
             targets = entries.setdefault((r.from_state, r.top), {})
             reached = {r.to_state: r.label}
             for reached in _pop_prefixes(entries, reached, r.push):
@@ -143,7 +148,8 @@ def pop_summaries(m: Dpda) -> dict[tuple[str, str], dict[str, Word]]:
             for q2, w in reached.items():
                 if _less(w, targets.get(q2)):
                     targets[q2] = w
-                    changed = True
+                    for j in readers[r.top]:
+                        dirty[j] = True
 
     return {k: v for k, v in entries.items() if v}
 

@@ -146,6 +146,8 @@ def _dispatch(args) -> CommandOutcome:
 
     if cmd == ("mealy", "eval"):
         machine = load_mealy(args.machine_file)
+        if not set(args.word) <= machine.input_alphabet:
+            raise ValueError(f"{args.word!r} is not a word over the input alphabet")
         oracle = _oracle_from_ref(args.oracle)
         verdict = evaluate(machine, oracle, args.word)
         payload = {"word": args.word, "accepted": verdict}

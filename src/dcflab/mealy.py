@@ -5,7 +5,8 @@ tape; the state reached at the end contributes a tuple of query suffixes
 and a truth table that aggregates the oracle's answers into the verdict.
 Rejection by an undefined transition beats every table.  Machines are
 immutable after validation and evaluation is pure given a deterministic
-oracle.
+oracle.  Every transducer run walks `OracleMealyMachine.step_table`,
+compiled once per machine, so a letter costs one lookup.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -63,6 +64,7 @@ def constant_table(value: bool) -> TruthTable:
 IDENTITY_TABLE = TruthTable(1, (False, True))
 
 QuerySpec = tuple[tuple[str, ...], TruthTable]
+_NO_MOVES: dict = {}  # the moves of a state with no defined transition
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,14 @@ class OracleMealyMachine:
     outputs: Mapping[tuple[str, str], str]
     start_state: str
     per_state: Mapping[str, QuerySpec]
+
+    @cached_property
+    def step_table(self) -> dict[str, dict[str, tuple[str, str]]]:
+        """state -> letter -> (next state, output), for the defined moves only."""
+        table: dict = {}
+        for (q, ch), nxt in self.delta.items():
+            table.setdefault(q, {})[ch] = (nxt, self.outputs[(q, ch)])
+        return table
 
 
 class Positions(NamedTuple):
@@ -280,13 +290,17 @@ def load_mealy(path: str) -> OracleMealyMachine:
 
 
 def _run_transducer(a: OracleMealyMachine, state: str, word: str) -> Optional[tuple[str, str]]:
+    """Walk the states first, so a word that dies builds no output."""
+    table, start = a.step_table, state
+    for ch in word:
+        hit = table.get(state, _NO_MOVES).get(ch)
+        if hit is None:
+            return None
+        state = hit[0]
     out: list[str] = []
     for ch in word:
-        nxt = a.delta.get((state, ch))
-        if nxt is None:
-            return None
-        out.append(a.outputs[(state, ch)])
-        state = nxt
+        start, piece = table[start][ch]
+        out.append(piece)
     return state, "".join(out)
 
 
@@ -302,17 +316,11 @@ def evaluate(a: OracleMealyMachine, oracle: LanguageOracle, word: str) -> bool:
     the oracle queries; the state's truth table aggregates the answers.  An
     undefined transition rejects outright.
     """
-    res = transduce(a, word)
-    return res is not None and _verdict(a, *res, oracle.membership)
-
-
-def _verdict(
-    a: OracleMealyMachine, state: str, out: str, membership: Callable[[str], bool]
-) -> bool:
-    """The verdict at `state` with oracle-tape content `out`: the state's
-    suffixes extend `out` into queries and its table aggregates the answers."""
-    suffixes, table = a.per_state[state]
-    return table.value([membership(out + s) for s in suffixes])
+    res = _run_transducer(a, a.start_state, word)
+    if res is None:
+        return False
+    suffixes, table = a.per_state[res[0]]
+    return table.value([oracle.membership(res[1] + s) for s in suffixes])
 
 
 def oracle_from_dpda(m: Dpda) -> LanguageOracle:
@@ -442,11 +450,11 @@ def compose(a1: OracleMealyMachine, a2: OracleMealyMachine) -> OracleMealyMachin
 
     def step(pair: tuple[str, Optional[str]], ch: str):
         q1, q2 = pair
-        t1 = a1.delta.get((q1, ch))
-        if t1 is None:
+        hit = a1.step_table.get(q1, _NO_MOVES).get(ch)
+        if hit is None:
             return None
-        mid = None if q2 is None else _run_transducer(a2, q2, a1.outputs[(q1, ch)])
-        return ((t1, None), "") if mid is None else ((t1, mid[0]), mid[1])
+        mid = None if q2 is None else _run_transducer(a2, q2, hit[1])
+        return ((hit[0], None), "") if mid is None else ((hit[0], mid[0]), mid[1])
 
     def spec(pair: tuple[str, Optional[str]]) -> QuerySpec:
         q1, q2 = pair
@@ -522,8 +530,8 @@ def restrict_regular(a: OracleMealyMachine, d: Dfa) -> OracleMealyMachine:
 
     def step(pair: tuple[str, str], ch: str):
         q, s = pair
-        t = a.delta.get((q, ch))
-        return None if t is None else ((t, d.transitions[(s, ch)]), a.outputs[(q, ch)])
+        hit = a.step_table.get(q, _NO_MOVES).get(ch)
+        return None if hit is None else ((hit[0], d.transitions[(s, ch)]), hit[1])
 
     def spec(pair: tuple[str, str]) -> QuerySpec:
         q, s = pair

@@ -371,9 +371,7 @@ def _check_reducer_agreement(
     checked = 0
     # (word, state or None, oracle position after the tape)
     stack: list[tuple[str, Optional[str], Any]] = [("", reducer.start_state, oracle.start())]
-    delta = reducer.delta
-    outputs = reducer.outputs
-    per_state = reducer.per_state
+    step_table = reducer.step_table
     while stack:
         word, state, position = stack.pop()
         if state is None and not is_lsharp_prefix(word):
@@ -381,19 +379,20 @@ def _check_reducer_agreement(
             continue
         verdict = False
         if state is not None:
-            suffixes, table = per_state[state]
+            suffixes, table = reducer.per_state[state]
             verdict = table.value([oracle.accepts(position, s) for s in suffixes])
         if verdict != is_lsharp(word):
             raise AgreementFailureError(word)
         checked += 1
         if len(word) == max_len:
             continue
+        moves = step_table.get(state, {})  # a dead word's state None has none
         for ch in ("0", "1"):
-            nxt = None if state is None else delta.get((state, ch))
-            if nxt is None:
+            hit = moves.get(ch)
+            if hit is None:
                 stack.append((word + ch, None, None))
             else:
-                stack.append((word + ch, nxt, oracle.step(position, outputs[(state, ch)])))
+                stack.append((word + ch, hit[0], oracle.step(position, hit[1])))
     return checked
 
 

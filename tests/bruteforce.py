@@ -290,6 +290,33 @@ def sweep_agreement(m, predicate, max_len):
     return None, checked
 
 
+def ref_transduce(a, word):
+    """(state, oracle tape) after reading `word` straight off the machine's
+    δ and λ dicts, or None at the first undefined transition."""
+    state, tape = a.start_state, ""
+    for ch in word:
+        if (state, ch) not in a.delta:
+            return None
+        tape += a.outputs[(state, ch)]
+        state = a.delta[(state, ch)]
+    return state, tape
+
+
+def ref_evaluate(a, membership, word):
+    """An oracle Mealy machine's verdict on `word`: an undefined transition
+    rejects; otherwise the final state's table row is indexed by the
+    answers to tape + suffix, the first suffix the most significant bit."""
+    res = ref_transduce(a, word)
+    if res is None:
+        return False
+    state, tape = res
+    suffixes, table = a.per_state[state]
+    row = 0
+    for s in suffixes:
+        row = 2 * row + (1 if membership(tape + s) else 0)
+    return table.rows[row]
+
+
 def two_way_splits(word, part_predicate):
     """Brute-force check that `word` splits into two parts both satisfying
     part_predicate."""

@@ -68,6 +68,15 @@ def test_mealy_eval_with_machine_file_oracle(identity_file, lsharp_file):
     assert outcome.exit_code == 0
 
 
+def test_mealy_eval_word_outside_the_input_alphabet_is_exit_2(identity_file, lsharp_file):
+    # As with `pda member`: an unreadable word is a usage error, not "rejected".
+    for word in ("0x1", "a"):
+        outcome = run_cli(["mealy", "eval", identity_file, word, "--oracle", "lsharp", "--json"])
+        assert outcome.exit_code == 2, word
+        assert "input alphabet" in outcome.payload["error"]
+        assert run_cli(["pda", "member", lsharp_file, word]).exit_code == 2
+
+
 def test_machine_file_oracle_rejects_a_letter_outside_its_alphabet(tmp_path, lsharp_file):
     # The machine writes "a" to its oracle tape, which lsharp cannot read.
     machine = tmp_path / "a.json"

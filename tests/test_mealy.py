@@ -1,4 +1,7 @@
+import hashlib
+import json
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from dcflab import corpus
 from dcflab.dpda import InvalidMachineError, validate_dpda
 from dcflab.mealy import (
+    IDENTITY_TABLE,
     Dfa,
     LanguageOracle,
     OracleMealyMachine,
@@ -363,16 +367,11 @@ class TestComplement:
         assert evaluate(comp, oracle, "")
 
 
-def even_length_dfa():
+def even_length_dfa(alphabet="01"):
     return Dfa(
         states=frozenset({"e", "o"}),
-        alphabet=frozenset("01"),
-        transitions={
-            ("e", "0"): "o",
-            ("e", "1"): "o",
-            ("o", "0"): "e",
-            ("o", "1"): "e",
-        },
+        alphabet=frozenset(alphabet),
+        transitions={(q, ch): "eo"[q == "e"] for q in "eo" for ch in alphabet},
         start="e",
         accepting=frozenset({"e"}),
     )
@@ -593,3 +592,89 @@ class TestRefuteLR:
 
     def test_no_collision_within_bound_gives_none(self):
         assert refute_simplicity_LR(wide_tree_machine(), k_max=5) is None
+
+
+def partial_machine():
+    # "s" has no transitions and "r" reads only some letters; the tables
+    # have arity 1, 2 and 3
+    return OracleMealyMachine(
+        states=frozenset({"p", "r", "s"}),
+        input_alphabet=frozenset("01"),
+        oracle_alphabet=frozenset("01"),
+        delta={("p", "0"): "r", ("p", "1"): "p", ("r", "0"): "r", ("r", "1"): "s"},
+        outputs={("p", "0"): "0", ("p", "1"): "", ("r", "0"): "01", ("r", "1"): "11"},
+        start_state="p",
+        per_state={
+            "p": (("",), IDENTITY_TABLE),
+            "r": (("1", "0"), TruthTable(2, (True, False, False, True))),
+            "s": (("", "1", "01"), TruthTable(3, (False, True, True, False, True, False, False, True))),
+        },
+    )
+
+
+# sha256 of each composable pair of corpus reducers' `compose` document
+# (sorted-key JSON), pinned from the implementation that read `delta` and
+# `outputs` directly.  Runs under PYTHONHASHSEED=0 and =1 write the same file.
+COMPOSED = Path(__file__).parent / "data" / "compose_golden.json"
+
+REFERENCE_MACHINES = (
+    ["identity_01", "identity_abc", "partial"]
+    + [f"reducer_{name}" for name in NONREGULAR]
+    + [f"compose_{name}" for name in NONREGULAR]
+)
+
+
+@pytest.fixture(scope="module")
+def reference_machines(lsharp_reducers):
+    """name -> (machine, membership predicate of its oracle language)."""
+    out = {
+        "identity_01": (identity_machine("01"), corpus.is_lsharp),
+        "identity_abc": (identity_machine("abc"), lr_predicate),
+        "partial": (partial_machine(), corpus.is_lsharp),
+    }
+    front = lsharp_reducers["lsharp"]
+    for name in NONREGULAR:
+        predicate = corpus.get_entry(name).predicate
+        out[f"reducer_{name}"] = (lsharp_reducers[name], predicate)
+        out[f"compose_{name}"] = (compose(front, lsharp_reducers[name]), predicate)
+    return out
+
+
+class TestReferenceEvaluation:
+    @pytest.mark.parametrize("name", REFERENCE_MACHINES)
+    def test_evaluate_and_transduce_match_the_reference(self, name, reference_machines):
+        """The machine, its complement and its restriction to even length,
+        on every word up to length 8 (6 over three letters)."""
+        base, predicate = reference_machines[name]
+        alphabet = sorted(base.input_alphabet)
+        oracle = LanguageOracle(base.oracle_alphabet, predicate)
+        for m in (base, complement_machine(base), restrict_regular(base, even_length_dfa(alphabet))):
+            for w in words(alphabet, 8 if len(alphabet) == 2 else 6):
+                assert transduce(m, w) == bf.ref_transduce(m, w), (name, w)
+                assert evaluate(m, oracle, w) == bf.ref_evaluate(m, predicate, w), (name, w)
+
+
+class TestStepTable:
+    @pytest.mark.parametrize("build", [partial_machine, wide_tree_machine, lambda: identity_machine("abc")])
+    def test_one_entry_per_defined_move(self, build):
+        m = build()
+        assert m.step_table is m.step_table
+        moves = {(q, ch): hit for q, row in m.step_table.items() for ch, hit in row.items()}
+        assert moves == {key: (m.delta[key], m.outputs[key]) for key in m.delta}
+
+    def test_reading_the_table_keeps_equality(self):
+        doc = mealy_to_document(partial_machine())
+        m = validate_mealy(doc)
+        m.step_table
+        assert validate_mealy(mealy_to_document(m)) == m
+        assert mealy_to_document(m) == doc
+
+    def test_compose_matches_the_golden_documents(self, lsharp_reducers):
+        golden = json.loads(COMPOSED.read_text())
+        got = {}
+        for f, b in product(sorted(lsharp_reducers), repeat=2):
+            front, back = lsharp_reducers[f], lsharp_reducers[b]
+            if front.oracle_alphabet == back.input_alphabet:
+                doc = json.dumps(mealy_to_document(compose(front, back)), sort_keys=True)
+                got[f"{f}>{b}"] = hashlib.sha256(doc.encode()).hexdigest()
+        assert got == golden
