@@ -13,9 +13,9 @@ suffix set, product-simulation distinguishers) and leave final soundness to
 simulation re-checks by their callers.  The distinguisher is one search over
 pairs of configurations, with no length cap, that splits common stack tops
 through pop summaries; when it closes, its None proves the pair equivalent,
-and a search cut at its node cap proves nothing.  One graph of hash-consed
-sides with memoised steps serves a whole divergent-word search, its
-distinguisher calls included, so no step is taken twice in one search.
+and a search cut at its node cap proves nothing.  One graph of int sides,
+each with a row of the words read from it and pop probes built once, serves
+a whole divergent-word search, so no word is read twice in one search.
 """
 
 from __future__ import annotations
@@ -183,24 +183,20 @@ def signature(m: Dpda, c: Configuration, suffixes: list[Word]) -> tuple[bool, ..
     return tuple(config_member(m, c, s) for s in suffixes)
 
 
-_Side = Optional[tuple[str, int]]
-
-
 class _Product:
-    """Hash-consed stacks and memoised steps over one machine's
+    """Hash-consed stacks and sides with memoised reads over one machine's
     configurations, shared by a whole divergent-word search and every
     distinguisher call it makes.
 
-    A side is a (state, stack node) pair, or None once it is stranded
-    (empty stack or stuck); a stranded side rejects everything from then
-    on.  Stack nodes are hash-consed for the life of the object: node 0 is
-    the empty stack and node i stands for (top symbol, node below), so
-    equal stacks get equal ids and comparing or hashing a side is O(1).  A
-    step reads only the top symbol, so `_drive` runs on that one-symbol
-    window once per (state, top, letter or ε) and its result is kept; a
-    window that runs empty hands the run to the node below with the unread
-    rest of the letter.  `moves` keeps each side's step on each letter (or
-    ε-closure), so reading a letter a second time is one lookup.
+    Stack node 0 is the empty stack and node i stands for (top symbol, node
+    below); side i stands for the (state, node) pair `pairs[i]`.  Both are
+    hash-consed for the life of the object, so equal configurations get
+    equal int sides.  None is a stranded side (empty stack or stuck), which
+    rejects everything from then on.  A step reads only the top symbol, so
+    `_drive` runs on that one-symbol window once per (state, top, letter or
+    ε); a window that runs empty hands the run to the node below with the
+    unread rest of the letter.  `rows[side]` maps each word read from the
+    side, each letter and "" among them, to the end side and its flag.
     """
 
     def __init__(self, m: Dpda):
@@ -208,7 +204,10 @@ class _Product:
         self.cells: list[tuple[str, int]] = [("", 0)]  # node -> (top, node below)
         self.ids: dict[tuple[str, int], int] = {}  # (top, node below) -> node
         self.steps: dict[tuple[str, str, Word], tuple[str, StackWord, bool, int]] = {}
-        self.moves: dict[tuple[_Side, Word], tuple[_Side, bool]] = {}
+        self.pairs: list[tuple[str, int]] = []  # side -> (state, node)
+        self.sides: dict[tuple[str, int], int] = {}  # (state, node) -> side
+        self.rows: list[dict[Word, tuple[Optional[int], bool]]] = []  # side -> word -> (end, flag)
+        self.pops: dict[int, list[Word]] = {}  # side -> pop-probe words
 
     def push(self, node: int, symbols) -> int:
         """The node for `symbols` (top last) stacked on `node`."""
@@ -221,39 +220,52 @@ class _Product:
                 cells.append(cell)
         return node
 
-    def close(self, c: Configuration) -> tuple[_Side, bool]:
-        """c's side after its ε-closure, and whether the closure accepts."""
-        return self.read((c.state, self.push(0, c.stack[::-1])), "")
+    def side(self, state: str, node: int) -> int:
+        """The side for `state` over the stack `node`."""
+        side = self.sides.setdefault((state, node), len(self.pairs))
+        if side == len(self.pairs):
+            self.pairs.append((state, node))
+            self.rows.append({})
+        return side
 
-    def configuration(self, side: tuple[str, int]) -> Configuration:
+    def close(self, c: Configuration) -> tuple[Optional[int], bool]:
+        """c's side after its ε-closure, and whether the closure accepts."""
+        return self.read(self.side(c.state, self.push(0, c.stack[::-1])), "")
+
+    def configuration(self, side: int) -> Configuration:
         """The configuration that a side that is not stranded stands for."""
-        state, node = side
+        state, node = self.pairs[side]
         stack = []
         while node:
             top, node = self.cells[node]
             stack.append(top)
         return Configuration(state, tuple(stack))
 
-    def read(self, side: _Side, word: Word) -> tuple[_Side, bool]:
+    def read(self, side: Optional[int], word: Word) -> tuple[Optional[int], bool]:
         """The side after reading `word` from `side`, and whether that
         reading accepts, which is `config_member`'s answer; the empty word
-        ε-closes.  Each letter is one lookup in `moves`, which `probe`
-        fills on a miss."""
-        moves = self.moves
-        for ch in word or ("",):
-            out = moves.get((side, ch))
-            if out is None:
-                out = moves[side, ch] = self.probe(side, ch)
-            side = out[0]
-        return out
-
-    def probe(self, side: _Side, ch: Word) -> tuple[_Side, bool]:
-        """The side after reading `ch` (one letter, or "" to ε-close) and
-        whether that reading accepts."""
+        ε-closes.  A word read before is one lookup in the side's row; any
+        other walks its letters through the rows it passes, then is kept."""
         if side is None:
             return None, False
+        row = self.rows[side]
+        out = row.get(word)
+        if out is None:
+            rows, end = self.rows, side
+            for ch in word or ("",):
+                step = rows[end]
+                out = step.get(ch) or step.setdefault(ch, self.probe(end, ch))
+                end = out[0]
+                if end is None:
+                    break
+            row[word] = out
+        return out
+
+    def probe(self, side: int, ch: Word) -> tuple[Optional[int], bool]:
+        """The side after reading `ch` (one letter, or "" to ε-close) and
+        whether that reading accepts."""
         cells, steps = self.cells, self.steps
-        state, node = side
+        state, node = self.pairs[side]
         # As in `_drive`: a window's flag replaces the side's once a letter
         # has been read and is OR-ed into it otherwise.
         acc = False
@@ -274,16 +286,25 @@ class _Product:
                 # The run ended on the window: stuck if the letter is unread.
                 if ch:
                     return None, False
-                return (state, self.push(node, window)), acc
+                return self.side(state, self.push(node, window)), acc
         if ch:
             return None, False
         # Only a side that starts on the empty stack has not yet counted
         # its own state.
-        return (state, 0), acc or state in self.m.accepting
+        return self.side(state, 0), acc or state in self.m.accepting
+
+    def pop_probes(self, side: int, summary: Mapping) -> list[Word]:
+        """The pop witnesses, under m's pop summary, of every prefix of the
+        side's stack from its state; built once per side."""
+        if side not in self.pops:
+            c = self.configuration(side)
+            layers = _pop_prefixes(summary, {c.state: ""}, c.stack)
+            self.pops[side] = [w for layer in layers for w in layer.values()]
+        return self.pops[side]
 
 
 def _search(
-    product: _Product, summary: Optional[Mapping], s1: _Side, s2: _Side, node_cap: int
+    product: _Product, summary: Optional[Mapping], s1: int, s2: int, node_cap: int
 ) -> tuple[Optional[Word], bool]:
     """A word that separates the stable sides s1 and s2, found by a
     breadth-first walk over side pairs, each carrying the word that leads
@@ -316,7 +337,7 @@ def _search(
     disagree, and w' nonempty is a strictly shorter separator of the
     closed pair.  Each case contradicts the checks or the choice of w.
     """
-    cells, read = product.cells, product.read
+    cells, pairs, side, read = product.cells, product.pairs, product.side, product.read
     sigma = sorted(product.m.input_alphabet)
     seen = {(s1, s2)}
     work = deque([(s1, s2, "")])
@@ -325,23 +346,22 @@ def _search(
         if d1 == d2:
             continue
         nexts = None
-        if summary is not None and d1 and d2 and d1[0] == d2[0] and (
-            cells[d1[1]][0] == cells[d2[1]][0]
-        ):
-            # Distinct nodes with one top have distinct nodes below, and
-            # the empty stack's top "" is no symbol, so this ends on two
-            # distinct rests with different tops.
-            (p, n1), (_, n2) = d1, d2
-            alpha = []
-            while cells[n1][0] == cells[n2][0]:
-                alpha.append(cells[n1][0])
-                n1, n2 = cells[n1][1], cells[n2][1]
-            nexts = [
-                (read((r, n1), ""), read((r, n2), ""), word + u)
-                for r, u in pop_witnesses(summary, p, tuple(alpha)).items()
-            ]
-            if any(b1 != b2 for (_, b1), (_, b2), _ in nexts):
-                nexts = None
+        if summary is not None and d1 is not None and d2 is not None:
+            (p, n1), (p2, n2) = pairs[d1], pairs[d2]
+            if p == p2 and cells[n1][0] == cells[n2][0]:
+                # Distinct nodes with one top have distinct nodes below,
+                # and the empty stack's top "" is no symbol, so this ends
+                # on two distinct rests with different tops.
+                alpha = []
+                while cells[n1][0] == cells[n2][0]:
+                    alpha.append(cells[n1][0])
+                    n1, n2 = cells[n1][1], cells[n2][1]
+                nexts = [
+                    (read(side(r, n1), ""), read(side(r, n2), ""), word + u)
+                    for r, u in pop_witnesses(summary, p, tuple(alpha)).items()
+                ]
+                if any(b1 != b2 for (_, b1), (_, b2), _ in nexts):
+                    nexts = None
         if nexts is None:
             nexts = [(read(d1, ch), read(d2, ch), word + ch) for ch in sigma]
         for (e1, b1), (e2, b2), w in nexts:
@@ -376,22 +396,17 @@ def distinguishing_word(
 
     Every probe and step is read on `graph`, the `_Product` of m.  A
     divergent-word search passes the one graph it reads everything on, so
-    steps taken in earlier calls are lookups; without one, the call builds
-    its own.
+    steps, reads and probe sets from earlier calls are lookups; without
+    one, the call builds its own.
     """
     if c1 == c2:
         return None
     graph = _Product(m) if graph is None else graph
-    u1, u2 = ((c.state, graph.push(0, c.stack[::-1])) for c in (c1, c2))
+    u1, u2 = (graph.side(c.state, graph.push(0, c.stack[::-1])) for c in (c1, c2))
     if summary is not None:
         # Words that pop some prefix of either stack drive that side to a
         # known state with a known stack remainder.
-        probes = {
-            w
-            for c in (c1, c2)
-            for layer in _pop_prefixes(summary, {c.state: ""}, c.stack)
-            for w in layer.values()
-        }
+        probes = set(graph.pop_probes(u1, summary)).union(graph.pop_probes(u2, summary))
         for cand in sorted(probes, key=lambda w: (len(w), w)):
             if graph.read(u1, cand)[1] != graph.read(u2, cand)[1]:
                 return cand
@@ -425,9 +440,9 @@ def find_divergent_word(m: Dpda, summary: Mapping, target_length: int, suffix_bu
     small a budget).
 
     One `_Product` serves the whole search: the start, every candidate and
-    every kept prefix is a side of it, and each letter of an extension, a
-    signature bit or a distinguisher probe is one memoised step.  The
-    distinguisher reads on the same graph.
+    every kept prefix is a side of it; a letter of an extension, a signature
+    bit or a distinguisher probe is one memoised step, and a word read again
+    from one side is one lookup.  The distinguisher reads on the same graph.
 
     `distinguishing_word` runs at most once per ordered (candidate, earlier
     prefix) pair per call: its verdict depends only on the machine, the
@@ -436,7 +451,7 @@ def find_divergent_word(m: Dpda, summary: Mapping, target_length: int, suffix_bu
     """
     sigma = sorted(m.input_alphabet)
     suffixes = _initial_suffixes(m)
-    verdicts: dict[tuple[_Side, _Side], Optional[Word]] = {}
+    verdicts: dict[tuple[int, int], Optional[Word]] = {}
     graph = _Product(m)
     read = graph.read
 
@@ -447,7 +462,7 @@ def find_divergent_word(m: Dpda, summary: Mapping, target_length: int, suffix_bu
     word: list[str] = []
     best = ""
 
-    def extensions(side: _Side):
+    def extensions(side: int):
         ranked = []
         for symbol in sigma:
             nxt = read(side, symbol)[0]

@@ -258,7 +258,7 @@ def find_witness(m: Dpda, budgets: SearchBudgets = SearchBudgets()) -> WitnessTu
                 # node pushes gamma onto level l - 1's: the probe compares
                 # l = 0 with l = 1, and stabilization reads on.
                 nodes = accumulate(repeat(gamma, budgets.max_l), graph.push, initial=bottom)
-                levels = (graph.read((q, node), z)[1] for node in nodes)
+                levels = (graph.read(graph.side(q, node), z)[1] for node in nodes)
                 seq = [next(levels), next(levels)]
                 if seq[0] == seq[1]:
                     continue

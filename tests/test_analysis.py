@@ -517,29 +517,40 @@ def graph_read_ends(m):
     """Check the graph's reading of every word of length <= 6 against
     `config_member`, `advance` and, on a completed machine, the rules-only
     reference, from each stable configuration reached by a word of length
-    <= 3 and from an empty stack.  Returns the kinds of reads that end on
-    no side: "stranded" from the empty stack, "stuck" from any other."""
+    <= 3 and from an empty stack.  Each word is read twice on each of two
+    graphs, after its prefixes on one and before them (longest words first)
+    on the other: the first read walks the word's letters, the second is
+    the row's entry for the whole word, and all four must agree.  Returns
+    the kinds of reads that end on no side: "stranded" from the empty
+    stack, "stuck" from any other."""
     start = m.start_configuration()
     configs = {Configuration(m.start_state, ())}
     for u in bf.iter_words(m.input_alphabet, 3):
         reached = advance(m, start, u)
         if reached is not None:
             configs.add(reached[0])
-    graph = analysis._Product(m)
+    words = list(bf.iter_words(m.input_alphabet, 6))
+    graph, cold = analysis._Product(m), analysis._Product(m)
     kinds = set()
     for c in sorted(configs, key=lambda c: (c.state, len(c.stack), c.stack)):
-        side = graph.close(c)[0]
-        for w in bf.iter_words(m.input_alphabet, 6):
+        side, cold_side = graph.close(c)[0], cold.close(c)[0]
+        cold_reads = {}
+        for w in reversed(words):
+            cold_reads[w] = cold.read(cold_side, w)
+            assert cold.read(cold_side, w) == cold_reads[w], (c, w)
+        for w in words:
             end, flag = graph.read(side, w)
-            assert flag == config_member(m, c, w), (c, w)
+            assert graph.read(side, w) == (end, flag), (c, w)
+            cold_end, cold_flag = cold_reads[w]
+            assert flag == cold_flag == config_member(m, c, w), (c, w)
             if m.completed:
                 assert flag == bf.ref_config_member(m, c.state, c.stack, w), (c, w)
             reached = advance(m, c, w)
             if end is None:
-                assert reached is None, (c, w)
+                assert reached is None and cold_end is None, (c, w)
                 kinds.add("stuck" if c.stack else "stranded")
             else:
-                assert graph.configuration(end) == reached[0], (c, w)
+                assert graph.configuration(end) == cold.configuration(cold_end) == reached[0], (c, w)
     return kinds
 
 
@@ -554,6 +565,27 @@ def test_graph_reads_match_config_member(m):
 def test_graph_reads_get_stuck_on_raw_machines():
     raw = (random_eps_machine(random.Random(seed)) for seed in range(30))
     assert any("stuck" in graph_read_ends(m) for m in raw)
+
+
+@pytest.mark.parametrize("m", SMALL_MACHINES)
+def test_side_ids_are_hash_consed(m):
+    # Each configuration, stable or not, closes to one side every time, and
+    # that side stands for `advance`'s ε-closure of it; distinct stable
+    # configurations get distinct sides.
+    start = m.start_configuration()
+    reached = {advance(m, start, u) for u in bf.iter_words(m.input_alphabet, 3)} - {None}
+    stable = {c for c, _ in reached} | {Configuration(m.start_state, ())}
+    configs = stable | {Configuration(q, c.stack) for q in m.states for c in stable}
+    graph = analysis._Product(m)
+    sides = {}
+    for c in sorted(configs, key=lambda c: (c.state, len(c.stack), c.stack)):
+        sides[c] = graph.close(c)[0]
+        assert graph.close(c)[0] == sides[c], c
+        assert graph.configuration(sides[c]) == advance(m, c, "")[0], c
+    assert len({sides[c] for c in stable}) == len(stable)
+    # A letter read on the empty stack strands the side.
+    empty = sides[Configuration(m.start_state, ())]
+    assert graph.read(empty, min(m.input_alphabet)) == (None, False)
 
 
 def divergent(m, length):
@@ -623,6 +655,43 @@ class TestDivergentWord:
         except ExhaustedError:
             pass
         assert runs <= len(m.states) * len(m.stack_alphabet) * (len(m.input_alphabet) + 1)
+
+    @pytest.mark.parametrize("m", SMALL_MACHINES)
+    def test_pop_probes_are_built_once_per_side(self, monkeypatch, m):
+        # The graph composes each side's pop probes once per search, and
+        # they are the pop witnesses of every prefix of the side's stack.
+        summary = pop_summaries(m)
+        starts, graphs = [], []
+        real_prefixes, real_distinguish = analysis._pop_prefixes, analysis.distinguishing_word
+
+        def counted(entries, start, stack):
+            if sys._getframe(1).f_code.co_name == "pop_probes":
+                (state,) = start
+                starts.append((state, stack))
+            return real_prefixes(entries, start, stack)
+
+        def capturing(m, c1, c2, summary=None, **kwargs):
+            graphs.append(kwargs["graph"])
+            return real_distinguish(m, c1, c2, summary, **kwargs)
+
+        monkeypatch.setattr(analysis, "_pop_prefixes", counted)
+        monkeypatch.setattr(analysis, "distinguishing_word", capturing)
+        budgets = SearchBudgets()
+        try:
+            find_divergent_word(m, summary, budgets.word_length, budgets.suffix_budget)
+        except ExhaustedError:
+            pass
+        assert len(starts) == len(set(starts))
+        for graph in set(graphs):
+            assert len(graph.pops) == len(starts)
+            for side, words in graph.pops.items():
+                c = graph.configuration(side)
+                want = {
+                    w
+                    for layer in real_prefixes(summary, {c.state: ""}, c.stack)
+                    for w in layer.values()
+                }
+                assert set(words) == want, c
 
     def test_one_distinguisher_run_per_pair(self, monkeypatch):
         # Backtracking meets the same clashing pair four times on this
