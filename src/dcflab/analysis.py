@@ -16,6 +16,11 @@ through pop summaries; when it closes, its None proves the pair equivalent,
 and a search cut at its node cap proves nothing.  One graph of int sides,
 each with a row of the words read from it and pop probes built once, serves
 a whole divergent-word search, so no word is read twice in one search.
+
+After the search, work is done on demand: pumps come from a generator
+that re-checks a candidate only when it is asked for, the z probes are
+one pruned walk over a pair of sides, and z's membership on the levels
+q gamma^l delta comes from one run per key of a gamma-window map.
 """
 
 from __future__ import annotations
@@ -293,6 +298,28 @@ class _Product:
         # its own state.
         return self.side(state, 0), acc or state in self.m.accepting
 
+    def separators(self, s0: Optional[int], s1: Optional[int], max_len: int):
+        """Every nonempty word of length <= max_len whose reading flags from
+        s0 and s1 differ, in (length, lex) order.
+
+        The words are walked level by level, each letter read from the
+        ends of its prefix, and a prefix whose two ends are the same side,
+        or both stranded, is not extended: no word after it can separate.
+        """
+        sigma = sorted(self.m.input_alphabet)
+        read = self.read
+        layer = [("", s0, s1)]
+        for _ in range(max_len):
+            below = []
+            for word, d0, d1 in layer:
+                for ch in sigma:
+                    (e0, b0), (e1, b1) = read(d0, ch), read(d1, ch)
+                    if b0 != b1:
+                        yield word + ch
+                    if e0 != e1:
+                        below.append((word + ch, e0, e1))
+            layer = below
+
     def pop_probes(self, side: int, summary: Mapping) -> list[Word]:
         """The pop witnesses, under m's pop summary, of every prefix of the
         side's stack from its state; built once per side."""
@@ -447,7 +474,8 @@ def find_divergent_word(m: Dpda, summary: Mapping, target_length: int, suffix_bu
     `distinguishing_word` runs at most once per ordered (candidate, earlier
     prefix) pair per call: its verdict depends only on the machine, the
     pair, the fixed pop summary and the module's node cap, and backtracking
-    meets the same pairs again.
+    meets the same pairs again.  A pair of equal sides gets its verdict,
+    None, without a call.
     """
     sigma = sorted(m.input_alphabet)
     suffixes = _initial_suffixes(m)
@@ -496,7 +524,10 @@ def find_divergent_word(m: Dpda, summary: Mapping, target_length: int, suffix_bu
                 break
             pair = (side, sides[clash])
             if pair not in verdicts:
-                verdicts[pair] = distinguishing_word(m, cand, configs[clash], summary, graph=graph)
+                # Equal sides are equal configurations, which nothing separates.
+                verdicts[pair] = None if side == sides[clash] else distinguishing_word(
+                    m, cand, configs[clash], summary, graph=graph
+                )
             extra = verdicts[pair]
             if extra is None:
                 ok = False
@@ -557,6 +588,21 @@ def stair_factorize(m: Dpda, u: Word) -> tuple[tuple[int, Configuration], ...]:
     return tuple(levels[1:])
 
 
+def _pumps(m: Dpda, u: Word, levels):
+    """`find_pump`'s pumps, in its order, from the levels of u.  A
+    candidate is re-checked only when the pump before it has been taken."""
+    for lo, (i, ci) in enumerate(levels):
+        p, X, delta = ci.state, ci.stack[0], ci.stack[1:]
+        for j, cj in levels[lo + 1 :]:
+            if (cj.state, cj.stack[0]) != (p, X):
+                continue
+            gamma = cj.stack[1 : len(cj.stack) - len(delta)]
+            looped = advance(m, Configuration(p, (X,)), u[i:j])
+            if looped is None or looped[0] != Configuration(p, (X,) + gamma):
+                continue
+            yield Pump(v=u[:i], x=u[i:j], p=p, X=X, gamma=gamma, delta=delta)
+
+
 def find_pump(m: Dpda, u: Word) -> list[Pump]:
     """Stack-increasing loops read off repeated level pairs.
 
@@ -568,21 +614,53 @@ def find_pump(m: Dpda, u: Word) -> list[Pump]:
     (pX -x-> pX·gamma from the bare stack X) before being returned, which
     discards the spurious trailing levels of the finite run.
     """
-    levels = stair_factorize(m, u)
-    pumps: list[Pump] = []
-    for lo, (i, ci) in enumerate(levels):
-        p, X, delta = ci.state, ci.stack[0], ci.stack[1:]
-        for j, cj in levels[lo + 1 :]:
-            if (cj.state, cj.stack[0]) != (p, X):
-                continue
-            gamma = cj.stack[1 : len(cj.stack) - len(delta)]
-            looped = advance(m, Configuration(p, (X,)), u[i:j])
-            if looped is None or looped[0] != Configuration(p, (X,) + gamma):
-                continue
-            pumps.append(Pump(v=u[:i], x=u[i:j], p=p, X=X, gamma=gamma, delta=delta))
+    pumps = list(_pumps(m, u, stair_factorize(m, u)))
     if not pumps:
         raise NoPumpError(f"no verified repeated level pair on {u!r}")
     return pumps
+
+
+def _level_flags(
+    m: Dpda, q: str, gamma: StackWord, delta: StackWord, z: Word, max_l: int
+) -> list[bool]:
+    """z's membership in L(q gamma^l delta), for l = 0..max_l.
+
+    The run on z reads the stack one gamma window at a time, and what it
+    does in a window depends only on the key it enters with: its state,
+    how much of z is read, and, once all of z is, whether an accepting
+    state was seen since the last letter (the flag is OR-ed across a
+    window boundary, as `_Product.probe` does).  So the keys the run
+    enters its windows with, from (q, 0, False) on top, are an orbit of
+    one map on at most |Q|·(|z| + 2) keys, and level l's flag is delta's
+    run from the key after l windows.  The orbit is followed until a key
+    repeats, after which the flags cycle, or the run ends inside a
+    window, after which every higher level ends there too.
+    """
+    windows = gamma[::-1], delta[::-1]  # top last, as `_drive` holds them
+
+    def run(key, window):
+        # The key entering the window below, or None when the run ends in
+        # this one, and the flag z gets if the stack ends under it.
+        state, i, carried = key
+        stack = list(window)
+        state, acc, consumed = _drive(m, state, stack, z[i:])
+        i += consumed
+        flag = i == len(z) and (acc or (carried and not consumed))
+        return (None if stack else (state, i, flag)), flag
+
+    flags: list[bool] = []
+    seen: dict[tuple[str, int, bool], int] = {}
+    key: Optional[tuple[str, int, bool]] = (q, 0, False)
+    for l in range(max_l + 1):
+        first = seen.setdefault(key, l)
+        if first < l:
+            cycle = flags[first:]
+            return flags + [cycle[i % len(cycle)] for i in range(max_l + 1 - l)]
+        flags.append(run(key, windows[1])[1])
+        key, flag = run(key, windows[0])
+        if key is None:
+            return flags + [flag] * (max_l - l)
+    return flags
 
 
 def periodicity(

@@ -16,20 +16,21 @@ against the 0^n 1^n predicate on every binary word up to a length bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from itertools import accumulate, product, repeat
+from itertools import islice
 from typing import Any, Optional
 
 from .analysis import (
     ExhaustedError,
     NoLevelsError,
-    NoPumpError,
     NoPeriodFoundError,
+    _level_flags,
     _Product,
+    _pumps,
     find_divergent_word,
-    find_pump,
     periodicity,
     pop_summaries,
     pop_witnesses,
+    stair_factorize,
 )
 from .corpus import is_lsharp, is_lsharp_prefix
 from .dpda import Configuration, Dpda, Word, complete_dpda
@@ -209,27 +210,24 @@ def _loop_candidates(summary, pump):
             yield q, w_word, y_word
 
 
-def _z_candidates(alphabet, z_length):
-    symbols = sorted(alphabet)
-    for n in range(1, z_length + 1):
-        for tup in product(symbols, repeat=n):
-            yield "".join(tup)
-
-
 def find_witness(m: Dpda, budgets: SearchBudgets = SearchBudgets()) -> WitnessTuple:
     """Extract a verified witness tuple from a machine with a non-regular
     language (the caller asserts non-regularity).
 
     Pipeline: complete the machine and compute its pop summary once; grow a
-    divergent word; stair-factorize it and collect verified pumps; for each
-    pump find a state q reachable by popping X and again by popping gamma
-    (nonempty witnesses w and y); probe words z on which L(q gamma delta)
-    and L(q delta) differ; shift the base by gamma^l0 so that the difference
-    stabilizes; sample the periodicity of y-iterates from the shifted base
-    and raise x, y to a multiple of the period above the threshold; fix the
-    polarity by whether z lies in the shifted base language; repair empty
-    components and accept the first tuple that passes verification at
-    bounds (25, 25) against the machine's own language.
+    divergent word; stair-factorize it and take its verified pumps one at a
+    time, so that a candidate is re-checked only when the search gets to
+    it; for each pump find a state q reachable by popping X and again by
+    popping gamma (nonempty witnesses w and y); walk the words z on which
+    L(q gamma delta) and L(q delta) differ, in one pruned walk; read z's
+    membership on every level q gamma^l delta up to max_l off the map of
+    one gamma window, and shift the base by gamma^l0, past the last
+    change, so that the difference stabilizes; sample the periodicity of
+    y-iterates from the shifted base and raise x, y to a multiple of the
+    period above the threshold; fix the polarity by whether z lies in the
+    shifted base language; repair empty components and accept the first
+    tuple that passes verification at bounds (25, 25) against the
+    machine's own language.
     """
     mc = m if m.completed else complete_dpda(m)
     oracle = oracle_from_dpda(mc)
@@ -240,30 +238,24 @@ def find_witness(m: Dpda, budgets: SearchBudgets = SearchBudgets()) -> WitnessTu
     except ExhaustedError as exc:
         raise SearchExhaustedError("divergent_word", budgets) from exc
     try:
-        pumps = find_pump(mc, u)[: budgets.pump_limit]
+        levels = stair_factorize(mc, u)
     except NoLevelsError as exc:
         raise SearchExhaustedError("stair", budgets) from exc
-    except NoPumpError as exc:
-        raise SearchExhaustedError("pump", budgets) from exc
 
     graph = _Product(mc)
-    deepest = "pop_witness"
-    for pump in pumps:
-        gamma, bottom = pump.gamma[::-1], graph.push(0, pump.delta[::-1])
+    deepest = "pump"
+    for pump in islice(_pumps(mc, u, levels), budgets.pump_limit):
+        deepest = _deeper(deepest, "pop_witness")
+        bottom = graph.push(0, pump.delta[::-1])
+        top = graph.push(bottom, pump.gamma[::-1])
         for q, w_word, y_word in _loop_candidates(summary, pump):
             deepest = _deeper(deepest, "z_probe")
             failures = 0
-            for z in _z_candidates(mc.input_alphabet, budgets.z_length):
-                # seq[l] is z's membership from q gamma^l delta, whose stack
-                # node pushes gamma onto level l - 1's: the probe compares
-                # l = 0 with l = 1, and stabilization reads on.
-                nodes = accumulate(repeat(gamma, budgets.max_l), graph.push, initial=bottom)
-                levels = (graph.read(graph.side(q, node), z)[1] for node in nodes)
-                seq = [next(levels), next(levels)]
-                if seq[0] == seq[1]:
-                    continue
+            # Each z separates q delta from q gamma delta, levels 0 and 1
+            # of seq, and seq[l] is z's membership from q gamma^l delta.
+            for z in graph.separators(graph.side(q, bottom), graph.side(q, top), budgets.z_length):
                 deepest = _deeper(deepest, "stabilize")
-                seq += levels
+                seq = _level_flags(mc, q, pump.gamma, pump.delta, z, budgets.max_l)
                 changes = [l for l in range(budgets.max_l) if seq[l] != seq[l + 1]]
                 l0 = changes[-1]
                 if l0 > budgets.max_l - STABLE_TAIL:

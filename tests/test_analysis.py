@@ -588,6 +588,28 @@ def test_side_ids_are_hash_consed(m):
     assert graph.read(empty, min(m.input_alphabet)) == (None, False)
 
 
+@pytest.mark.parametrize("m", SMALL_MACHINES)
+def test_separators_are_the_words_whose_flags_differ(m):
+    # Over every pair of sides for the configurations reached by words of
+    # length <= 2, the empty stack and the stranded side, the pruned walk
+    # must list exactly the nonempty words up to length 4 that the
+    # rules-only reference tells apart, in (length, lex) order.
+    start = m.start_configuration()
+    reached = {advance(m, start, u) for u in bf.iter_words(m.input_alphabet, 2)} - {None}
+    configs = sorted(
+        {c for c, _ in reached} | {Configuration(m.start_state, ())},
+        key=lambda c: (c.state, len(c.stack), c.stack),
+    )
+    words = [w for w in bf.iter_words(m.input_alphabet, 4) if w]
+    graph = analysis._Product(m)
+    sides = [graph.side(c.state, graph.push(0, c.stack[::-1])) for c in configs] + [None]
+    flags = [[bf.ref_config_member(m, c.state, c.stack, w) for w in words] for c in configs]
+    flags.append([False] * len(words))
+    for i, j in product(range(len(sides)), repeat=2):
+        want = [w for w, f0, f1 in zip(words, flags[i], flags[j]) if f0 != f1]
+        assert list(graph.separators(sides[i], sides[j], 4)) == want, (i, j)
+
+
 def divergent(m, length):
     return find_divergent_word(m, pop_summaries(m), length, 64)
 
@@ -805,6 +827,87 @@ class TestPumps:
                 except NoPumpError:
                     pass
         assert factorized > 100
+
+
+def first_pumps(m, count=2):
+    """The first pumps read off m's divergent word, or off the longest
+    prefix the search kept when it exhausts."""
+    try:
+        u = divergent(m, 24)
+    except ExhaustedError as exc:
+        u = exc.best_prefix
+    try:
+        return find_pump(m, u)[:count]
+    except (NoLevelsError, NoPumpError):
+        return []
+
+
+def level_cases(m, max_len=3):
+    """(pump, q, z) for the first pumps of m, every state q and every z
+    with |z| <= max_len."""
+    words = list(bf.iter_words(m.input_alphabet, max_len))
+    return [(p, q, z) for p in first_pumps(m) for q in sorted(m.states) for z in words]
+
+
+# The carried flag: from p A^l B, z = a moves to the accepting f, whose
+# ε-rule pops A into r; r ε-pops the A's below and then B.  For l >= 1 the
+# run ends on the empty stack in s, and z is accepted only because f was
+# seen after the last letter, in the top window.
+CARRY_RAW = {
+    "states": ["p", "f", "r", "s"],
+    "input_alphabet": ["a"],
+    "stack_alphabet": ["A", "B"],
+    "rules": [
+        {"from": "p", "top": "A", "label": "a", "to": "f", "push": ["A"]},
+        {"from": "f", "top": "A", "label": "", "to": "r", "push": []},
+        {"from": "r", "top": "A", "label": "", "to": "r", "push": []},
+        {"from": "r", "top": "B", "label": "", "to": "s", "push": []},
+    ],
+    "start_state": "p",
+    "start_symbol": "A",
+    "accepting": ["f"],
+}
+
+
+class TestLevelFlags:
+    @pytest.mark.parametrize("m", SMALL_MACHINES)
+    def test_matches_the_reference(self, m):
+        for pump, q, z in level_cases(m):
+            got = analysis._level_flags(m, q, pump.gamma, pump.delta, z, 20)
+            want = [
+                bf.ref_config_member(m, q, pump.gamma * l + pump.delta, z) for l in range(21)
+            ]
+            assert got == want, (pump, q, z)
+
+    def test_flag_is_carried_across_windows(self):
+        m = complete_dpda(validate_dpda(CARRY_RAW))
+        got = analysis._level_flags(m, "p", ("A",), ("B",), "a", 20)
+        assert got == [False] + [True] * 20
+        assert got == [bf.ref_config_member(m, "p", ("A",) * l + ("B",), "a") for l in range(21)]
+
+    def test_drive_runs_are_bounded_by_the_keys(self, monkeypatch):
+        # One gamma run and one delta run per key of the orbit, whatever
+        # the number of levels.
+        runs = []
+        real = analysis._drive
+
+        def counting(*args):
+            runs.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(analysis, "_drive", counting)
+        checked = 0
+        for param in SMALL_MACHINES:
+            (m,) = param.values
+            for pump, q, z in level_cases(m):
+                counts = []
+                for max_l in (200, 2000):
+                    runs.clear()
+                    analysis._level_flags(m, q, pump.gamma, pump.delta, z, max_l)
+                    counts.append(len(runs))
+                assert counts[0] == counts[1] <= 2 * len(m.states) * (len(z) + 2), (pump, q, z)
+                checked += 1
+        assert checked > 1000
 
 
 class TestPeriodicity:

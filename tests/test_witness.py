@@ -1,5 +1,6 @@
 import json
 import random
+import types
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -30,6 +31,28 @@ from test_dpda import SMALL_MACHINES, random_eps_machine
 # tuple's JSON object, or "exhausted:<stage>".  Runs under PYTHONHASHSEED=0
 # and =1 write the same file.
 OUTCOMES = Path(__file__).parent / "data" / "witness_outcomes.json"
+
+# The same for the benchmark's machines: each counter machine and each
+# random-suite machine under rename seeds 1 and 11, completed as the
+# benchmark completes them, keyed "counter-<k>" and "random-<seed>-<i>".
+BENCH_OUTCOMES = Path(__file__).parent / "data" / "bench_outcomes.json"
+BENCH_MACHINES = Path(__file__).parents[1] / "bench" / "machines.py"
+
+
+def outcome(m):
+    """find_witness's outcome at default budgets, as the golden files hold it."""
+    try:
+        return find_witness(m).to_json_dict()
+    except SearchExhaustedError as e:
+        return f"exhausted:{e.stage}"
+
+
+def bench_machines():
+    """bench/machines.py, run from its source without importing `bench`."""
+    module = types.ModuleType("bench_machines")
+    source = BENCH_MACHINES.read_text(encoding="utf-8")
+    exec(compile(source, str(BENCH_MACHINES), "exec"), module.__dict__)
+    return module
 
 
 def oracle(name):
@@ -256,14 +279,59 @@ class TestFindWitness:
         assert len(calls) == 1
 
     def test_outcomes_match_the_golden_file(self):
-        got = {}
-        for param in SMALL_MACHINES:
-            (m,) = param.values
-            try:
-                got[param.id] = find_witness(m).to_json_dict()
-            except SearchExhaustedError as e:
-                got[param.id] = f"exhausted:{e.stage}"
+        got = {param.id: outcome(param.values[0]) for param in SMALL_MACHINES}
         assert got == json.loads(OUTCOMES.read_text(encoding="utf-8"))
+
+    def test_benchmark_outcomes_match_the_golden_file(self):
+        machines = bench_machines()
+        docs = {f"counter-{k}": machines.counter_doc(k) for k in machines.COUNTER_KS}
+        for seed in (1, 11):
+            for i, doc in enumerate(machines.random_suite()):
+                docs[f"random-{seed}-{i:02d}"] = machines.rename(doc, seed)
+        got = {name: outcome(complete_dpda(validate_dpda(doc))) for name, doc in docs.items()}
+        assert got == json.loads(BENCH_OUTCOMES.read_text(encoding="utf-8"))
+
+    def test_pumps_are_taken_on_demand(self, monkeypatch):
+        # The pumps find_witness takes are a prefix of find_pump's, and no
+        # candidate past the pump it returns with is re-checked.
+        words, taken = [], []  # the divergent word; (pump, re-checks so far)
+        rechecks = []  # `analysis.advance` calls made inside the pump generator
+        inside = False
+        real_advance, real_pumps = analysis.advance, analysis._pumps
+
+        def advance(*args):
+            if inside:
+                rechecks.append(args)
+            return real_advance(*args)
+
+        def pumps(m, u, levels):
+            nonlocal inside
+            words.append(u)
+            gen = real_pumps(m, u, levels)
+            while True:
+                inside = True
+                pump = next(gen, None)
+                inside = False
+                if pump is None:
+                    return
+                taken.append((pump, len(rechecks)))
+                yield pump
+
+        monkeypatch.setattr(analysis, "advance", advance)
+        monkeypatch.setattr(witness, "_pumps", pumps)
+        skipped = 0
+        for name in corpus.names():
+            m = complete_dpda(corpus.get_entry(name).machine)
+            words.clear()
+            taken.clear()
+            rechecks.clear()
+            if isinstance(outcome(m), str):
+                continue
+            assert len(rechecks) == taken[-1][1], name
+            every = analysis.find_pump(m, words[0])
+            assert [pump for pump, _ in taken] == every[: len(taken)], name
+            skipped += len(every) > len(taken)
+        assert skipped
 
 
 class TestReducer:
