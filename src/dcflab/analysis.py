@@ -560,32 +560,28 @@ def stair_factorize(m: Dpda, u: Word) -> tuple[tuple[int, Configuration], ...]:
 
     A position is a level when every configuration visited strictly after
     it, unstable ones inside ε-chains included, keeps a strictly taller
-    stack.  The first level is left out, so pumps are based at the second
-    and later ones.  Levels near the end of u may be artifacts of the
-    finite run; pump verification filters them.
+    stack.  ε-steps pop, so the lowest stack between two letters is the
+    stable one before the next letter, and the test reads only the stable
+    stacks after each letter.  The first level is left out, so pumps are
+    based at the second and later ones.
     """
     stack = [m.start_symbol]
-    heights = [len(stack)]  # after every step, as `visit` sees it
-
-    def visit(stack: list[str]) -> None:
-        heights.append(len(stack))
-
-    # Per read prefix u[:i]: (index into heights, stable configuration).
-    state, _, _ = _drive(m, m.start_state, stack, "", visit)
-    stables = [(len(heights) - 1, _configuration(state, stack))]
+    state, _, _ = _drive(m, m.start_state, stack, "")
+    stables = [_configuration(state, stack)]  # after each read prefix u[:i]
     for ch in u:
-        state, _, consumed = _drive(m, state, stack, ch, visit)
+        state, _, consumed = _drive(m, state, stack, ch)
         if not consumed:
             break
-        stables.append((len(heights) - 1, _configuration(state, stack)))
+        stables.append(_configuration(state, stack))
 
-    after = [float("inf")] * len(heights)  # least height visited after step t
-    for t in range(len(heights) - 1, 0, -1):
-        after[t - 1] = min(heights[t], after[t])
-    levels = [(i, c) for i, (t, c) in enumerate(stables) if after[t] > len(c.stack)]
+    levels, lowest = [], float("inf")  # the least stable height after i
+    for i in reversed(range(len(stables))):
+        if len(stables[i].stack) < lowest:
+            levels.append((i, stables[i]))
+            lowest = len(stables[i].stack)
     if len(levels) < 2:
         raise NoLevelsError(f"only {len(levels)} level(s) on {u!r}")
-    return tuple(levels[1:])
+    return tuple(reversed(levels[:-1]))
 
 
 def _pumps(m: Dpda, u: Word, levels):
@@ -611,8 +607,9 @@ def find_pump(m: Dpda, u: Word) -> list[Pump]:
     below X, and gamma is what c_j's stack holds between X and delta.  x and
     gamma are nonempty because positions and stack heights strictly
     increase along the levels.  Every candidate is re-checked by simulation
-    (pX -x-> pX·gamma from the bare stack X) before being returned, which
-    discards the spurious trailing levels of the finite run.
+    (pX -x-> pX·gamma from the bare stack X) before being returned.  The
+    check is a safety net, not a filter: the run on x from c_i keeps every
+    stack taller than c_i's, so from the bare X it takes the same steps.
     """
     pumps = list(_pumps(m, u, stair_factorize(m, u)))
     if not pumps:
@@ -621,9 +618,10 @@ def find_pump(m: Dpda, u: Word) -> list[Pump]:
 
 
 def _level_flags(
-    m: Dpda, q: str, gamma: StackWord, delta: StackWord, z: Word, max_l: int
-) -> list[bool]:
-    """z's membership in L(q gamma^l delta), for l = 0..max_l.
+    m: Dpda, q: str, gamma: StackWord, delta: StackWord, z: Word
+) -> tuple[list[bool], int]:
+    """z's membership in L(q gamma^l delta) for every l, as (flags, start):
+    flags[l] up to its end, then cycling through flags[start:].
 
     The run on z reads the stack one gamma window at a time, and what it
     does in a window depends only on the key it enters with: its state,
@@ -633,8 +631,8 @@ def _level_flags(
     enters its windows with, from (q, 0, False) on top, are an orbit of
     one map on at most |Q|·(|z| + 2) keys, and level l's flag is delta's
     run from the key after l windows.  The orbit is followed until a key
-    repeats, after which the flags cycle, or the run ends inside a
-    window, after which every higher level ends there too.
+    repeats, where the flags start to cycle, or the run ends inside a
+    window, after which every higher level ends there too, with one flag.
     """
     windows = gamma[::-1], delta[::-1]  # top last, as `_drive` holds them
 
@@ -651,16 +649,13 @@ def _level_flags(
     flags: list[bool] = []
     seen: dict[tuple[str, int, bool], int] = {}
     key: Optional[tuple[str, int, bool]] = (q, 0, False)
-    for l in range(max_l + 1):
-        first = seen.setdefault(key, l)
-        if first < l:
-            cycle = flags[first:]
-            return flags + [cycle[i % len(cycle)] for i in range(max_l + 1 - l)]
+    while key not in seen:
+        seen[key] = len(flags)
         flags.append(run(key, windows[1])[1])
         key, flag = run(key, windows[0])
         if key is None:
-            return flags + [flag] * (max_l - l)
-    return flags
+            return flags + [flag], len(flags)
+    return flags, seen[key]
 
 
 def periodicity(

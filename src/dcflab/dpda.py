@@ -315,7 +315,7 @@ def _fresh(base: str, taken: frozenset[str]) -> str:
     return f"{base}{i}"
 
 
-def _drive(m: Dpda, state: str, stack: list[str], word: Word, visit=None) -> tuple[str, bool, int]:
+def _drive(m: Dpda, state: str, stack: list[str], word: Word) -> tuple[str, bool, int]:
     """The one stepping loop, over `m.step_table`: ε-close, then read
     `word` letter by letter, ε-closing after each letter.  A letter costs
     one lookup; the next move is looked up by (state, top) only after a pop.
@@ -324,8 +324,9 @@ def _drive(m: Dpda, state: str, stack: list[str], word: Word, visit=None) -> tup
     state, whether an accepting state was seen since the last consumed
     letter (for the empty word: on the closure of the given state), and how
     many letters were consumed; fewer than len(word) means the run got
-    stuck.  `visit(stack)` is called after every step, ε-steps included.
-    ε-steps pop, so every closure is finite.
+    stuck.  ε-steps pop one symbol each, so every closure is finite, and
+    the stable stack after a letter is the lowest one since that letter's
+    own step.
     """
     table = m.step_table
     accepting = m.accepting
@@ -335,8 +336,6 @@ def _drive(m: Dpda, state: str, stack: list[str], word: Word, visit=None) -> tup
         state = move
         stack.pop()
         acc = acc or state in accepting
-        if visit is not None:
-            visit(stack)
         move = table.get(state, _STUCK).get(stack[-1], _STUCK) if stack else _STUCK
     consumed = 0
     for a in word:
@@ -346,16 +345,12 @@ def _drive(m: Dpda, state: str, stack: list[str], word: Word, visit=None) -> tup
         state, pushed, acc, move = hit
         stack[-1:] = pushed
         consumed += 1
-        if visit is not None:
-            visit(stack)
         if move is None:
             move = table.get(state, _STUCK).get(stack[-1], _STUCK) if stack else _STUCK
         while type(move) is str:
             state = move
             stack.pop()
             acc = acc or state in accepting
-            if visit is not None:
-                visit(stack)
             move = table.get(state, _STUCK).get(stack[-1], _STUCK) if stack else _STUCK
     return state, acc, consumed
 

@@ -12,12 +12,12 @@ compiled once per machine, so a letter costs one lookup.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
+from .analysis import distinguishing_word, pop_summaries
 from .dpda import (
     Dpda,
     InvalidMachineError,
@@ -560,51 +560,46 @@ def lift_dfa(d: Dfa, oracle_alphabet: Sequence[str]) -> OracleMealyMachine:
     )
 
 
-_ZERO_ONE_BLOCK = re.compile(r"0*1*")
-
-
-_OUTSIDE = object()
-
-
 def refute_simplicity_LR(a: OracleMealyMachine, k_max: int) -> Optional[str]:
-    """Search for a word w1·c·w2^R that the machine misclassifies against
-    the marked-palindrome language, running the machine over the 0^n1^n
-    oracle.
+    """Search for a word over {a, b, c} that the machine misclassifies
+    against the marked-palindrome language, running the machine over the
+    0^n1^n oracle.
 
-    Two prefixes with the same state and the same oracle-tape content are
-    indistinguishable to the machine forever; when the tape content has
-    left 0^*1^* every query is answered negatively from then on, so only
-    the state matters.  Any collision therefore pins a misclassification
-    on one of four candidate words; each candidate is confirmed against
-    the direct predicate before being returned.  None means the bound was
-    exhausted without a collision that confirms (the machine may still be
-    incorrect elsewhere).  Raises ValueError when k_max is below 1.
+    Prefixes over {a, b} of each length k are bucketed by the machine's
+    state and the run position of the corpus `lsharp` machine after the
+    oracle tape.  Equal positions read the same language, so two prefixes
+    with one key get the same verdict on every extension.  On a collision
+    (w1, w2), a word s that separates the corpus `lr` machine's
+    configurations after w1 and w2 puts exactly one of w1·s and w2·s in the
+    language, so the machine misclassifies one of them; it is confirmed
+    against the direct predicates before being returned.  None means the
+    bound was exhausted without a collision that confirms (the machine may
+    still be incorrect elsewhere).  Raises ValueError when k_max is below 1.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
-    from .corpus import is_lr, is_lsharp  # corpus imports this module
+    from .corpus import get_entry, is_lr, is_lsharp  # corpus imports this module
 
+    lr = get_entry("lr").machine
+    summary = pop_summaries(lr)
+    tape = oracle_from_dpda(get_entry("lsharp").machine)
     oracle = LanguageOracle(alphabet=a.oracle_alphabet, membership=is_lsharp, name="lsharp")
     for k in range(1, k_max + 1):
         buckets: dict[tuple, str] = {}
         for chars in product("ab", repeat=k):
-            w = "".join(chars)
-            res = transduce(a, w)
+            w2 = "".join(chars)
+            res = transduce(a, w2)
             if res is None:
                 continue
             state, out = res
-            key = (state, out if _ZERO_ONE_BLOCK.fullmatch(out) else _OUTSIDE)
-            w1 = buckets.setdefault(key, w)
-            if w1 == w:
+            w1 = buckets.setdefault((state, tape.step(tape.start(), out)), w2)
+            if w1 == w2:
                 continue
-            w2 = w
-            candidates = (
-                w1 + "c" + w2[::-1],
-                w2 + "c" + w1[::-1],
-                w1 + "c" + w1[::-1],
-                w2 + "c" + w2[::-1],
-            )
-            for cand in candidates:
+            c1, c2 = (advance(lr, lr.start_configuration(), w)[0] for w in (w1, w2))
+            s = distinguishing_word(lr, c1, c2, summary)
+            if s is None:
+                continue
+            for cand in (w1 + s, w2 + s):
                 if evaluate(a, oracle, cand) != is_lr(cand):
                     return cand
     return None

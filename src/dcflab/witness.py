@@ -45,10 +45,6 @@ from .mealy import (
 DIRECT = "direct"
 COMPLEMENT = "complement"
 
-# Stabilization of z against growing gamma powers must be observed at least
-# this far from the sampling boundary before a candidate is trusted.
-STABLE_TAIL = 10
-
 
 @dataclass(frozen=True)
 class WitnessTuple:
@@ -220,10 +216,11 @@ def find_witness(m: Dpda, budgets: SearchBudgets = SearchBudgets()) -> WitnessTu
     it; for each pump find a state q reachable by popping X and again by
     popping gamma (nonempty witnesses w and y); walk the words z on which
     L(q gamma delta) and L(q delta) differ, in one pruned walk; read z's
-    membership on every level q gamma^l delta up to max_l off the map of
-    one gamma window, and shift the base by gamma^l0, past the last
-    change, so that the difference stabilizes; sample the periodicity of
-    y-iterates from the shifted base and raise x, y to a multiple of the
+    membership on every level q gamma^l delta exactly, as the threshold
+    and cycle of one gamma window's orbit, skip z when the cycle is not
+    constant, and shift the base by gamma^l0, l0 the last change, so that
+    the difference stabilizes; sample the periodicity of y-iterates from
+    the shifted base up to max_l and raise x, y to a multiple of the
     period above the threshold; fix the polarity by whether z lies in the
     shifted base language; repair empty components and accept the first
     tuple that passes verification at bounds (25, 25) against the
@@ -251,15 +248,15 @@ def find_witness(m: Dpda, budgets: SearchBudgets = SearchBudgets()) -> WitnessTu
         for q, w_word, y_word in _loop_candidates(summary, pump):
             deepest = _deeper(deepest, "z_probe")
             failures = 0
-            # Each z separates q delta from q gamma delta, levels 0 and 1
-            # of seq, and seq[l] is z's membership from q gamma^l delta.
+            # Each z separates q delta from q gamma delta: its flags on the
+            # levels q gamma^l delta differ at l = 0 and 1.
             for z in graph.separators(graph.side(q, bottom), graph.side(q, top), budgets.z_length):
                 deepest = _deeper(deepest, "stabilize")
-                seq = _level_flags(mc, q, pump.gamma, pump.delta, z, budgets.max_l)
-                changes = [l for l in range(budgets.max_l) if seq[l] != seq[l + 1]]
-                l0 = changes[-1]
-                if l0 > budgets.max_l - STABLE_TAIL:
-                    continue
+                flags, start = _level_flags(mc, q, pump.gamma, pump.delta, z)
+                settled = flags[-1]
+                if len(set(flags[start:])) > 1:
+                    continue  # the cycle holds both values: z never settles
+                l0 = max(l for l, f in enumerate(flags) if f != settled)  # the last change
                 delta_shifted = pump.gamma * l0 + pump.delta
                 v_shifted = pump.v + pump.x * l0
                 deepest = _deeper(deepest, "periodicity")
@@ -270,7 +267,7 @@ def find_witness(m: Dpda, budgets: SearchBudgets = SearchBudgets()) -> WitnessTu
                 except NoPeriodFoundError:
                     continue
                 k0 = report.period * (report.k // report.period + 1)
-                polarity = DIRECT if seq[l0] else COMPLEMENT
+                polarity = COMPLEMENT if settled else DIRECT
                 candidate = WitnessTuple(
                     v=v_shifted,
                     x=pump.x * k0,

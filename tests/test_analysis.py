@@ -797,6 +797,31 @@ class TestPumps:
             res = advance(lsharp, Configuration("q0", ("A", "A0")), w)
             assert res is not None and res[0] == Configuration(q, ())
 
+    @pytest.mark.parametrize("m", SMALL_MACHINES)
+    def test_the_re_check_rejects_no_candidate(self, m):
+        # From a level c_i on, the run keeps every stack taller than c_i's,
+        # so it reads the same from the bare top X, and every repeated
+        # (state, top) level pair is a pump.
+        for u in bf.iter_words(m.input_alphabet, 6):
+            try:
+                levels = stair_factorize(m, u)
+            except NoLevelsError:
+                continue
+            unchecked = [
+                analysis.Pump(
+                    v=u[:i],
+                    x=u[i:j],
+                    p=ci.state,
+                    X=ci.stack[0],
+                    gamma=cj.stack[1 : len(cj.stack) - len(ci.stack) + 1],
+                    delta=ci.stack[1:],
+                )
+                for lo, (i, ci) in enumerate(levels)
+                for j, cj in levels[lo + 1 :]
+                if (cj.state, cj.stack[0]) == (ci.state, ci.stack[0])
+            ]
+            assert list(analysis._pumps(m, u, levels)) == unchecked, u
+
     def test_stair_and_pump_invariants_on_random_words(self):
         import random
 
@@ -869,11 +894,18 @@ CARRY_RAW = {
 }
 
 
+def level_flags(m, q, gamma, delta, z, top=20):
+    """`_level_flags`' flags for l = 0..top, its cycle unrolled."""
+    flags, start = analysis._level_flags(m, q, gamma, delta, z)
+    cycle = flags[start:]
+    return [flags[l] if l < start else cycle[(l - start) % len(cycle)] for l in range(top + 1)]
+
+
 class TestLevelFlags:
     @pytest.mark.parametrize("m", SMALL_MACHINES)
     def test_matches_the_reference(self, m):
         for pump, q, z in level_cases(m):
-            got = analysis._level_flags(m, q, pump.gamma, pump.delta, z, 20)
+            got = level_flags(m, q, pump.gamma, pump.delta, z)
             want = [
                 bf.ref_config_member(m, q, pump.gamma * l + pump.delta, z) for l in range(21)
             ]
@@ -881,13 +913,18 @@ class TestLevelFlags:
 
     def test_flag_is_carried_across_windows(self):
         m = complete_dpda(validate_dpda(CARRY_RAW))
-        got = analysis._level_flags(m, "p", ("A",), ("B",), "a", 20)
+        got = level_flags(m, "p", ("A",), ("B",), "a")
         assert got == [False] + [True] * 20
         assert got == [bf.ref_config_member(m, "p", ("A",) * l + ("B",), "a") for l in range(21)]
 
+    def test_the_orbit_is_a_threshold_and_a_cycle(self):
+        # Level 0 rejects; from level 1 on, the carried flag accepts, and
+        # the key after the second window repeats the first's.
+        m = complete_dpda(validate_dpda(CARRY_RAW))
+        assert analysis._level_flags(m, "p", ("A",), ("B",), "a") == ([False, True], 1)
+
     def test_drive_runs_are_bounded_by_the_keys(self, monkeypatch):
-        # One gamma run and one delta run per key of the orbit, whatever
-        # the number of levels.
+        # One gamma run and one delta run per key of the orbit.
         runs = []
         real = analysis._drive
 
@@ -900,12 +937,9 @@ class TestLevelFlags:
         for param in SMALL_MACHINES:
             (m,) = param.values
             for pump, q, z in level_cases(m):
-                counts = []
-                for max_l in (200, 2000):
-                    runs.clear()
-                    analysis._level_flags(m, q, pump.gamma, pump.delta, z, max_l)
-                    counts.append(len(runs))
-                assert counts[0] == counts[1] <= 2 * len(m.states) * (len(z) + 2), (pump, q, z)
+                runs.clear()
+                analysis._level_flags(m, q, pump.gamma, pump.delta, z)
+                assert len(runs) <= 2 * len(m.states) * (len(z) + 2), (pump, q, z)
                 checked += 1
         assert checked > 1000
 

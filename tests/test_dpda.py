@@ -12,7 +12,6 @@ from dcflab.dpda import (
     Configuration,
     InvalidMachineError,
     StuckError,
-    _drive,
     advance,
     complete_dpda,
     config_member,
@@ -305,22 +304,14 @@ SMALL_MACHINES = [
 ]
 
 
-def visited_stacks(m, w):
-    """The stacks, topmost first, that `_drive` shows `visit` on the run on
-    w from the start configuration."""
-    stacks = []
-    _drive(m, m.start_state, [m.start_symbol], w, lambda s: stacks.append(tuple(s[::-1])))
-    return stacks
-
-
 def run_record(m, w):
-    """Everything the public runs and `visit` report on w from the start."""
+    """Everything the public runs report on w from the start."""
     try:
         accepted = member(m, w)
     except StuckError as e:
         accepted = ("stuck", e.position)
     start = m.start_configuration()
-    return accepted, advance(m, start, w), config_member(m, start, w), visited_stacks(m, w)
+    return accepted, advance(m, start, w), config_member(m, start, w)
 
 
 @pytest.mark.parametrize("m", SMALL_MACHINES)
@@ -329,7 +320,7 @@ def test_rule_order_does_not_matter(m):
     # entry was made would read it as stuck for some rule orders.
     words = list(bf.iter_words(m.input_alphabet, 6))
     want = [run_record(m, w) for w in words]
-    for w, (accepted, _, in_language, _) in zip(words, want):
+    for w, (accepted, _, in_language) in zip(words, want):
         assert in_language == bf.ref_member(m, w), w
         if m.completed:
             assert accepted == in_language, w
@@ -342,11 +333,19 @@ def test_rule_order_does_not_matter(m):
 
 @pytest.mark.parametrize("m", SMALL_MACHINES)
 def test_visit_heights_match_the_reference(m):
-    # `stair_factorize` reads levels off these heights, ε-steps included.
+    # `stair_factorize` reads levels off the stable stacks alone, because
+    # from a letter's own step to the next letter the run only pops: of
+    # the heights it visits since the letter, the stable one is the lowest.
     start = (m.start_symbol,)
     for w in bf.iter_words(m.input_alphabet, 6):
-        got = [len(s) for s in visited_stacks(m, w)]
-        assert got == bf.ref_heights(m, m.start_state, start, w), w
+        before = bf.ref_heights(m, m.start_state, start, w[:-1])
+        heights = bf.ref_heights(m, m.start_state, start, w)
+        assert heights[: len(before)] == before, w
+        since = heights[len(before) :]  # the last letter's step and its ε-steps
+        assert all(a > b for a, b in zip(since, since[1:])), w
+        stable = advance(m, m.start_configuration(), w)
+        if stable is not None and since:
+            assert len(stable[0].stack) == since[-1], w
 
 
 def test_reference_reads_only_the_rule_list():

@@ -593,6 +593,23 @@ class TestRefuteLR:
     def test_no_collision_within_bound_gives_none(self):
         assert refute_simplicity_LR(wide_tree_machine(), k_max=5) is None
 
+    def test_tapes_at_one_position_collide(self):
+        # "01" and "0011" differ as tapes but leave the 0^n1^n oracle at
+        # one run position, so a and b already collide at k = 1.
+        machine = OracleMealyMachine(
+            states=frozenset({"q"}),
+            input_alphabet=frozenset("abc"),
+            oracle_alphabet=frozenset("01"),
+            delta={("q", ch): "q" for ch in "abc"},
+            outputs={("q", "a"): "01", ("q", "b"): "0011", ("q", "c"): ""},
+            start_state="q",
+            per_state={"q": (("",), IDENTITY_TABLE)},
+        )
+        word = refute_simplicity_LR(machine, k_max=1)
+        assert word == "aca"
+        oracle = LanguageOracle(frozenset("01"), corpus.get_entry("lsharp").predicate)
+        assert evaluate(machine, oracle, word) != lr_predicate(word)
+
 
 def partial_machine():
     # "s" has no transitions and "r" reads only some letters; the tables
