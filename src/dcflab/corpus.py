@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable
 
 from .dpda import Dpda, complete_dpda, dpda_to_document, validate_dpda
@@ -91,13 +92,8 @@ def is_lr(w: str) -> bool:
 
 
 def _runs(w: str) -> list[tuple[str, int]]:
-    out: list[tuple[str, int]] = []
-    for ch in w:
-        if out and out[-1][0] == ch:
-            out[-1] = (ch, out[-1][1] + 1)
-        else:
-            out.append((ch, 1))
-    return out
+    """The maximal runs of equal letters in `w`, as (letter, length) pairs."""
+    return [(ch, len(list(g))) for ch, g in groupby(w)]
 
 
 def is_l_mm_n(w: str) -> bool:

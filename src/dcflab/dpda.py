@@ -415,6 +415,11 @@ def complete_dpda(m: Dpda) -> Dpda:
     )
 
 
+_BLOCK = 32  # letters per block of a long word read by `member`
+_WINDOW = 48  # top stack symbols that key a block's memoised run
+_SHORT = 8 * _BLOCK  # `member` reads a shorter word in one `_drive` run
+
+
 def member(m: Dpda, word: Word) -> bool:
     """Membership of `word` in the language of a completed machine.
 
@@ -423,10 +428,45 @@ def member(m: Dpda, word: Word) -> bool:
     trailing ε-chain) has an accepting state.  Raises StuckError, at the
     position of the first unread letter, on a machine that was not
     completed when no rule applies.
+
+    A word shorter than `_SHORT` rarely repeats a block, so it is read in
+    one `_drive` run.  A longer one is read in blocks of `_BLOCK` letters,
+    and a block string seen before in the word is looked up by (state, the
+    top `_WINDOW` stack symbols) in a memo that lives for this call.  On a
+    miss the block runs on a copy of that window; the run is kept only if
+    it read the whole block and left the window nonempty, because then it
+    never read below the window and replacing the window by its result is
+    its exact effect on any stack with that top.  Every other block, and
+    each first sighting of a block string, runs on the real stack, so
+    verdicts and StuckError positions are those of one `_drive` run over
+    the whole word.
     """
-    _, acc, consumed = _drive(m, m.start_state, [m.start_symbol], word)
-    if consumed < len(word):
-        raise StuckError(consumed)
+    state, stack = m.start_state, [m.start_symbol]
+    if len(word) < _SHORT:
+        _, acc, consumed = _drive(m, state, stack, word)
+        if consumed < len(word):
+            raise StuckError(consumed)
+        return acc
+    memo: dict[str, dict] = {}  # block -> (state, *window) -> (state, acc, window) or ()
+    for i in range(0, len(word), _BLOCK):
+        block = word[i : i + _BLOCK]
+        runs = memo.get(block)
+        if runs is None:
+            memo[block] = {}
+        else:
+            key = (state, *stack[-_WINDOW:])
+            hit = runs.get(key)
+            if hit is None:
+                window = stack[-_WINDOW:]
+                end, acc, consumed = _drive(m, state, window, block)
+                whole = consumed == len(block) and window
+                hit = runs[key] = (end, acc, window) if whole else ()
+            if hit:
+                state, acc, stack[-_WINDOW:] = hit
+                continue
+        state, acc, consumed = _drive(m, state, stack, block)
+        if consumed < len(block):
+            raise StuckError(i + consumed)
     return acc
 
 

@@ -113,3 +113,18 @@ def test_random_long_words_agree_beyond_the_sweep():
         for _ in range(600):
             w = "".join(rng.choice(sigma) for _ in range(rng.randint(0, 25)))
             assert member(entry.machine, w) == entry.predicate(w), (name, w)
+
+
+def test_runs_match_a_letter_by_letter_scan():
+    # `_runs` is the ground truth behind l_mm_n, l_m_nn and lsharp_squared.
+    def scan(w):
+        out = []
+        for ch in w:
+            if out and out[-1][0] == ch:
+                out[-1] = (ch, out[-1][1] + 1)
+            else:
+                out.append((ch, 1))
+        return out
+
+    for w in bf.iter_words("01", 12):
+        assert corpus._runs(w) == scan(w), w

@@ -2,13 +2,17 @@ import ast
 import copy
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcflab import corpus
+from dcflab import corpus, dpda
 from dcflab.dpda import (
+    _BLOCK,
+    _SHORT,
+    _WINDOW,
     Configuration,
     InvalidMachineError,
     StuckError,
@@ -19,6 +23,7 @@ from dcflab.dpda import (
     member,
     validate_dpda,
 )
+from dcflab.witness import find_witness
 
 import bruteforce as bf
 
@@ -349,7 +354,7 @@ def test_visit_heights_match_the_reference(m):
 
 
 def test_reference_reads_only_the_rule_list():
-    tree = ast.parse(open(bf.__file__, encoding="utf-8").read())
+    tree = ast.parse(Path(bf.__file__).read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             assert all(a.name.split(".")[0] != "dcflab" for a in node.names), node.lineno
@@ -357,3 +362,104 @@ def test_reference_reads_only_the_rule_list():
             assert (node.module or "").split(".")[0] != "dcflab", node.lineno
         elif isinstance(node, ast.Attribute):
             assert node.attr not in {"visible", "eps", "moves", "step_table"}, node.lineno
+
+
+def long_words(m, rng, count):
+    """`count` words p0 p1^i p2 p3^j p4 over m's letters, each at least
+    `_SHORT` letters long, so `member` reads them in blocks."""
+    sigma = sorted(m.input_alphabet)
+
+    def piece(lo):
+        return "".join(rng.choice(sigma) for _ in range(rng.randint(lo, 4)))
+
+    for _ in range(count):
+        p0, p1, p2, p3, p4 = piece(0), piece(1), piece(0), piece(1), piece(0)
+        head = p0 + p1 * rng.randint(0, _SHORT // len(p1)) + p2
+        j = -(-max(0, _SHORT - len(head) - len(p4)) // len(p3))  # reaches _SHORT
+        yield head + p3 * rng.randint(j, j + 60) + p4
+
+
+@pytest.mark.parametrize("m", SMALL_MACHINES)
+def test_blocked_member_matches_the_reference_on_long_words(m):
+    for w in long_words(m, random.Random(len(m.rules)), 8):
+        consumed = dpda._drive(m, m.start_state, [m.start_symbol], w)[2]
+        if consumed < len(w):
+            assert not bf.ref_member(m, w), w
+            with pytest.raises(StuckError) as excinfo:
+                member(m, w)
+            assert excinfo.value.position == consumed, w
+        else:
+            assert member(m, w) == bf.ref_member(m, w), w
+
+
+def marker_machine():
+    """A raw machine that pushes a marker B (on b) or C (on c), then one A
+    per letter.  `k` moves p to q, where `d` sets off an ε-chain that pops
+    every A down to the marker: B leads to the accepting f, C to g.  No
+    rule reads `k` in q."""
+    rules = [("s", "X0", "b", "p", ["B", "X0"]), ("s", "X0", "c", "p", ["C", "X0"])]
+    for top in ("A", "B", "C"):
+        rules += [("p", top, a, to, ["A", top]) for a, to in (("a", "p"), ("d", "p"), ("k", "q"))]
+        rules.append(("q", top, "a", "q", ["A", top]))
+    rules += [("q", "A", "d", "e", []), ("e", "A", "", "e", []), ("e", "B", "", "f", []), ("e", "C", "", "g", [])]
+    return validate_dpda(
+        {
+            "states": ["s", "p", "q", "e", "f", "g"],
+            "input_alphabet": ["a", "b", "c", "d", "k"],
+            "stack_alphabet": ["X0", "A", "B", "C"],
+            "rules": [{"from": f, "top": x, "label": a, "to": t, "push": p} for f, x, a, t, p in rules],
+            "start_state": "s",
+            "start_symbol": "X0",
+            "accepting": ["f"],
+        }
+    )
+
+
+def marker_word(marker, turn, last):
+    """A word of whole `_BLOCK`-letter blocks, `_SHORT` letters long: the
+    marker and a's, a's, `last` (read in p), `turn` and a's, a's, and
+    `last` again, so that the last block repeats an earlier one."""
+    fill = "a" * (_BLOCK - 1)
+    middle = ["a" + fill] * (_SHORT // _BLOCK - 5)
+    return "".join([marker + fill, "a" + fill, last, turn + fill, *middle, last])
+
+
+def test_a_run_that_empties_its_window_is_not_memoised():
+    # `member` tries the last block, read in q, on a window copy, whose run
+    # empties the window after its last letter; replaying that run on the
+    # real stack would drop the chain's end, and with it the one difference
+    # between the two words.
+    m = marker_machine()
+    words = [marker_word(marker, "k", "a" * (_BLOCK - 1) + "d") for marker in "bc"]
+    assert words[0].count("a") > _WINDOW  # the chain pops below a window
+    assert [member(m, w) for w in words] == [True, False]
+    assert [bf.ref_member(m, w) for w in words] == [True, False]
+
+
+def test_a_run_that_sticks_in_a_repeated_block_is_not_memoised():
+    # The first `last` moves p to q on its `k`; the second sticks on it.
+    m = marker_machine()
+    word = marker_word("b", "a", "a" * (_BLOCK - 1) + "k")
+    with pytest.raises(StuckError) as excinfo:
+        member(m, word)
+    assert excinfo.value.position == len(word) - 1
+
+
+def test_a_periodic_word_is_read_once_per_stack_window(monkeypatch):
+    # The counter machine for 0^n 1^n, k | n, at k = 13 and its grid word
+    # at m = n = 620, as the benchmark's `counters` workload reads them.
+    from test_witness import bench_machines  # test_witness imports this module
+
+    m = complete_dpda(validate_dpda(bench_machines().counter_doc(13)))
+    t = find_witness(m)
+    word = t.v + t.x * 620 + t.w + t.y * 620 + t.z
+    letters = []
+    real_drive = dpda._drive
+
+    def drive(m, state, stack, w):
+        letters.append(len(w))
+        return real_drive(m, state, stack, w)
+
+    monkeypatch.setattr(dpda, "_drive", drive)
+    assert member(m, word)
+    assert sum(letters) < len(word) / 10, (sum(letters), len(word))
