@@ -146,14 +146,15 @@ def pop_summaries(m: Dpda) -> dict[tuple[str, str], dict[str, Word]]:
             if not dirty[i]:
                 continue
             dirty[i] = False
-            targets = entries.setdefault((r.from_state, r.top), {})
-            reached = {r.to_state: r.label}
-            for reached in _pop_prefixes(entries, reached, r.push):
+            p, x, a, q, push = r
+            targets = entries.setdefault((p, x), {})
+            reached = {q: a}
+            for reached in _pop_prefixes(entries, reached, push):
                 pass
             for q2, w in reached.items():
                 if _less(w, targets.get(q2)):
                     targets[q2] = w
-                    for j in readers[r.top]:
+                    for j in readers[x]:
                         dirty[j] = True
 
     return {k: v for k, v in entries.items() if v}

@@ -15,9 +15,11 @@ letter costs one lookup.
 from __future__ import annotations
 
 import json
+import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, NamedTuple, Optional
 
 Word = str
 StackWord = tuple[str, ...]
@@ -59,8 +61,7 @@ class StuckError(RuntimeError):
         super().__init__(f"run stuck at input position {position}")
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """Transition pX -a-> qγ; label "" is an ε-step, push is topmost first."""
 
     from_state: str
@@ -98,19 +99,33 @@ class Dpda:
         the next state accepts, next move): the next state's entry on the
         pushed top, or None when the rule pops.  Rule-less pairs are absent."""
         table: dict = {q: {} for q in self.states}
-        for r in self.rules:
-            table[r.from_state].setdefault(r.top, r.to_state if r.label == EPSILON else {})
+        for p, x, a, q, _ in self.rules:
+            table[p].setdefault(x, q if a == EPSILON else {})
         # Every entry exists before a next move is resolved, or it reads stuck.
-        for r in self.rules:
-            if r.label != EPSILON:
-                pushed = r.push[::-1]
-                nxt = table[r.to_state].get(pushed[-1], _STUCK) if pushed else None
-                hit = (r.to_state, pushed, r.to_state in self.accepting, nxt)
-                table[r.from_state][r.top][r.label] = hit
+        for p, x, a, q, push in self.rules:
+            if a != EPSILON:
+                pushed = push[::-1]
+                nxt = table[q].get(pushed[-1], _STUCK) if pushed else None
+                table[p][x][a] = (q, pushed, q in self.accepting, nxt)
+        # Next moves link letter moves into cycles whenever the states loop;
+        # emptying them with the machine frees them without the collector.
+        weakref.finalize(self, _clear_letter_moves, table)
         return table
 
     def start_configuration(self) -> Configuration:
         return Configuration(self.start_state, (self.start_symbol,))
+
+    def __copy__(self) -> Dpda:
+        # A machine is immutable; a shallow copy would share the compiled
+        # table that this machine's finalizer empties.
+        return self
+
+
+def _clear_letter_moves(table: dict) -> None:
+    for row in table.values():
+        for move in row.values():
+            if type(move) is dict:
+                move.clear()
 
 
 _KINDS = {
@@ -191,7 +206,7 @@ def validate_dpda(candidate: Mapping) -> Dpda:
     rules = []
     for i, raw in enumerate(candidate["rules"]):
         where = f"rules[{i}]"
-        if not isinstance(raw, Mapping) or set(raw) != _RULE_FIELDS:
+        if not isinstance(raw, Mapping) or raw.keys() != _RULE_FIELDS:
             violations.append(
                 Violation("BadType", f"{where} must have fields from/top/label/to/push")
             )
@@ -215,42 +230,34 @@ def validate_dpda(candidate: Mapping) -> Dpda:
                 if not isinstance(raw[f], str):
                     violations.append(Violation("BadType", f"{where}.{f} must be a string"))
             continue
-        rule = Rule(frm, top, label, to, tuple(push))
-        if rule.from_state not in states:
+        push = tuple(push)
+        if frm not in states:
             violations.append(Violation("UndeclaredSymbol", f"{where}.from"))
-        if rule.to_state not in states:
+        if to not in states:
             violations.append(Violation("UndeclaredSymbol", f"{where}.to"))
-        if rule.top not in stack_alphabet:
+        if top not in stack_alphabet:
             violations.append(Violation("UndeclaredSymbol", f"{where}.top"))
-        for s in rule.push:
+        for s in push:
             if s not in stack_alphabet:
                 violations.append(Violation("UndeclaredSymbol", f"{where}.push {s!r}"))
-        if rule.label != EPSILON and rule.label not in input_alphabet:
+        if label != EPSILON and label not in input_alphabet:
             violations.append(Violation("UndeclaredSymbol", f"{where}.label"))
-        if rule.label == EPSILON and rule.push:
-            violations.append(
-                Violation(
-                    "NonPoppingEpsilon",
-                    f"{rule.from_state} {rule.top} -ε-> {rule.to_state} pushes",
-                )
-            )
-        rules.append(rule)
+        if label == EPSILON and push:
+            violations.append(Violation("NonPoppingEpsilon", f"{frm} {top} -ε-> {to} pushes"))
+        rules.append(Rule(frm, top, label, to, push))
 
     # Determinism: at most one rule per (p, X, a); ε excludes visible rules.
-    seen: dict[tuple[str, str, str], int] = {}
+    seen: set[tuple[str, str, str]] = set()
+    duplicates: set[tuple[str, str, str]] = set()
     eps_at: set[tuple[str, str]] = set()
     visible_at: set[tuple[str, str]] = set()
-    for rule in rules:
-        key = (rule.from_state, rule.top, rule.label)
-        seen[key] = seen.get(key, 0) + 1
-        if rule.label == EPSILON:
-            eps_at.add((rule.from_state, rule.top))
-        else:
-            visible_at.add((rule.from_state, rule.top))
-    for (p, x, a), count in sorted(seen.items()):
-        if count > 1:
-            label = a if a != EPSILON else "ε"
-            violations.append(Violation("DuplicateRule", f"({p}, {x}, {label})"))
+    for p, x, a, _, _ in rules:
+        key = (p, x, a)
+        (duplicates if key in seen else seen).add(key)
+        (eps_at if a == EPSILON else visible_at).add((p, x))
+    for p, x, a in sorted(duplicates):
+        label = a if a != EPSILON else "ε"
+        violations.append(Violation("DuplicateRule", f"({p}, {x}, {label})"))
     for p, x in sorted(eps_at & visible_at):
         violations.append(Violation("EpsilonVisibleConflict", f"({p}, {x})"))
 
@@ -367,7 +374,8 @@ def complete_dpda(m: Dpda) -> Dpda:
     otherwise be stuck.  The accepted language is unchanged (stuck runs of
     the original machine reject).  Because ε-rules may not push, the new
     start configuration carries only the bottom symbol and the first visible
-    step jumps directly to the simulated configuration.
+    step jumps directly to the simulated configuration.  Only the rule list
+    is read; `m.step_table` is never compiled.
     """
     bot = _fresh("⊥", m.stack_alphabet)
     fail = _fresh("fail", m.states)
@@ -378,27 +386,35 @@ def complete_dpda(m: Dpda) -> Dpda:
     stack_alphabet = set(m.stack_alphabet) | {bot}
     accepting = set(m.accepting)
     sigma = sorted(m.input_alphabet)
-    table = m.step_table
-
-    # ε-closure of the conceptual start q0 X0 ⊥ (⊥ has no rules).
-    start, start_acc = advance(m, Configuration(m.start_state, (m.start_symbol, bot)), "")
-    if start_acc:
-        accepting.add(init)
-    letters = table[start.state].get(start.stack[0], _STUCK)
-    for a in sigma:
-        hit = letters.get(a)
-        if hit is None:
-            rules.append(Rule(init, bot, a, fail, (bot,)))
+    eps: dict[tuple[str, str], str] = {}  # (state, top) -> target of its ε-rule
+    visible: dict[tuple[str, str], dict] = {}  # (state, top) -> letter -> (target, push)
+    for p, x, a, q, push in rules:
+        if a == EPSILON:
+            eps[p, x] = q
         else:
-            to_state, pushed, _, _ = hit
-            rules.append(Rule(init, bot, a, to_state, pushed[::-1] + start.stack[1:]))
+            visible.setdefault((p, x), {})[a] = (q, push)
+
+    # ε-closure of the conceptual start q0 X0 ⊥: ⊥ has no rules, so at
+    # most X0 is popped.
+    state, stack = m.start_state, (m.start_symbol, bot)
+    if (state, stack[0]) in eps:
+        state, stack = eps[state, stack[0]], stack[1:]
+    if {m.start_state, state} & m.accepting:
+        accepting.add(init)
+    letters = visible.get((state, stack[0]), {})
+    for a in sigma:
+        if a in letters:
+            q, push = letters[a]
+            rules.append(Rule(init, bot, a, q, push + stack[1:]))
+        else:
+            rules.append(Rule(init, bot, a, fail, (bot,)))
 
     # Route every remaining stuck (state, top, symbol) hole to the fail state.
     for q in sorted(states - {init}):
         for x in sorted(stack_alphabet):
-            letters = table.get(q, _STUCK).get(x, _STUCK)
-            if type(letters) is str:
+            if (q, x) in eps:
                 continue  # an ε-rule applies
+            letters = visible.get((q, x), {})
             for a in sigma:
                 if a not in letters:
                     rules.append(Rule(q, x, a, fail, (x,)))

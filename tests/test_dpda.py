@@ -1,6 +1,9 @@
 import ast
 import copy
 import dataclasses
+import gc
+import hashlib
+import json
 import random
 from pathlib import Path
 
@@ -26,6 +29,12 @@ from dcflab.dpda import (
 from dcflab.witness import find_witness
 
 import bruteforce as bf
+
+# sha256 of each machine's completed document, json.dumps of
+# dpda_to_document(complete_dpda(validate_dpda(doc))): the corpus, counter
+# and random-suite documents and the random ε-machines.  Runs under
+# PYTHONHASHSEED=0 and =1 write the same file.
+COMPLETED = Path(__file__).parent / "data" / "completed_machines.json"
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +105,66 @@ class TestValidation:
             validate_dpda(doc)
         assert {"DuplicateRule", "NonPoppingEpsilon"} <= violation_kinds(excinfo)
 
+    def test_report_lists_every_defect_in_order(self):
+        doc = copy.deepcopy(bf.LSHARP_RAW)
+        doc["zeta"] = 2
+        doc["mystery"] = 1
+        doc["accepting"] = ["qf", "zz"]
+        doc["rules"] += [
+            "not a rule",
+            {"from": "q0", "top": "A", "label": "0", "to": "q0", "push": [], "extra": 1},
+            {"from": "q0", "top": "A", "label": "1", "to": "q1", "push": "A"},
+            {"from": 1, "top": "A", "label": "0", "to": ["q0"], "push": []},
+            {"from": "nowhere", "top": "ZZ", "label": "z", "to": "nope", "push": ["A", "YY"]},
+            {"from": "q1", "top": "X0", "label": "", "to": "q1", "push": ["A"]},
+            {"from": "qf", "top": "A", "label": "", "to": "q1", "push": []},
+            {"from": "qf", "top": "A", "label": "", "to": "q0", "push": []},
+            {"from": "q0", "top": "X0", "label": "0", "to": "q1", "push": []},
+            {"from": "q1", "top": "A", "label": "", "to": "q1", "push": []},
+        ]
+        with pytest.raises(InvalidMachineError) as excinfo:
+            validate_dpda(doc)
+        assert [str(v) for v in excinfo.value.violations] == [
+            "UnknownField: mystery",
+            "UnknownField: zeta",
+            "UndeclaredSymbol: accepting state zz",
+            "BadType: rules[7] must have fields from/top/label/to/push",
+            "BadType: rules[8] must have fields from/top/label/to/push",
+            "BadType: rules[9].push",
+            "BadType: rules[10].from must be a string",
+            "BadType: rules[10].to must be a string",
+            "UndeclaredSymbol: rules[11].from",
+            "UndeclaredSymbol: rules[11].to",
+            "UndeclaredSymbol: rules[11].top",
+            "UndeclaredSymbol: rules[11].push 'YY'",
+            "UndeclaredSymbol: rules[11].label",
+            "NonPoppingEpsilon: q1 X0 -ε-> q1 pushes",
+            "DuplicateRule: (q0, X0, 0)",
+            "DuplicateRule: (qf, A, ε)",
+            "EpsilonVisibleConflict: (q1, A)",
+        ]
+
+    def test_report_on_unusable_fields_lists_every_defect_in_order(self):
+        doc = {
+            "states": "q0",
+            "input_alphabet": ["0", 1],
+            "rules": {},
+            "start_state": "q0",
+            "start_symbol": 3,
+            "accepting": [],
+            "mystery": 1,
+        }
+        with pytest.raises(InvalidMachineError) as excinfo:
+            validate_dpda(doc)
+        assert [str(v) for v in excinfo.value.violations] == [
+            "UnknownField: mystery",
+            "BadType: input_alphabet must be a list of strings",
+            "BadType: rules must be a list",
+            "MissingField: stack_alphabet",
+            "BadType: start_symbol must be a string",
+            "BadType: states must be a list of strings",
+        ]
+
     def test_document_round_trip(self, lsharp_raw):
         again = validate_dpda(dpda_to_document(lsharp_raw))
         assert set(again.rules) == set(lsharp_raw.rules)
@@ -122,6 +191,34 @@ class TestCompletion:
         twice = complete_dpda(lsharp)
         for w in bf.iter_words("01", 10):
             assert member(twice, w) == member(lsharp, w), w
+
+    def test_completion_reads_the_rule_list_only(self):
+        raw = validate_dpda(bf.EPS_CHAIN_RAW)
+        complete_dpda(raw)
+        assert "step_table" not in vars(raw)
+
+    @pytest.mark.parametrize("runs", [False, True])
+    def test_a_dropped_machine_leaves_no_garbage_cycles(self, runs):
+        # Compiled step tables refer back to themselves whenever the states
+        # loop; without the cyclic collector they must still be freed.
+        gc.collect()
+        gc.disable()
+        try:
+            m = complete_dpda(validate_dpda(bf.LSHARP_RAW))
+            if runs:
+                assert member(m, "0011")
+            del m
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_a_copy_runs_after_its_original_is_freed(self):
+        m = complete_dpda(validate_dpda(bf.LSHARP_RAW))
+        assert member(m, "01")
+        c = copy.copy(m)
+        del m
+        gc.collect()
+        assert member(c, "0011") and not member(c, "0010")
 
     def test_empty_language_machine_routes_to_fail(self):
         m = complete_dpda(validate_dpda(bf.EMPTY_LANGUAGE_RAW))
@@ -463,3 +560,23 @@ def test_a_periodic_word_is_read_once_per_stack_window(monkeypatch):
     monkeypatch.setattr(dpda, "_drive", drive)
     assert member(m, word)
     assert sum(letters) < len(word) / 10, (sum(letters), len(word))
+
+
+def completed_machine_digests():
+    from test_witness import bench_machines  # test_witness imports this module
+
+    machines = bench_machines()
+    docs = {f"counter-{k}": machines.counter_doc(k) for k in machines.COUNTER_KS}
+    docs.update((f"random-{i:02d}", doc) for i, doc in enumerate(machines.random_suite()))
+    completed = {f"corpus-{name}": corpus.get_entry(name).machine for name in corpus.names()}
+    completed.update((name, complete_dpda(validate_dpda(doc))) for name, doc in docs.items())
+    for seed in range(30):
+        completed[f"eps{seed}"] = complete_dpda(random_eps_machine(random.Random(seed)))
+    return {
+        name: hashlib.sha256(json.dumps(dpda_to_document(m)).encode()).hexdigest()
+        for name, m in completed.items()
+    }
+
+
+def test_completed_machines_match_the_golden_file():
+    assert completed_machine_digests() == json.loads(COMPLETED.read_text(encoding="utf-8"))

@@ -121,6 +121,58 @@ class TestValidation:
             validate_mealy(doc)
         assert any(v.kind == "UndeclaredSymbol" for v in excinfo.value.violations)
 
+    def test_report_lists_every_defect_in_order(self):
+        doc = {
+            "states": ["q", "r", "t"],
+            "input_alphabet": ["0", "1"],
+            "oracle_alphabet": ["0", "1"],
+            "delta": [
+                {"from": "q", "on": "0", "to": "q"},
+                {"from": "q", "on": "1", "to": "q"},
+                "not a move",
+                {"from": "q", "on": 0, "go": "q"},
+                {"from": "q", "on": "0", "to": "r"},
+                {"from": "q", "on": "2", "to": "s"},
+            ],
+            "lambda": [
+                {"from": "q", "on": "0", "out": "0"},
+                {"from": "q", "on": "1", "out": "1x"},
+                {"from": "r", "on": "1", "out": "1"},
+                ["q", "0", "0"],
+            ],
+            "start_state": "q",
+            "queries": [
+                {"state": "q", "suffixes": [""], "table": [0, 1]},
+                {"state": "q", "suffixes": [""], "table": [0, 1]},
+                {"state": "s", "suffixes": [""], "table": [0, 1]},
+                {"state": "r", "suffixes": ["2"], "table": [0]},
+                {"state": "t", "suffixes": [], "table": [0], "rows": 1},
+            ],
+            "mystery": 1,
+        }
+        with pytest.raises(InvalidMachineError) as excinfo:
+            validate_mealy(doc)
+        assert [str(v) for v in excinfo.value.violations] == [
+            "UnknownField: mystery",
+            "BadType: delta[2] must be an object",
+            "UnknownField: delta[3].go",
+            "BadType: delta[3].on must be a string",
+            "MissingField: delta[3].to",
+            "DuplicateTransition: (q, 0)",
+            "UndeclaredSymbol: delta[5]",
+            "UndeclaredSymbol: delta[5].on",
+            "UndeclaredSymbol: lambda[1].out 'x'",
+            "LambdaDomainMismatch: (r, 1)",
+            "BadType: lambda[3] must be an object",
+            "LambdaDomainMismatch: (q, 2)",
+            "DuplicateQueries: q",
+            "UndeclaredSymbol: queries[2].state",
+            "UndeclaredSymbol: queries[3] suffix '2'",
+            "ArityMismatch: r",
+            "UnknownField: queries[4].rows",
+            "MissingQueries: r",
+        ]
+
     def test_document_round_trip(self):
         m = validate_mealy(IDENTITY_DOC)
         again = validate_mealy(mealy_to_document(m))
