@@ -4,13 +4,9 @@ truth-table reductions between formal languages."""
 from .analysis import (
     PeriodicityReport,
     Pump,
-    down_states,
-    eps_down_state,
     find_divergent_word,
-    find_pump,
     periodicity,
     pop_summaries,
-    signature,
     stair_factorize,
 )
 from .corpus import CorpusEntry, get_entry, names, oracle_of

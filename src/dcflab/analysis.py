@@ -62,10 +62,6 @@ class NoLevelsError(Exception):
     """Stack height does not trend upward on the given word."""
 
 
-class NoPumpError(Exception):
-    """No repeated level pair survived simulation re-checks."""
-
-
 class NoPeriodFoundError(Exception):
     """Sampled range too short to exhibit a (threshold, period) pair."""
 
@@ -171,43 +167,27 @@ def pop_witnesses(s: Mapping, state: str, stack: StackWord) -> dict[str, Word]:
     return current
 
 
-def down_states(s: Mapping, c: Configuration) -> frozenset[str]:
-    """States reachable from c with the entire stack consumed."""
-    return frozenset(pop_witnesses(s, c.state, c.stack))
-
-
-def eps_down_state(m: Dpda, c: Configuration) -> Optional[str]:
-    """The unique state reached from c by ε-popping the whole stack, if any:
-    the end of c's ε-closure when that closure empties the stack."""
-    end, _ = advance(m, c, "")
-    return None if end.stack else end.state
-
-
-def signature(m: Dpda, c: Configuration, suffixes: list[Word]) -> tuple[bool, ...]:
-    """Bounded approximation of the configuration's language class: one
-    membership bit per test suffix."""
-    return tuple(config_member(m, c, s) for s in suffixes)
-
-
 class _Product:
     """Hash-consed stacks and sides with memoised reads over one machine's
     configurations, shared by a whole divergent-word search and every
     distinguisher call it makes.
 
     Stack node 0 is the empty stack and node i stands for (top symbol, node
-    below); side i stands for the (state, node) pair `pairs[i]`.  Both are
-    hash-consed for the life of the object, so equal configurations get
-    equal int sides.  None is a stranded side (empty stack or stuck), which
-    rejects everything from then on.  A step reads only the top symbol, so
-    `_drive` runs on that one-symbol window once per (state, top, letter or
-    ε); a window that runs empty hands the run to the node below with the
-    unread rest of the letter.  `rows[side]` maps each word read from the
-    side, each letter and "" among them, to the end side and its flag.
+    below), `heights[i]` symbols tall; side i stands for the (state, node)
+    pair `pairs[i]`.  Both are hash-consed for the life of the object, so
+    equal configurations get equal int sides.  None is a stranded side
+    (empty stack or stuck), which rejects everything from then on.  A step
+    reads only the top symbol, so `_drive` runs on that one-symbol window
+    once per (state, top, letter or ε); a window that runs empty hands the
+    run to the node below with the unread rest of the letter.  `rows[side]`
+    maps each word read from the side, each letter and "" among them, to
+    the end side and its flag.
     """
 
     def __init__(self, m: Dpda):
         self.m = m
         self.cells: list[tuple[str, int]] = [("", 0)]  # node -> (top, node below)
+        self.heights: list[int] = [0]  # node -> stack height
         self.ids: dict[tuple[str, int], int] = {}  # (top, node below) -> node
         self.steps: dict[tuple[str, str, Word], tuple[str, StackWord, bool, int]] = {}
         self.pairs: list[tuple[str, int]] = []  # side -> (state, node)
@@ -217,13 +197,14 @@ class _Product:
 
     def push(self, node: int, symbols) -> int:
         """The node for `symbols` (top last) stacked on `node`."""
-        cells, ids = self.cells, self.ids
+        cells, ids, heights = self.cells, self.ids, self.heights
         for symbol in symbols:
             cell = (symbol, node)
             node = ids.get(cell, 0)
             if not node:
                 node = ids[cell] = len(cells)
                 cells.append(cell)
+                heights.append(heights[cell[1]] + 1)
         return node
 
     def side(self, state: str, node: int) -> int:
@@ -238,14 +219,18 @@ class _Product:
         """c's side after its ε-closure, and whether the closure accepts."""
         return self.read(self.side(c.state, self.push(0, c.stack[::-1])), "")
 
-    def configuration(self, side: int) -> Configuration:
-        """The configuration that a side that is not stranded stands for."""
-        state, node = self.pairs[side]
+    def stack(self, node: int) -> StackWord:
+        """The stack word that `node` stands for, top first."""
         stack = []
         while node:
             top, node = self.cells[node]
             stack.append(top)
-        return Configuration(state, tuple(stack))
+        return tuple(stack)
+
+    def configuration(self, side: int) -> Configuration:
+        """The configuration that a side that is not stranded stands for."""
+        state, node = self.pairs[side]
+        return Configuration(state, self.stack(node))
 
     def read(self, side: Optional[int], word: Word) -> tuple[Optional[int], bool]:
         """The side after reading `word` from `side`, and whether that
@@ -325,8 +310,8 @@ class _Product:
         """The pop witnesses, under m's pop summary, of every prefix of the
         side's stack from its state; built once per side."""
         if side not in self.pops:
-            c = self.configuration(side)
-            layers = _pop_prefixes(summary, {c.state: ""}, c.stack)
+            state, node = self.pairs[side]
+            layers = _pop_prefixes(summary, {state: ""}, self.stack(node))
             self.pops[side] = [w for layer in layers for w in layer.values()]
         return self.pops[side]
 
@@ -470,7 +455,9 @@ def find_divergent_word(m: Dpda, summary: Mapping, target_length: int, suffix_bu
     One `_Product` serves the whole search: the start, every candidate and
     every kept prefix is a side of it; a letter of an extension, a signature
     bit or a distinguisher probe is one memoised step, and a word read again
-    from one side is one lookup.  The distinguisher reads on the same graph.
+    from one side is one lookup.  The search holds sides only: extensions
+    rank by the stack heights kept on the graph's nodes, and configurations
+    are built only for a distinguisher call, which reads on the same graph.
 
     `distinguishing_word` runs at most once per ordered (candidate, earlier
     prefix) pair per call: its verdict depends only on the machine, the
@@ -486,20 +473,15 @@ def find_divergent_word(m: Dpda, summary: Mapping, target_length: int, suffix_bu
 
     start, _ = graph.close(m.start_configuration())
     sides = [start]
-    configs = [graph.configuration(start)]
     sigs = [tuple(read(start, s)[1] for s in suffixes)]
     word: list[str] = []
     best = ""
 
     def extensions(side: int):
-        ranked = []
-        for symbol in sigma:
-            nxt = read(side, symbol)[0]
-            if nxt is not None:
-                cfg = graph.configuration(nxt)
-                ranked.append((-len(cfg.stack), symbol, nxt, cfg))
-        ranked.sort()
-        return iter([entry[1:] for entry in ranked])
+        # Taller stacks first; the sort is stable, so letters break ties.
+        ends = [(symbol, read(side, symbol)[0]) for symbol in sigma]
+        ends = [(symbol, end) for symbol, end in ends if end is not None]
+        return iter(sorted(ends, key=lambda e: -graph.heights[graph.pairs[e[1]][1]]))
 
     pending = [extensions(start)]
     while True:
@@ -510,10 +492,9 @@ def find_divergent_word(m: Dpda, summary: Mapping, target_length: int, suffix_bu
                 raise ExhaustedError(best)
             word.pop()
             sides.pop()
-            configs.pop()
             sigs.pop()
             continue
-        symbol, side, cand = nxt
+        symbol, side = nxt
         sig = tuple(read(side, s)[1] for s in suffixes)
         ok = True
         while True:
@@ -527,7 +508,7 @@ def find_divergent_word(m: Dpda, summary: Mapping, target_length: int, suffix_bu
             if pair not in verdicts:
                 # Equal sides are equal configurations, which nothing separates.
                 verdicts[pair] = None if side == sides[clash] else distinguishing_word(
-                    m, cand, configs[clash], summary, graph=graph
+                    m, *map(graph.configuration, pair), summary, graph=graph
                 )
             extra = verdicts[pair]
             if extra is None:
@@ -541,7 +522,6 @@ def find_divergent_word(m: Dpda, summary: Mapping, target_length: int, suffix_bu
             continue
         word.append(symbol)
         sides.append(side)
-        configs.append(cand)
         sigs.append(sig)
         if len(word) > len(best):
             best = "".join(word)
@@ -586,8 +566,19 @@ def stair_factorize(m: Dpda, u: Word) -> tuple[tuple[int, Configuration], ...]:
 
 
 def _pumps(m: Dpda, u: Word, levels):
-    """`find_pump`'s pumps, in its order, from the levels of u.  A
-    candidate is re-checked only when the pump before it has been taken."""
+    """Stack-increasing loops read off repeated pairs of the levels of u,
+    generated lazily: a candidate is re-checked only when the pump before
+    it has been taken.
+
+    For every two levels (i, c_i) and (j, c_j), i < j, with the same state
+    p and top symbol X: v = u[:i] and x = u[i:j], delta is c_i's stack
+    below X, and gamma is what c_j's stack holds between X and delta.  x and
+    gamma are nonempty because positions and stack heights strictly
+    increase along the levels.  Every candidate is re-checked by simulation
+    (pX -x-> pX·gamma from the bare stack X) before it is yielded.  The
+    check is a safety net, not a filter: the run on x from c_i keeps every
+    stack taller than c_i's, so from the bare X it takes the same steps.
+    """
     for lo, (i, ci) in enumerate(levels):
         p, X, delta = ci.state, ci.stack[0], ci.stack[1:]
         for j, cj in levels[lo + 1 :]:
@@ -598,24 +589,6 @@ def _pumps(m: Dpda, u: Word, levels):
             if looped is None or looped[0] != Configuration(p, (X,) + gamma):
                 continue
             yield Pump(v=u[:i], x=u[i:j], p=p, X=X, gamma=gamma, delta=delta)
-
-
-def find_pump(m: Dpda, u: Word) -> list[Pump]:
-    """Stack-increasing loops read off repeated level pairs.
-
-    For every two levels (i, c_i) and (j, c_j), i < j, with the same state
-    p and top symbol X: v = u[:i] and x = u[i:j], delta is c_i's stack
-    below X, and gamma is what c_j's stack holds between X and delta.  x and
-    gamma are nonempty because positions and stack heights strictly
-    increase along the levels.  Every candidate is re-checked by simulation
-    (pX -x-> pX·gamma from the bare stack X) before being returned.  The
-    check is a safety net, not a filter: the run on x from c_i keeps every
-    stack taller than c_i's, so from the bare X it takes the same steps.
-    """
-    pumps = list(_pumps(m, u, stair_factorize(m, u)))
-    if not pumps:
-        raise NoPumpError(f"no verified repeated level pair on {u!r}")
-    return pumps
 
 
 def _level_flags(

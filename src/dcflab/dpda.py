@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import weakref
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
@@ -115,10 +115,10 @@ class Dpda:
     def start_configuration(self) -> Configuration:
         return Configuration(self.start_state, (self.start_symbol,))
 
-    def __copy__(self) -> Dpda:
-        # A machine is immutable; a shallow copy would share the compiled
-        # table that this machine's finalizer empties.
-        return self
+    def __reduce__(self):
+        # Copies and pickles rebuild the machine from its fields, so none
+        # carries the compiled table that this machine's finalizer empties.
+        return Dpda, tuple(getattr(self, f.name) for f in fields(self))
 
 
 def _clear_letter_moves(table: dict) -> None:

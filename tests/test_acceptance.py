@@ -12,12 +12,7 @@ from itertools import product
 import pytest
 
 from dcflab import corpus
-from dcflab.analysis import (
-    down_states,
-    eps_down_state,
-    periodicity,
-    pop_summaries,
-)
+from dcflab.analysis import periodicity, pop_summaries, pop_witnesses
 from dcflab.dpda import Configuration, advance, config_member
 from dcflab.mealy import (
     LanguageOracle,
@@ -121,13 +116,15 @@ def test_criterion_5_saturation_matches_brute_force():
             for state in sorted(m.states):
                 for height in range(4):
                     for stack in product(symbols, repeat=height):
-                        c = Configuration(state, stack)
-                        assert down_states(s, c) == bf.bfs_pop_states(m, state, stack, 12), (
+                        down = frozenset(pop_witnesses(s, state, stack))
+                        assert down == bf.bfs_pop_states(m, state, stack, 12), (
                             name,
                             state,
                             stack,
                         )
-                        assert eps_down_state(m, c) == bf.eps_pop_end(m, state, stack), (
+                        end, _ = advance(m, Configuration(state, stack), "")
+                        eps_end = None if end.stack else end.state
+                        assert eps_end == bf.eps_pop_end(m, state, stack), (
                             name,
                             state,
                             stack,

@@ -3,8 +3,6 @@ import sys
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dcflab import analysis, corpus, dpda
 from dcflab.analysis import (
@@ -12,16 +10,11 @@ from dcflab.analysis import (
     ExhaustedError,
     NoLevelsError,
     NoPeriodFoundError,
-    NoPumpError,
     distinguishing_word,
-    down_states,
-    eps_down_state,
     find_divergent_word,
-    find_pump,
     periodicity,
     pop_summaries,
     pop_witnesses,
-    signature,
     stair_factorize,
 )
 from dcflab.dpda import Configuration, advance, config_member, complete_dpda, validate_dpda
@@ -29,10 +22,22 @@ from dcflab.witness import SearchBudgets
 
 import bruteforce as bf
 from test_dpda import SMALL_MACHINES, random_eps_machine
+from test_witness import bench_machines
 
 
 def machine(name):
     return corpus.get_entry(name).machine
+
+
+def eps_pop_end(m, c):
+    """The end of c's ε-closure when that closure empties the stack, else None."""
+    end, _ = advance(m, c, "")
+    return None if end.stack else end.state
+
+
+def pumps(m, u):
+    """Every pump read off the levels of u."""
+    return list(analysis._pumps(m, u, stair_factorize(m, u)))
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +85,7 @@ class TestPopSummaries:
         for state in sorted(m.states):
             for height in range(3):
                 for stack in product(symbols, repeat=height):
-                    got = down_states(s, Configuration(state, stack))
+                    got = frozenset(pop_witnesses(s, state, stack))
                     want = bf.bfs_pop_states(m, state, stack, 12)
                     assert got == want, (state, stack)
 
@@ -109,16 +114,16 @@ class TestPopSummaries:
                     assert got == bf.least_pop_words(m, p, (x, y), 7), (p, x, y)
 
     def test_eps_entries_on_eps_machine(self, eps_chain):
-        assert eps_down_state(eps_chain, Configuration("pe", ("A", "A", "X0"))) == "done"
-        assert eps_down_state(eps_chain, Configuration("pe", ("A",))) == "hit"
-        assert eps_down_state(eps_chain, Configuration("p", ("A",))) is None
+        assert eps_pop_end(eps_chain, Configuration("pe", ("A", "A", "X0"))) == "done"
+        assert eps_pop_end(eps_chain, Configuration("pe", ("A",))) == "hit"
+        assert eps_pop_end(eps_chain, Configuration("p", ("A",))) is None
 
     def test_eps_down_state_matches_direct_simulation(self, eps_chain):
         symbols = sorted(eps_chain.stack_alphabet)
         for state in sorted(eps_chain.states):
             for height in range(3):
                 for stack in product(symbols, repeat=height):
-                    got = eps_down_state(eps_chain, Configuration(state, stack))
+                    got = eps_pop_end(eps_chain, Configuration(state, stack))
                     want = bf.eps_pop_end(eps_chain, state, stack)
                     assert got == want, (state, stack)
 
@@ -127,40 +132,13 @@ class TestPopSummaries:
         symbols = sorted(eps_chain.stack_alphabet)
         for state in sorted(eps_chain.states):
             for stack in product(symbols, repeat=2):
-                e = eps_down_state(eps_chain, Configuration(state, stack))
+                e = eps_pop_end(eps_chain, Configuration(state, stack))
                 if e is not None:
-                    assert e in down_states(s, Configuration(state, stack))
+                    assert e in pop_witnesses(s, state, stack)
 
     def test_down_states_empty_stack(self, lsharp):
         s = pop_summaries(lsharp)
-        assert down_states(s, Configuration("q0", ())) == frozenset({"q0"})
-
-
-class TestSignature:
-    def test_empty_suffixes(self, lsharp):
-        assert signature(lsharp, lsharp.start_configuration(), []) == ()
-
-    def test_equal_configurations_equal_signatures(self, lsharp):
-        c = advance(lsharp, lsharp.start_configuration(), "00")[0]
-        sfx = ["", "1", "11"]
-        assert signature(lsharp, c, sfx) == signature(lsharp, c, sfx)
-
-    def test_lsharp_prefixes_separated(self, lsharp):
-        c1 = advance(lsharp, lsharp.start_configuration(), "0")[0]
-        c2 = advance(lsharp, lsharp.start_configuration(), "00")[0]
-        sfx = ["1", "11"]
-        assert signature(lsharp, c1, sfx) != signature(lsharp, c2, sfx)
-
-    @given(st.lists(st.text(alphabet="01", max_size=4), max_size=6))
-    @settings(max_examples=40, deadline=None)
-    def test_refinement_monotonicity(self, extra):
-        # adding suffixes never merges two distinct signatures
-        m = machine("lsharp")
-        base = ["", "1", "11"]
-        c1 = advance(m, m.start_configuration(), "0")[0]
-        c2 = advance(m, m.start_configuration(), "000")[0]
-        if signature(m, c1, base) != signature(m, c2, base):
-            assert signature(m, c1, base + extra) != signature(m, c2, base + extra)
+        assert frozenset(pop_witnesses(s, "q0", ())) == frozenset({"q0"})
 
 
 class TestDistinguishing:
@@ -645,10 +623,15 @@ class TestDivergentWord:
 
         def checking(m, c1, c2, summary=None, **kwargs):
             search = sys._getframe(1).f_locals
-            suffixes = search["suffixes"]
-            for c, bits in zip(search["configs"], search["sigs"], strict=True):
-                assert bits == signature(m, c, suffixes)
-            assert search["sig"] == signature(m, search["cand"], suffixes)
+            suffixes, graph = search["suffixes"], search["graph"]
+
+            def fresh(c):
+                return tuple(config_member(m, c, s) for s in suffixes)
+
+            for side, bits in zip(search["sides"], search["sigs"], strict=True):
+                assert bits == fresh(graph.configuration(side))
+            assert c1 == graph.configuration(search["side"])
+            assert search["sig"] == fresh(c1)
             sizes.append(len(suffixes))
             return real(m, c1, c2, summary, **kwargs)
 
@@ -677,6 +660,38 @@ class TestDivergentWord:
         except ExhaustedError:
             pass
         assert runs <= len(m.states) * len(m.stack_alphabet) * (len(m.input_alphabet) + 1)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [corpus._ENTRIES[name][0]() for name in corpus.names()]
+        + [bench_machines().counter_doc(k) for k in bench_machines().COUNTER_KS],
+    )
+    def test_the_search_builds_configurations_only_for_the_distinguisher(self, monkeypatch, doc):
+        # The search holds sides; a configuration is built only for the two
+        # arguments of a distinguisher call, not for every extension.
+        m = complete_dpda(validate_dpda(doc))
+        built = calls = 0
+        configuration, distinguish = analysis._Product.configuration, analysis.distinguishing_word
+
+        def counted_configuration(graph, side):
+            nonlocal built
+            built += 1
+            return configuration(graph, side)
+
+        def counted_distinguish(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return distinguish(*args, **kwargs)
+
+        summary = pop_summaries(m)
+        monkeypatch.setattr(analysis._Product, "configuration", counted_configuration)
+        monkeypatch.setattr(analysis, "distinguishing_word", counted_distinguish)
+        budgets = SearchBudgets()
+        try:
+            find_divergent_word(m, summary, budgets.word_length, budgets.suffix_budget)
+        except ExhaustedError:
+            pass
+        assert built <= 2 * calls, (built, calls)
 
     @pytest.mark.parametrize("m", SMALL_MACHINES)
     def test_pop_probes_are_built_once_per_side(self, monkeypatch, m):
@@ -773,22 +788,21 @@ class TestStairs:
 
 class TestPumps:
     def test_lsharp_pump(self, lsharp):
-        pumps = find_pump(lsharp, "000000")
-        assert pumps
-        first = pumps[0]
+        found = pumps(lsharp, "000000")
+        assert found
+        first = found[0]
         assert first.x == "0"
         assert len(first.gamma) == 1
 
     def test_pump_soundness_iterates(self, lsharp):
-        for pump in find_pump(lsharp, "000000"):
+        for pump in pumps(lsharp, "000000"):
             for m_times in range(6):
                 res = advance(lsharp, Configuration(pump.p, (pump.X,)), pump.x * m_times)
                 assert res is not None
                 assert res[0] == Configuration(pump.p, (pump.X,) + pump.gamma * m_times)
 
     def test_short_word_has_no_pump(self, lsharp):
-        with pytest.raises(NoPumpError):
-            find_pump(lsharp, "0")
+        assert pumps(lsharp, "0") == []
 
     def test_pop_witnesses_compose(self, lsharp):
         s = pop_summaries(lsharp)
@@ -825,7 +839,7 @@ class TestPumps:
     def test_stair_and_pump_invariants_on_random_words(self):
         import random
 
-        from dcflab.analysis import NoLevelsError, NoPumpError
+        from dcflab.analysis import NoLevelsError
 
         rng = random.Random(1789)
         factorized = 0
@@ -842,15 +856,12 @@ class TestPumps:
                 for i, c in st_:
                     got = advance(m, m.start_configuration(), u[:i])[0]
                     assert got == c, (name, u)
-                try:
-                    for p in find_pump(m, u)[:4]:
-                        assert p.x and p.gamma, (name, u)
-                        for reps in range(4):
-                            r = advance(m, Configuration(p.p, (p.X,)), p.x * reps)
-                            assert r is not None
-                            assert r[0] == Configuration(p.p, (p.X,) + p.gamma * reps)
-                except NoPumpError:
-                    pass
+                for p in pumps(m, u)[:4]:
+                    assert p.x and p.gamma, (name, u)
+                    for reps in range(4):
+                        r = advance(m, Configuration(p.p, (p.X,)), p.x * reps)
+                        assert r is not None
+                        assert r[0] == Configuration(p.p, (p.X,) + p.gamma * reps)
         assert factorized > 100
 
 
@@ -862,8 +873,8 @@ def first_pumps(m, count=2):
     except ExhaustedError as exc:
         u = exc.best_prefix
     try:
-        return find_pump(m, u)[:count]
-    except (NoLevelsError, NoPumpError):
+        return pumps(m, u)[:count]
+    except NoLevelsError:
         return []
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -197,16 +198,31 @@ class TestCompletion:
         complete_dpda(raw)
         assert "step_table" not in vars(raw)
 
-    @pytest.mark.parametrize("runs", [False, True])
-    def test_a_dropped_machine_leaves_no_garbage_cycles(self, runs):
+    @pytest.mark.parametrize(
+        "runs, make",
+        [
+            pytest.param(False, None, id="False"),
+            pytest.param(True, None, id="True"),
+            pytest.param(True, copy.copy, id="copy"),
+            pytest.param(True, copy.deepcopy, id="deepcopy"),
+            pytest.param(True, lambda m: pickle.loads(pickle.dumps(m)), id="pickle"),
+        ],
+    )
+    def test_a_dropped_machine_leaves_no_garbage_cycles(self, runs, make):
         # Compiled step tables refer back to themselves whenever the states
-        # loop; without the cyclic collector they must still be freed.
+        # loop; without the cyclic collector they must still be freed.  A
+        # copy of a machine that has run compiles a table of its own.
         gc.collect()
         gc.disable()
         try:
             m = complete_dpda(validate_dpda(bf.LSHARP_RAW))
             if runs:
                 assert member(m, "0011")
+            if make is not None:
+                c = make(m)
+                assert c == m and "step_table" not in vars(c)
+                assert member(c, "0011") and not member(c, "0010")
+                del c
             del m
             assert gc.collect() == 0
         finally:

@@ -292,8 +292,9 @@ class TestFindWitness:
         assert got == json.loads(BENCH_OUTCOMES.read_text(encoding="utf-8"))
 
     def test_pumps_are_taken_on_demand(self, monkeypatch):
-        # The pumps find_witness takes are a prefix of find_pump's, and no
-        # candidate past the pump it returns with is re-checked.
+        # The pumps find_witness takes are a prefix of every pump read off
+        # the levels of its divergent word, and no candidate past the pump
+        # it returns with is re-checked.
         words, taken = [], []  # the divergent word; (pump, re-checks so far)
         rechecks = []  # `analysis.advance` calls made inside the pump generator
         inside = False
@@ -328,7 +329,7 @@ class TestFindWitness:
             if isinstance(outcome(m), str):
                 continue
             assert len(rechecks) == taken[-1][1], name
-            every = analysis.find_pump(m, words[0])
+            every = list(real_pumps(m, words[0], analysis.stair_factorize(m, words[0])))
             assert [pump for pump, _ in taken] == every[: len(taken)], name
             skipped += len(every) > len(taken)
         assert skipped
