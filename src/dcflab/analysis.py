@@ -48,13 +48,13 @@ DISTINGUISH_NODE_CAP = 20_000
 
 
 class ExhaustedError(Exception):
-    """Divergent-word search ran out of extensions within its budgets."""
+    """Divergent-word search ran out of extensions below its target length."""
 
     def __init__(self, best_prefix: Word):
         self.best_prefix = best_prefix
         super().__init__(
             f"no divergent extension found (best prefix {best_prefix!r}); "
-            "the language looks regular at this scale or the budget is too small"
+            "the language looks regular at this word length"
         )
 
 
@@ -438,19 +438,19 @@ def _initial_suffixes(m: Dpda) -> list[Word]:
     return out
 
 
-def find_divergent_word(m: Dpda, summary: Mapping, target_length: int, suffix_budget: int) -> Word:
+def find_divergent_word(m: Dpda, summary: Mapping, target_length: int) -> Word:
     """Grow a word whose prefixes all lie in pairwise distinct quotients.
 
     Greedy extension with backtracking; extensions that grow the stack are
     tried first, which steers the word toward the stack-increasing runs the
     downstream stair analysis needs.  Signatures are taken over a suffix
     set that starts with all words of length <= 2 and grows by
-    distinguishing words discovered when two prefixes collide, capped at
-    `suffix_budget`.  A new suffix adds one bit to each kept signature and
-    to the candidate's, which is the signature over the grown set, so no
-    prefix is signed again.  Raises ExhaustedError when no extension
-    survives, which signals regular-looking behavior at this scale (or too
-    small a budget).
+    distinguishing words discovered when two prefixes collide.  A new
+    suffix adds one bit to each kept signature and to the candidate's,
+    which is the signature over the grown set, so no prefix is signed
+    again.  Raises ExhaustedError when no extension survives, which
+    signals regular-looking behavior at this word length, and ValueError
+    for a target below 1, which no grown word meets.
 
     One `_Product` serves the whole search: the start, every candidate and
     every kept prefix is a side of it; a letter of an extension, a signature
@@ -465,6 +465,8 @@ def find_divergent_word(m: Dpda, summary: Mapping, target_length: int, suffix_bu
     meets the same pairs again.  A pair of equal sides gets its verdict,
     None, without a call.
     """
+    if target_length < 1:
+        raise ValueError(f"target_length must be >= 1, not {target_length}")
     sigma = sorted(m.input_alphabet)
     suffixes = _initial_suffixes(m)
     verdicts: dict[tuple[int, int], Optional[Word]] = {}
@@ -500,9 +502,6 @@ def find_divergent_word(m: Dpda, summary: Mapping, target_length: int, suffix_bu
         while True:
             clash = next((i for i, s in enumerate(sigs) if s == sig), None)
             if clash is None:
-                break
-            if len(suffixes) >= suffix_budget:
-                ok = False
                 break
             pair = (side, sides[clash])
             if pair not in verdicts:

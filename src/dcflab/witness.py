@@ -16,7 +16,6 @@ against the 0^n 1^n predicate on every binary word up to a length bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from itertools import islice
 from typing import Any, Optional
 
 from .analysis import (
@@ -93,8 +92,6 @@ class VerificationReport:
 @dataclass(frozen=True)
 class SearchBudgets:
     word_length: int = 24
-    suffix_budget: int = 64
-    pump_limit: int = 32
     z_length: int = 6
     max_l: int = 200
 
@@ -225,13 +222,16 @@ def find_witness(m: Dpda, budgets: SearchBudgets = SearchBudgets()) -> WitnessTu
     shifted base language; repair empty components and accept the first
     tuple that passes verification at bounds (25, 25) against the
     machine's own language.
+
+    Pumps are tried until they run out: `_pumps` yields at most one per pair
+    of levels of u, so `word_length` bounds their number.
     """
     mc = m if m.completed else complete_dpda(m)
     oracle = oracle_from_dpda(mc)
     summary = pop_summaries(mc)
 
     try:
-        u = find_divergent_word(mc, summary, budgets.word_length, budgets.suffix_budget)
+        u = find_divergent_word(mc, summary, budgets.word_length)
     except ExhaustedError as exc:
         raise SearchExhaustedError("divergent_word", budgets) from exc
     try:
@@ -241,7 +241,7 @@ def find_witness(m: Dpda, budgets: SearchBudgets = SearchBudgets()) -> WitnessTu
 
     graph = _Product(mc)
     deepest = "pump"
-    for pump in islice(_pumps(mc, u, levels), budgets.pump_limit):
+    for pump in _pumps(mc, u, levels):
         deepest = _deeper(deepest, "pop_witness")
         bottom = graph.push(0, pump.delta[::-1])
         top = graph.push(bottom, pump.gamma[::-1])

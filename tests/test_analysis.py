@@ -589,7 +589,7 @@ def test_separators_are_the_words_whose_flags_differ(m):
 
 
 def divergent(m, length):
-    return find_divergent_word(m, pop_summaries(m), length, 64)
+    return find_divergent_word(m, pop_summaries(m), length)
 
 
 class TestDivergentWord:
@@ -607,6 +607,13 @@ class TestDivergentWord:
         for i in range(len(configs)):
             for j in range(i + 1, len(configs)):
                 assert distinguishing_word(lsharp, configs[i], configs[j], s) is not None
+
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_a_target_below_one_raises(self, lsharp, length):
+        # No grown word has fewer than one letter, so nothing would stop
+        # the search on a non-regular language.
+        with pytest.raises(ValueError, match="target_length"):
+            divergent(lsharp, length)
 
     def test_regular_machine_exhausts(self):
         with pytest.raises(ExhaustedError) as excinfo:
@@ -656,7 +663,7 @@ class TestDivergentWord:
         monkeypatch.setattr(analysis, "_drive", counted)
         budgets = SearchBudgets()
         try:
-            find_divergent_word(m, summary, budgets.word_length, budgets.suffix_budget)
+            find_divergent_word(m, summary, budgets.word_length)
         except ExhaustedError:
             pass
         assert runs <= len(m.states) * len(m.stack_alphabet) * (len(m.input_alphabet) + 1)
@@ -688,7 +695,7 @@ class TestDivergentWord:
         monkeypatch.setattr(analysis, "distinguishing_word", counted_distinguish)
         budgets = SearchBudgets()
         try:
-            find_divergent_word(m, summary, budgets.word_length, budgets.suffix_budget)
+            find_divergent_word(m, summary, budgets.word_length)
         except ExhaustedError:
             pass
         assert built <= 2 * calls, (built, calls)
@@ -715,7 +722,7 @@ class TestDivergentWord:
         monkeypatch.setattr(analysis, "distinguishing_word", capturing)
         budgets = SearchBudgets()
         try:
-            find_divergent_word(m, summary, budgets.word_length, budgets.suffix_budget)
+            find_divergent_word(m, summary, budgets.word_length)
         except ExhaustedError:
             pass
         assert len(starts) == len(set(starts))

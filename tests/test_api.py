@@ -1,6 +1,8 @@
 """The public surface of dcflab, pinned: adding or removing a public name
 is an API change, and it must change this list on purpose."""
 
+from dataclasses import fields
+
 import dcflab
 
 PUBLIC = [
@@ -62,3 +64,8 @@ PUBLIC = [
 
 def test_the_public_names_are_pinned():
     assert sorted(dcflab.__all__) == PUBLIC
+
+
+def test_the_search_budgets_are_pinned():
+    # Each field is a `witness find` flag too, so a new knob is a CLI change.
+    assert [f.name for f in fields(dcflab.SearchBudgets)] == ["word_length", "z_length", "max_l"]

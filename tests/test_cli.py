@@ -364,6 +364,15 @@ def test_witness_find_flags_mirror_search_budgets():
         assert getattr(args, f.name) == 7, flag
 
 
+@pytest.mark.parametrize("flag", [["--suffix-budget", "64"], ["--pump-limit", "32"]])
+def test_removed_budget_flags_are_usage_errors(flag, capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["dcflab", "witness", "find", "--lang", "lsharp", *flag, "--json"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert flag[0] in json.loads(capsys.readouterr().out)["error"]
+
+
 def test_one_parser_serves_consecutive_calls(monkeypatch):
     seen = []
     real = cli.find_witness

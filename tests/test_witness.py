@@ -1,5 +1,6 @@
 import json
 import random
+import signal
 import types
 from dataclasses import replace
 from itertools import product
@@ -333,6 +334,79 @@ class TestFindWitness:
             assert [pump for pump, _ in taken] == every[: len(taken)], name
             skipped += len(every) > len(taken)
         assert skipped
+
+
+def _rule(source, top, label, target, push=()):
+    return {"from": source, "top": top, "label": label, "to": target, "push": list(push)}
+
+
+def dyck_doc(k):
+    """k bracket pairs on one state: every word that closes no bracket
+    it did not open is accepted."""
+    pairs = list(zip("([{<", ")]}>"))[:k]
+    opens = [o for o, _ in pairs]
+    rules = [_rule("s", top, o, "s", [o, top]) for o in opens for top in ["Z", *opens]]
+    rules += [_rule("s", o, c, "s") for o, c in pairs]
+    return {
+        "states": ["s"],
+        "input_alphabet": [a for pair in pairs for a in pair],
+        "stack_alphabet": ["Z", *opens],
+        "rules": rules,
+        "start_state": "s",
+        "start_symbol": "Z",
+        "accepting": ["s"],
+    }
+
+
+def pal_doc(k):
+    """w z w-reversed over k letters and the marker z; the corpus `lr`
+    language scaled up.  A letter's lowest copy on the stack is marked, so
+    that matching it accepts."""
+    letters = "abcdefgh"[:k]
+    stack = ["Z", *(a + "0" for a in letters), *(a.upper() for a in letters)]
+    rules = []
+    for top in stack:
+        rules += [_rule("p", top, a, "p", [a + "0" if top == "Z" else a.upper(), top]) for a in letters]
+        rules.append(_rule("p", top, "z", "f" if top == "Z" else "r", [top]))
+    for a in letters:
+        rules += [_rule("r", a.upper(), a, "r"), _rule("r", a + "0", a, "f")]
+    return {
+        "states": ["p", "r", "f"],
+        "input_alphabet": [*letters, "z"],
+        "stack_alphabet": stack,
+        "rules": rules,
+        "start_state": "p",
+        "start_symbol": "Z",
+        "accepting": ["f"],
+    }
+
+
+@pytest.fixture()
+def ten_seconds():
+    """Fail a search that runs past 10 s instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the search ran past 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestWideAlphabets:
+    # With 7 or more letters the divergent-word search seeds its suffix set
+    # with 57 or more words of length <= 2; no cap on that set may stop a
+    # clash from adding its separator.
+    @pytest.mark.parametrize("doc", [dyck_doc(4), pal_doc(6)], ids=["dyck4", "pal6"])
+    def test_default_budgets_find_a_verified_tuple(self, ten_seconds, doc):
+        m = complete_dpda(validate_dpda(doc))
+        assert len(m.input_alphabet) >= 7
+        t = find_witness(m)
+        assert verify_witness(oracle_from_dpda(m), t, 40, 40).passed
 
 
 class TestReducer:
