@@ -159,7 +159,7 @@ def _dispatch(args) -> CommandOutcome:
         composed = compose(front, back)
         doc = mealy_to_document(composed)
         with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, ensure_ascii=False)
+            fh.write(json.dumps(doc, ensure_ascii=False))
         payload = {"states": len(composed.states), "output": args.output}
         return CommandOutcome(0, f"wrote {args.output} ({len(composed.states)} states)", payload)
 
@@ -188,7 +188,7 @@ def _dispatch(args) -> CommandOutcome:
         doc = t.to_json_dict()
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, ensure_ascii=False)
+                fh.write(json.dumps(doc, ensure_ascii=False))
         text = " ".join(f"{k}={v!r}" for k, v in doc.items())
         return CommandOutcome(0, text, doc)
 
@@ -265,3 +265,7 @@ def main() -> None:
     else:
         print(outcome.report)
     sys.exit(outcome.exit_code)
+
+
+if __name__ == "__main__":
+    main()

@@ -6,13 +6,15 @@ and a truth table that aggregates the oracle's answers into the verdict.
 Rejection by an undefined transition beats every table.  Machines are
 immutable after validation and evaluation is pure given a deterministic
 oracle.  Every transducer run walks `OracleMealyMachine.step_table`,
-compiled once per machine, so a letter costs one lookup.
+compiled once per machine, whose moves hold the next state's row already
+resolved, so a letter costs one lookup.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
@@ -64,7 +66,6 @@ def constant_table(value: bool) -> TruthTable:
 IDENTITY_TABLE = TruthTable(1, (False, True))
 
 QuerySpec = tuple[tuple[str, ...], TruthTable]
-_NO_MOVES: dict = {}  # the moves of a state with no defined transition
 
 
 @dataclass(frozen=True)
@@ -78,12 +79,26 @@ class OracleMealyMachine:
     per_state: Mapping[str, QuerySpec]
 
     @cached_property
-    def step_table(self) -> dict[str, dict[str, tuple[str, str]]]:
-        """state -> letter -> (next state, output), for the defined moves only."""
-        table: dict = {}
+    def step_table(self) -> dict[str, dict[str, tuple[str, str, dict]]]:
+        """state -> letter -> (next state, output, the next state's row),
+        for the defined moves; every state has a row, empty if it has none."""
+        table: dict = {q: {} for q in self.states}
         for (q, ch), nxt in self.delta.items():
-            table.setdefault(q, {})[ch] = (nxt, self.outputs[(q, ch)])
+            table[q][ch] = (nxt, self.outputs[(q, ch)], table[nxt])
+        # Resolved rows form cycles whenever the states loop; emptying them
+        # with the machine frees them without the collector.
+        weakref.finalize(self, _clear_rows, table)
         return table
+
+    def __reduce__(self):
+        # Copies and pickles rebuild the machine from its fields, so none
+        # carries the compiled table that this machine's finalizer empties.
+        return OracleMealyMachine, tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _clear_rows(table: dict) -> None:
+    for row in table.values():
+        row.clear()
 
 
 class Positions(NamedTuple):
@@ -290,16 +305,17 @@ def load_mealy(path: str) -> OracleMealyMachine:
 
 
 def _run_transducer(a: OracleMealyMachine, state: str, word: str) -> Optional[tuple[str, str]]:
-    """Walk the states first, so a word that dies builds no output."""
-    table, start = a.step_table, state
+    """Walk the rows first, so a word that dies builds no output."""
+    row = start = a.step_table[state]
     for ch in word:
-        hit = table.get(state, _NO_MOVES).get(ch)
+        hit = row.get(ch)
         if hit is None:
             return None
-        state = hit[0]
+        row = hit[2]
     out: list[str] = []
+    row = start
     for ch in word:
-        start, piece = table[start][ch]
+        state, piece, row = row[ch]
         out.append(piece)
     return state, "".join(out)
 
@@ -450,7 +466,7 @@ def compose(a1: OracleMealyMachine, a2: OracleMealyMachine) -> OracleMealyMachin
 
     def step(pair: tuple[str, Optional[str]], ch: str):
         q1, q2 = pair
-        hit = a1.step_table.get(q1, _NO_MOVES).get(ch)
+        hit = a1.step_table[q1].get(ch)
         if hit is None:
             return None
         mid = None if q2 is None else _run_transducer(a2, q2, hit[1])
@@ -530,7 +546,7 @@ def restrict_regular(a: OracleMealyMachine, d: Dfa) -> OracleMealyMachine:
 
     def step(pair: tuple[str, str], ch: str):
         q, s = pair
-        hit = a.step_table.get(q, _NO_MOVES).get(ch)
+        hit = a.step_table[q].get(ch)
         return None if hit is None else ((hit[0], d.transitions[(s, ch)]), hit[1])
 
     def spec(pair: tuple[str, str]) -> QuerySpec:

@@ -358,30 +358,32 @@ def _check_reducer_agreement(
     in 0^n 1^n either, the whole subtree agrees and is counted without
     being walked."""
     checked = 0
-    # (word, state or None, oracle position after the tape)
-    stack: list[tuple[str, Optional[str], Any]] = [("", reducer.start_state, oracle.start())]
-    step_table = reducer.step_table
+    # (word, the move that read it, or None once dead, oracle position after
+    # the tape); the empty word's move is the start state's, with no output
+    start = reducer.start_state
+    stack: list[tuple[str, Optional[tuple], Any]] = [
+        ("", (start, "", reducer.step_table[start]), oracle.start())
+    ]
     while stack:
-        word, state, position = stack.pop()
-        if state is None and not is_lsharp_prefix(word):
+        word, move, position = stack.pop()
+        if move is None and not is_lsharp_prefix(word):
             checked += 2 ** (max_len - len(word) + 1) - 1
             continue
         verdict = False
-        if state is not None:
-            suffixes, table = reducer.per_state[state]
+        if move is not None:
+            suffixes, table = reducer.per_state[move[0]]
             verdict = table.value([oracle.accepts(position, s) for s in suffixes])
         if verdict != is_lsharp(word):
             raise AgreementFailureError(word)
         checked += 1
         if len(word) == max_len:
             continue
-        moves = step_table.get(state, {})  # a dead word's state None has none
         for ch in ("0", "1"):
-            hit = moves.get(ch)
+            hit = None if move is None else move[2].get(ch)
             if hit is None:
                 stack.append((word + ch, None, None))
             else:
-                stack.append((word + ch, hit[0], oracle.step(position, hit[1])))
+                stack.append((word + ch, hit, oracle.step(position, hit[1])))
     return checked
 
 

@@ -1,12 +1,17 @@
+import gc
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dcflab
 from dcflab import cli, corpus
 from dcflab.cli import _build_parser, main, run_cli
 from dcflab.dpda import dpda_to_document, validate_dpda
@@ -371,6 +376,53 @@ def test_removed_budget_flags_are_usage_errors(flag, capsys, monkeypatch):
         main()
     assert exc.value.code == 2
     assert flag[0] in json.loads(capsys.readouterr().out)["error"]
+
+
+REMOVED_FLAG = ["witness", "find", "--lang", "lsharp", "--suffix-budget", "64", "--json"]
+
+
+@pytest.mark.parametrize("module", ["dcflab", "dcflab.cli"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(["corpus", "list"], 0, id="corpus-list"),
+        pytest.param(REMOVED_FLAG, 2, id="removed-flag"),
+    ],
+)
+def test_module_entry_points_keep_the_exit_codes(module, argv, code):
+    src = str(Path(dcflab.__file__).parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == code, done.stderr
+    outcome = run_cli(argv)
+    if code == 2:
+        assert json.loads(done.stdout) == {"error": outcome.report}
+    else:
+        assert done.stdout == outcome.report + "\n"
+
+
+def test_written_documents_leave_no_garbage_cycles(identity_file, tmp_path):
+    # The indenting JSON encoder is pure Python and leaves cycles behind.
+    commands = [
+        ["mealy", "compose", identity_file, identity_file, "-o", str(tmp_path / "composed.json")],
+        ["witness", "find", "--lang", "lsharp", "-o", str(tmp_path / "found.json")],
+    ]
+    for argv in commands:  # fills the parser and corpus caches
+        assert run_cli(argv).exit_code == 0
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in commands:
+            assert run_cli(argv).exit_code == 0
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
 
 
 def test_one_parser_serves_consecutive_calls(monkeypatch):

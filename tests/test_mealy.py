@@ -1,5 +1,8 @@
+import copy
+import gc
 import hashlib
 import json
+import pickle
 from itertools import product
 from pathlib import Path
 
@@ -727,9 +730,60 @@ class TestStepTable:
     @pytest.mark.parametrize("build", [partial_machine, wide_tree_machine, lambda: identity_machine("abc")])
     def test_one_entry_per_defined_move(self, build):
         m = build()
-        assert m.step_table is m.step_table
-        moves = {(q, ch): hit for q, row in m.step_table.items() for ch, hit in row.items()}
-        assert moves == {key: (m.delta[key], m.outputs[key]) for key in m.delta}
+        table = m.step_table
+        assert table is m.step_table and set(table) == m.states
+        moves = {(q, ch): hit for q, row in table.items() for ch, hit in row.items()}
+        assert moves.keys() == m.delta.keys()
+        for key, (nxt, out, row) in moves.items():
+            assert (nxt, out) == (m.delta[key], m.outputs[key]) and row is table[nxt]
+
+    @pytest.mark.parametrize(
+        "runs, make",
+        [
+            pytest.param(False, None, id="False"),
+            pytest.param(True, None, id="True"),
+            pytest.param(True, copy.copy, id="copy"),
+            pytest.param(True, copy.deepcopy, id="deepcopy"),
+            pytest.param(True, lambda m: pickle.loads(pickle.dumps(m)), id="pickle"),
+        ],
+    )
+    def test_a_dropped_machine_leaves_no_garbage_cycles(self, runs, make):
+        # Resolved rows refer back to themselves whenever the states loop;
+        # without the cyclic collector they must still be freed.  A copy of
+        # a machine that has run compiles a table of its own.
+        oracle = LanguageOracle(frozenset("01"), corpus.is_lsharp)
+        gc.collect()
+        gc.disable()
+        try:
+            m = partial_machine()
+            if runs:
+                assert evaluate(m, oracle, "000") and not evaluate(m, oracle, "001")
+            if make is not None:
+                c = make(m)
+                assert c == m and "step_table" not in vars(c)
+                assert evaluate(c, oracle, "000") and not evaluate(c, oracle, "001")
+                del c
+            del m
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "make",
+        [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_a_copy_runs_after_its_original_is_freed(self, make):
+        oracle = LanguageOracle(frozenset("01"), corpus.is_lsharp)
+        m = partial_machine()
+        assert evaluate(m, oracle, "000")
+        c = make(m)
+        assert c == m and "step_table" not in vars(c)
+        del m
+        gc.collect()
+        for w in words("01", 6):
+            assert transduce(c, w) == bf.ref_transduce(c, w), w
+            assert evaluate(c, oracle, w) == bf.ref_evaluate(c, corpus.is_lsharp, w), w
 
     def test_reading_the_table_keeps_equality(self):
         doc = mealy_to_document(partial_machine())
