@@ -14,8 +14,8 @@ simulation re-checks by their callers.  The distinguisher is one search over
 pairs of configurations, with no length cap, that splits common stack tops
 through pop summaries; when it closes, its None proves the pair equivalent,
 and a search cut at its node cap proves nothing.  One graph of int sides,
-each with a row of the words read from it and pop probes built once, serves
-a whole divergent-word search, so no word is read twice in one search.
+each with a row of the words read from it, serves a whole divergent-word
+search, so no word is read, and no pop-probe layer composed, twice in it.
 
 After the search, work is done on demand: pumps come from a generator
 that re-checks a candidate only when it is asked for, the z probes are
@@ -93,31 +93,20 @@ class PeriodicityReport:
     table: tuple[bool, ...]
 
 
-def _less(a: Word, b: Optional[Word]) -> bool:
-    """The (length, lex) order on witness words; None lies above every word."""
-    return b is None or (len(a), a) < (len(b), b)
-
-
-def _pop_prefixes(entries, start: dict[str, Word], stack: StackWord):
-    """The one composition of pop words along a stack word.
-
-    `start` maps end states to witness words; each stack symbol in turn
-    extends every witness through `entries`, keeping the (length,
-    lex)-least word per reachable end state.  Yields the map after each
-    symbol, shortest prefix first, and stops after the first empty one.
-    """
-    current = start
-    for symbol in stack:
-        step: dict[str, Word] = {}
-        for q, w in current.items():
-            for q2, w2 in entries.get((q, symbol), {}).items():
-                cand = w + w2
-                if _less(cand, step.get(q2)):
-                    step[q2] = cand
-        current = step
-        yield current
-        if not current:
-            return
+def _pop_step(entries, current: dict[str, Word], symbol: str) -> dict[str, Word]:
+    """The one composition of pop words: each witness in `current`, a map
+    from end states to words, extended through `entries` on `symbol`,
+    keeping the (length, lex)-least word per reachable end state."""
+    step: dict[str, Word] = {}
+    for q, w in current.items():
+        pops = entries.get((q, symbol))
+        if pops:
+            for q2, w2 in pops.items():
+                c = w + w2
+                old = step.get(q2)
+                if old is None or len(c) < len(old) or (len(c) == len(old) and c < old):
+                    step[q2] = c
+    return step
 
 
 def pop_summaries(m: Dpda) -> dict[tuple[str, str], dict[str, Word]]:
@@ -145,10 +134,11 @@ def pop_summaries(m: Dpda) -> dict[tuple[str, str], dict[str, Word]]:
             p, x, a, q, push = r
             targets = entries.setdefault((p, x), {})
             reached = {q: a}
-            for reached in _pop_prefixes(entries, reached, push):
-                pass
+            for symbol in push:
+                reached = _pop_step(entries, reached, symbol)
             for q2, w in reached.items():
-                if _less(w, targets.get(q2)):
+                old = targets.get(q2)
+                if old is None or len(w) < len(old) or (len(w) == len(old) and w < old):
                     targets[q2] = w
                     for j in readers[x]:
                         dirty[j] = True
@@ -162,8 +152,8 @@ def pop_witnesses(s: Mapping, state: str, stack: StackWord) -> dict[str, Word]:
     One (length, lex)-minimal composite witness per reachable end state.
     """
     current: dict[str, Word] = {state: ""}
-    for current in _pop_prefixes(s, current, stack):
-        pass
+    for symbol in stack:
+        current = _pop_step(s, current, symbol)
     return current
 
 
@@ -182,6 +172,9 @@ class _Product:
     run to the node below with the unread rest of the letter.  `rows[side]`
     maps each word read from the side, each letter and "" among them, to
     the end side and its flag.
+
+    Pop probes compose top-down, so `layers` is a trie of their layers
+    {end state: pop word} per (state p, top segment), rooted at key p.
     """
 
     def __init__(self, m: Dpda):
@@ -193,7 +186,7 @@ class _Product:
         self.pairs: list[tuple[str, int]] = []  # side -> (state, node)
         self.sides: dict[tuple[str, int], int] = {}  # (state, node) -> side
         self.rows: list[dict[Word, tuple[Optional[int], bool]]] = []  # side -> word -> (end, flag)
-        self.pops: dict[int, list[Word]] = {}  # side -> pop-probe words
+        self.layers: dict = {}  # (layer key, symbol) -> (layer key, layer)
 
     def push(self, node: int, symbols) -> int:
         """The node for `symbols` (top last) stacked on `node`."""
@@ -308,12 +301,18 @@ class _Product:
 
     def pop_probes(self, side: int, summary: Mapping) -> list[Word]:
         """The pop witnesses, under m's pop summary, of every prefix of the
-        side's stack from its state; built once per side."""
-        if side not in self.pops:
-            state, node = self.pairs[side]
-            layers = _pop_prefixes(summary, {state: ""}, self.stack(node))
-            self.pops[side] = [w for layer in layers for w in layer.values()]
-        return self.pops[side]
+        side's stack from its state, read down the layer trie; a layer the
+        trie lacks is composed once and kept."""
+        cells, layers = self.cells, self.layers
+        key, node = self.pairs[side]
+        layer, probes = {key: ""}, []  # the root layer, keyed by the state
+        while node and layer:
+            symbol, node = cells[node]
+            key, layer = layers.get((key, symbol)) or layers.setdefault(
+                (key, symbol), (len(layers), _pop_step(summary, layer, symbol))
+            )
+            probes += layer.values()
+        return probes
 
 
 def _search(
@@ -409,12 +408,15 @@ def distinguishing_word(
 
     Every probe and step is read on `graph`, the `_Product` of m.  A
     divergent-word search passes the one graph it reads everything on, so
-    steps, reads and probe sets from earlier calls are lookups; without
-    one, the call builds its own.
+    steps, reads and pop-probe layers from earlier calls are lookups;
+    without one, the call builds its own, and one of another machine
+    raises ValueError.
     """
     if c1 == c2:
         return None
     graph = _Product(m) if graph is None else graph
+    if graph.m is not m:
+        raise ValueError("graph is the _Product of another machine")
     u1, u2 = (graph.side(c.state, graph.push(0, c.stack[::-1])) for c in (c1, c2))
     if summary is not None:
         # Words that pop some prefix of either stack drive that side to a
@@ -428,14 +430,6 @@ def distinguishing_word(
     if a1 != a2:
         return ""
     return _search(graph, summary, s1, s2, node_cap)[0]
-
-
-def _initial_suffixes(m: Dpda) -> list[Word]:
-    sigma = sorted(m.input_alphabet)
-    out: list[Word] = [""]
-    out.extend(sigma)
-    out.extend(a + b for a in sigma for b in sigma)
-    return out
 
 
 def find_divergent_word(m: Dpda, summary: Mapping, target_length: int) -> Word:
@@ -468,7 +462,7 @@ def find_divergent_word(m: Dpda, summary: Mapping, target_length: int) -> Word:
     if target_length < 1:
         raise ValueError(f"target_length must be >= 1, not {target_length}")
     sigma = sorted(m.input_alphabet)
-    suffixes = _initial_suffixes(m)
+    suffixes = ["", *sigma, *(a + b for a in sigma for b in sigma)]
     verdicts: dict[tuple[int, int], Optional[Word]] = {}
     graph = _Product(m)
     read = graph.read

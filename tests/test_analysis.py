@@ -1,8 +1,12 @@
+import hashlib
+import json
 import random
 import sys
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcflab import analysis, corpus, dpda
 from dcflab.analysis import (
@@ -48,6 +52,30 @@ def lsharp():
 @pytest.fixture(scope="module")
 def eps_chain():
     return complete_dpda(validate_dpda(bf.EPS_CHAIN_RAW))
+
+
+# End states, symbols and words for the `_pop_step` property: few states and
+# short words make equal-length ties and empty (ε-pop) words common.
+POP_STATES = st.sampled_from("pqr")
+POP_SYMBOLS = st.sampled_from("XY")
+POP_WORDS = st.text(alphabet="ab", max_size=2)
+
+
+def pop_walk(summary, state, stack):
+    """The top segments of `stack` that `pop_probes` walks: every one down
+    to the first whose pop witnesses from `state` are empty."""
+    for k in range(1, len(stack) + 1):
+        yield stack[:k]
+        if not pop_witnesses(summary, state, stack[:k]):
+            return
+
+
+def bench_suite_machines():
+    machines = bench_machines()
+    docs = [machines.counter_doc(k) for k in machines.COUNTER_KS] + machines.random_suite()
+    return [corpus.get_entry(name).machine for name in corpus.names()] + [
+        complete_dpda(validate_dpda(doc)) for doc in docs
+    ]
 
 
 class TestPopSummaries:
@@ -140,11 +168,49 @@ class TestPopSummaries:
         s = pop_summaries(lsharp)
         assert frozenset(pop_witnesses(s, "q0", ())) == frozenset({"q0"})
 
+    @given(
+        st.dictionaries(st.tuples(POP_STATES, POP_SYMBOLS), st.dictionaries(POP_STATES, POP_WORDS)),
+        st.dictionaries(POP_STATES, POP_WORDS),
+        POP_SYMBOLS,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pop_step_keeps_the_least_concatenation(self, entries, current, symbol):
+        # Entries may be empty maps, as `pop_summaries` leaves them while it
+        # runs; the least word is taken over every concatenation per end state.
+        words = {}
+        for q, w in current.items():
+            for q2, w2 in entries.get((q, symbol), {}).items():
+                words.setdefault(q2, []).append(w + w2)
+        want = {q2: min(ws, key=lambda w: (len(w), w)) for q2, ws in words.items()}
+        assert analysis._pop_step(entries, current, symbol) == want
+
+    def test_summaries_match_the_pinned_digest(self):
+        # Every corpus, counter and random-suite machine's summary, its
+        # entries and end states in their order.  The digest was taken
+        # before `_pop_step` became the one composition, so a change to
+        # any witness word, or to the order the distinguisher reads them
+        # in, fails here.
+        digest = hashlib.sha256()
+        for m in bench_suite_machines():
+            s = pop_summaries(m)
+            digest.update(json.dumps([[p, x, list(t.items())] for (p, x), t in s.items()]).encode())
+        pinned = "a3a20e246dbbf73b0207a207aeb77ca00df22f8384046e8234e649237ab27e06"
+        assert digest.hexdigest() == pinned
+
 
 class TestDistinguishing:
     def test_identical_configurations_have_no_distinguisher(self, lsharp):
         c = advance(lsharp, lsharp.start_configuration(), "0")[0]
         assert distinguishing_word(lsharp, c, c) is None
+
+    def test_a_graph_of_another_machine_raises(self, lsharp):
+        # Its steps and pop layers answer for the other machine's runs.
+        s = pop_summaries(lsharp)
+        c0 = lsharp.start_configuration()
+        c1 = advance(lsharp, c0, "0")[0]
+        assert distinguishing_word(lsharp, c0, c1, s, graph=analysis._Product(lsharp)) == "1"
+        with pytest.raises(ValueError, match="another machine"):
+            distinguishing_word(lsharp, c0, c1, s, graph=analysis._Product(machine("dyck1")))
 
     def test_found_word_actually_separates(self, lsharp):
         s = pop_summaries(lsharp)
@@ -702,40 +768,73 @@ class TestDivergentWord:
 
     @pytest.mark.parametrize("m", SMALL_MACHINES)
     def test_pop_probes_are_built_once_per_side(self, monkeypatch, m):
-        # The graph composes each side's pop probes once per search, and
-        # they are the pop witnesses of every prefix of the side's stack.
+        # The graph composes each pop-probe layer once per search: one
+        # `_pop_step` per trie entry.  Each side's probes are the pop
+        # witnesses of every prefix of its stack.
         summary = pop_summaries(m)
-        starts, graphs = [], []
-        real_prefixes, real_distinguish = analysis._pop_prefixes, analysis.distinguishing_word
+        steps, probed = 0, set()
+        real_step, real_probes = analysis._pop_step, analysis._Product.pop_probes
 
-        def counted(entries, start, stack):
+        def counted_step(entries, current, symbol):
+            nonlocal steps
             if sys._getframe(1).f_code.co_name == "pop_probes":
-                (state,) = start
-                starts.append((state, stack))
-            return real_prefixes(entries, start, stack)
+                steps += 1
+            return real_step(entries, current, symbol)
 
-        def capturing(m, c1, c2, summary=None, **kwargs):
-            graphs.append(kwargs["graph"])
-            return real_distinguish(m, c1, c2, summary, **kwargs)
+        def recorded_probes(graph, side, summary):
+            probed.add((graph, side))
+            return real_probes(graph, side, summary)
 
-        monkeypatch.setattr(analysis, "_pop_prefixes", counted)
-        monkeypatch.setattr(analysis, "distinguishing_word", capturing)
+        monkeypatch.setattr(analysis, "_pop_step", counted_step)
+        monkeypatch.setattr(analysis._Product, "pop_probes", recorded_probes)
         budgets = SearchBudgets()
         try:
             find_divergent_word(m, summary, budgets.word_length)
         except ExhaustedError:
             pass
-        assert len(starts) == len(set(starts))
-        for graph in set(graphs):
-            assert len(graph.pops) == len(starts)
-            for side, words in graph.pops.items():
-                c = graph.configuration(side)
-                want = {
-                    w
-                    for layer in real_prefixes(summary, {c.state: ""}, c.stack)
-                    for w in layer.values()
-                }
-                assert set(words) == want, c
+        graphs = {graph for graph, _ in probed}
+        assert len(graphs) <= 1
+        composed = steps
+        assert composed == sum(len(graph.layers) for graph in graphs)
+        for graph, side in probed:
+            c = graph.configuration(side)
+            want = {
+                w
+                for k in range(1, len(c.stack) + 1)
+                for w in pop_witnesses(summary, c.state, c.stack[:k]).values()
+            }
+            assert set(real_probes(graph, side, summary)) == want, c
+        assert steps == composed  # reading the probes again composes nothing
+
+    @pytest.mark.parametrize(
+        "m, steady",
+        [
+            pytest.param(corpus.get_entry("lsharp").machine, 3, id="lsharp"),
+            pytest.param(
+                complete_dpda(validate_dpda(bench_machines().counter_doc(3))), 5, id="counter-3"
+            ),
+        ],
+    )
+    def test_sides_sharing_a_top_segment_share_its_layers(self, m, steady):
+        # The side after 0^k composes only the layers of the top segments
+        # that no side before it walked: every (state, top segment) is
+        # composed once.  On lsharp the side after 0^(k+1) shares A^(k-1)
+        # with the one after 0^k and composes A, A0 and X0 below it, where
+        # the walk stops on an empty layer.  On the counter the state
+        # cycles with period 3: the side after 0^k shares A^(k-4) with the
+        # one after 0^(k-3) and composes three A's, A0 and X0.
+        summary = pop_summaries(m)
+        graph = analysis._Product(m)
+        walked = set()
+        for k in range(12):
+            c = advance(m, m.start_configuration(), "0" * k)[0]
+            new = {(c.state, top) for top in pop_walk(summary, c.state, c.stack)} - walked
+            before = len(graph.layers)
+            graph.pop_probes(graph.side(c.state, graph.push(0, c.stack[::-1])), summary)
+            assert len(graph.layers) - before == len(new), (k, c)
+            walked |= new
+            if k >= 5:
+                assert len(new) == steady, c
 
     def test_one_distinguisher_run_per_pair(self, monkeypatch):
         # Backtracking meets the same clashing pair four times on this
