@@ -14,8 +14,8 @@ simulation re-checks by their callers.  The distinguisher is one search over
 pairs of configurations, with no length cap, that splits common stack tops
 through pop summaries; when it closes, its None proves the pair equivalent,
 and a search cut at its node cap proves nothing.  One graph of int sides,
-each with a row of the words read from it, serves a whole divergent-word
-search, so no word is read, and no pop-probe layer composed, twice in it.
+each with a row of the words read from it, owns the pop summary and serves
+a whole extraction, so no word is read, and no pop layer composed, twice.
 
 After the search, work is done on demand: pumps come from a generator
 that re-checks a candidate only when it is asked for, the z probes are
@@ -146,21 +146,10 @@ def pop_summaries(m: Dpda) -> dict[tuple[str, str], dict[str, Word]]:
     return {k: v for k, v in entries.items() if v}
 
 
-def pop_witnesses(s: Mapping, state: str, stack: StackWord) -> dict[str, Word]:
-    """Witness words for popping the whole stack word from `state`.
-
-    One (length, lex)-minimal composite witness per reachable end state.
-    """
-    current: dict[str, Word] = {state: ""}
-    for symbol in stack:
-        current = _pop_step(s, current, symbol)
-    return current
-
-
 class _Product:
     """Hash-consed stacks and sides with memoised reads over one machine's
-    configurations, shared by a whole divergent-word search and every
-    distinguisher call it makes.
+    configurations, shared by a whole extraction: the divergent-word
+    search, every distinguisher call it makes, and the pump stage.
 
     Stack node 0 is the empty stack and node i stands for (top symbol, node
     below), `heights[i]` symbols tall; side i stands for the (state, node)
@@ -173,12 +162,15 @@ class _Product:
     maps each word read from the side, each letter and "" among them, to
     the end side and its flag.
 
-    Pop probes compose top-down, so `layers` is a trie of their layers
-    {end state: pop word} per (state p, top segment), rooted at key p.
+    The graph owns m's pop summary, `summary` (None: plain product
+    simulation).  Pop words compose top-down, so `layers` is a trie of their
+    layers {end state: pop word} per (state p, top segment), rooted at key
+    p, that `pop_layers` walks for the probes, the splits and the y words.
     """
 
-    def __init__(self, m: Dpda):
+    def __init__(self, m: Dpda, summary: Optional[Mapping] = None):
         self.m = m
+        self.summary = summary
         self.cells: list[tuple[str, int]] = [("", 0)]  # node -> (top, node below)
         self.heights: list[int] = [0]  # node -> stack height
         self.ids: dict[tuple[str, int], int] = {}  # (top, node below) -> node
@@ -299,40 +291,39 @@ class _Product:
                         below.append((word + ch, e0, e1))
             layer = below
 
-    def pop_probes(self, side: int, summary: Mapping) -> list[Word]:
-        """The pop witnesses, under m's pop summary, of every prefix of the
-        side's stack from its state, read down the layer trie; a layer the
-        trie lacks is composed once and kept."""
-        cells, layers = self.cells, self.layers
-        key, node = self.pairs[side]
-        layer, probes = {key: ""}, []  # the root layer, keyed by the state
-        while node and layer:
+    def pop_layers(self, state: str, node: int, stop: int = 0):
+        """The pop witnesses from `state` of each top segment of the stack
+        `node` down to the node `stop`, shortest first: one layer {end
+        state: word} per segment, read down the trie under the graph's
+        summary; a layer the trie lacks is composed once and kept.  The
+        walk ends after the first empty layer."""
+        cells, layers, summary = self.cells, self.layers, self.summary
+        key, layer = state, {state: ""}  # the root layer, keyed by the state
+        while node != stop and layer:
             symbol, node = cells[node]
             key, layer = layers.get((key, symbol)) or layers.setdefault(
                 (key, symbol), (len(layers), _pop_step(summary, layer, symbol))
             )
-            probes += layer.values()
-        return probes
+            yield layer
 
 
-def _search(
-    product: _Product, summary: Optional[Mapping], s1: int, s2: int, node_cap: int
-) -> tuple[Optional[Word], bool]:
+def _search(product: _Product, s1: int, s2: int, node_cap: int) -> tuple[Optional[Word], bool]:
     """A word that separates the stable sides s1 and s2, found by a
     breadth-first walk over side pairs, each carrying the word that leads
     to it.  Returns (word, True), (None, True) when the walk closes, which
     proves that no nonempty word separates them, or (None, False) once it
     meets more than `node_cap` pairs past the first, which proves nothing.
 
-    A pair whose sides coincide needs nothing.  With a summary, a pair
-    whose sides share the state p and the top symbol is split: with α the
-    longest common top segment, so that the stacks are α·ρ1 and α·ρ2, each
-    down-state r of α from p, with pop witness u, gives the ε-closures of
-    (r, ρ1) and (r, ρ2), reached by the pair's word followed by u.  A split
-    needs the two closure flags of every r to agree.  Every other pair, and
-    a split pair whose flags disagree for some r, is expanded by each
-    letter; a letter whose two flags disagree ends the walk with the pair's
-    word and that letter.  Without a summary this is plain product
+    A pair whose sides coincide needs nothing.  When the graph has a pop
+    summary, a pair whose sides share the state p and the top symbol is
+    split: with α the longest common top segment, so that the stacks are
+    α·ρ1 and α·ρ2, each down-state r of α from p, with pop witness u (in
+    the last of α's pop layers), gives the ε-closures of (r, ρ1) and
+    (r, ρ2), reached by the pair's word followed by u.  A split needs the
+    two closure flags of every r to agree.  Every other pair, and a split
+    pair whose flags disagree for some r, is expanded by each letter; a
+    letter whose two flags disagree ends the walk with the pair's word and
+    that letter.  Without a summary this is plain product
     simulation, and the word found is the shortest separator.
 
     Every returned word separates: u drives (p, α·ρ) to the ε-closure of
@@ -358,19 +349,19 @@ def _search(
         if d1 == d2:
             continue
         nexts = None
-        if summary is not None and d1 is not None and d2 is not None:
+        if product.summary is not None and d1 is not None and d2 is not None:
             (p, n1), (p2, n2) = pairs[d1], pairs[d2]
             if p == p2 and cells[n1][0] == cells[n2][0]:
                 # Distinct nodes with one top have distinct nodes below,
                 # and the empty stack's top "" is no symbol, so this ends
                 # on two distinct rests with different tops.
-                alpha = []
+                top = n1
                 while cells[n1][0] == cells[n2][0]:
-                    alpha.append(cells[n1][0])
                     n1, n2 = cells[n1][1], cells[n2][1]
+                *_, pops = product.pop_layers(p, top, n1)  # alpha's pop witnesses
                 nexts = [
                     (read(side(r, n1), ""), read(side(r, n2), ""), word + u)
-                    for r, u in pop_witnesses(summary, p, tuple(alpha)).items()
+                    for r, u in pops.items()
                 ]
                 if any(b1 != b2 for (_, b1), (_, b2), _ in nexts):
                     nexts = None
@@ -406,22 +397,25 @@ def distinguishing_word(
     covers two cases: the walk closed, which proves the configurations
     equivalent, or it was cut at `node_cap` pairs, which proves nothing.
 
-    Every probe and step is read on `graph`, the `_Product` of m.  A
-    divergent-word search passes the one graph it reads everything on, so
-    steps, reads and pop-probe layers from earlier calls are lookups;
-    without one, the call builds its own, and one of another machine
-    raises ValueError.
+    Every probe and step is read on `graph`, the `_Product` of m that owns
+    `summary`; one graph serves a whole extraction, so steps, reads and pop
+    layers from earlier calls are lookups.  Without one, the call builds
+    its own.  A graph of another machine or summary object raises
+    ValueError, so a verdict depends only on the pair and the summary.
     """
     if c1 == c2:
         return None
-    graph = _Product(m) if graph is None else graph
+    graph = _Product(m, summary) if graph is None else graph
     if graph.m is not m:
         raise ValueError("graph is the _Product of another machine")
+    if graph.summary is not summary:
+        raise ValueError("graph owns another pop summary")
     u1, u2 = (graph.side(c.state, graph.push(0, c.stack[::-1])) for c in (c1, c2))
     if summary is not None:
         # Words that pop some prefix of either stack drive that side to a
         # known state with a known stack remainder.
-        probes = set(graph.pop_probes(u1, summary)).union(graph.pop_probes(u2, summary))
+        walks = (graph.pop_layers(*graph.pairs[u]) for u in (u1, u2))
+        probes = {w for walk in walks for pops in walk for w in pops.values()}
         for cand in sorted(probes, key=lambda w: (len(w), w)):
             if graph.read(u1, cand)[1] != graph.read(u2, cand)[1]:
                 return cand
@@ -429,10 +423,10 @@ def distinguishing_word(
     (s1, a1), (s2, a2) = graph.read(u1, ""), graph.read(u2, "")
     if a1 != a2:
         return ""
-    return _search(graph, summary, s1, s2, node_cap)[0]
+    return _search(graph, s1, s2, node_cap)[0]
 
 
-def find_divergent_word(m: Dpda, summary: Mapping, target_length: int) -> Word:
+def find_divergent_word(m: Dpda, target_length: int, *, graph: Optional[_Product] = None) -> Word:
     """Grow a word whose prefixes all lie in pairwise distinct quotients.
 
     Greedy extension with backtracking; extensions that grow the stack are
@@ -446,25 +440,29 @@ def find_divergent_word(m: Dpda, summary: Mapping, target_length: int) -> Word:
     signals regular-looking behavior at this word length, and ValueError
     for a target below 1, which no grown word meets.
 
-    One `_Product` serves the whole search: the start, every candidate and
-    every kept prefix is a side of it; a letter of an extension, a signature
-    bit or a distinguisher probe is one memoised step, and a word read again
-    from one side is one lookup.  The search holds sides only: extensions
-    rank by the stack heights kept on the graph's nodes, and configurations
-    are built only for a distinguisher call, which reads on the same graph.
+    One `_Product` of m, `graph`, serves the whole search; without one, it
+    builds one over `pop_summaries(m)`, and one of another machine raises
+    ValueError.  The start, every candidate and every kept prefix is a side
+    of it; a letter of an extension, a signature bit or a distinguisher
+    probe is one memoised step, and a word read again from one side is one
+    lookup.  The search holds sides only: extensions rank by the stack
+    heights kept on the graph's nodes, and configurations are built only
+    for a distinguisher call, which reads on the same graph.
 
     `distinguishing_word` runs at most once per ordered (candidate, earlier
     prefix) pair per call: its verdict depends only on the machine, the
-    pair, the fixed pop summary and the module's node cap, and backtracking
-    meets the same pairs again.  A pair of equal sides gets its verdict,
-    None, without a call.
+    pair, the graph's fixed pop summary and the module's node cap, and
+    backtracking meets the same pairs again.  A pair of equal sides gets
+    its verdict, None, without a call.
     """
     if target_length < 1:
         raise ValueError(f"target_length must be >= 1, not {target_length}")
+    graph = _Product(m, pop_summaries(m)) if graph is None else graph
+    if graph.m is not m:
+        raise ValueError("graph is the _Product of another machine")
     sigma = sorted(m.input_alphabet)
     suffixes = ["", *sigma, *(a + b for a in sigma for b in sigma)]
     verdicts: dict[tuple[int, int], Optional[Word]] = {}
-    graph = _Product(m)
     read = graph.read
 
     start, _ = graph.close(m.start_configuration())
@@ -501,7 +499,7 @@ def find_divergent_word(m: Dpda, summary: Mapping, target_length: int) -> Word:
             if pair not in verdicts:
                 # Equal sides are equal configurations, which nothing separates.
                 verdicts[pair] = None if side == sides[clash] else distinguishing_word(
-                    m, *map(graph.configuration, pair), summary, graph=graph
+                    m, *map(graph.configuration, pair), graph.summary, graph=graph
                 )
             extra = verdicts[pair]
             if extra is None:

@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .analysis import distinguishing_word, pop_summaries
+from .analysis import _Product, distinguishing_word, pop_summaries
 from .dpda import (
     Dpda,
     InvalidMachineError,
@@ -597,7 +597,7 @@ def refute_simplicity_LR(a: OracleMealyMachine, k_max: int) -> Optional[str]:
     from .corpus import get_entry, is_lr, is_lsharp  # corpus imports this module
 
     lr = get_entry("lr").machine
-    summary = pop_summaries(lr)
+    graph = _Product(lr, pop_summaries(lr))  # one graph for every collision
     tape = oracle_from_dpda(get_entry("lsharp").machine)
     oracle = LanguageOracle(alphabet=a.oracle_alphabet, membership=is_lsharp, name="lsharp")
     for k in range(1, k_max + 1):
@@ -612,7 +612,7 @@ def refute_simplicity_LR(a: OracleMealyMachine, k_max: int) -> Optional[str]:
             if w1 == w2:
                 continue
             c1, c2 = (advance(lr, lr.start_configuration(), w)[0] for w in (w1, w2))
-            s = distinguishing_word(lr, c1, c2, summary)
+            s = distinguishing_word(lr, c1, c2, graph.summary, graph=graph)
             if s is None:
                 continue
             for cand in (w1 + s, w2 + s):

@@ -28,7 +28,6 @@ from .analysis import (
     find_divergent_word,
     periodicity,
     pop_summaries,
-    pop_witnesses,
     stair_factorize,
 )
 from .corpus import is_lsharp, is_lsharp_prefix
@@ -191,14 +190,16 @@ def repair_nonempty(t: WitnessTuple) -> WitnessTuple:
     return replace(t, v=v, w=w, z=z)
 
 
-def _loop_candidates(summary, pump):
-    """States q with nonempty pX ->w q and q gamma ->y q witnesses."""
-    pops_here = summary.get((pump.p, pump.X), {})
+def _loop_candidates(graph: _Product, pump, top: int, bottom: int):
+    """States q with nonempty pX ->w q and q gamma ->y q witnesses, gamma
+    being the stack from node `top` down to node `bottom` of the graph."""
+    pops_here = graph.summary.get((pump.p, pump.X), {})
     for q in sorted(pops_here):
         w_word = pops_here[q]
         if not w_word:
             continue
-        y_word = pop_witnesses(summary, q, pump.gamma).get(q)
+        *_, pops = graph.pop_layers(q, top, bottom)
+        y_word = pops.get(q)
         if y_word:
             yield q, w_word, y_word
 
@@ -207,10 +208,11 @@ def find_witness(m: Dpda, budgets: SearchBudgets = SearchBudgets()) -> WitnessTu
     """Extract a verified witness tuple from a machine with a non-regular
     language (the caller asserts non-regularity).
 
-    Pipeline: complete the machine and compute its pop summary once; grow a
-    divergent word; stair-factorize it and take its verified pumps one at a
-    time, so that a candidate is re-checked only when the search gets to
-    it; for each pump find a state q reachable by popping X and again by
+    Pipeline: complete the machine and build one `_Product` graph over its
+    pop summary, which every stage below reads; grow a divergent word;
+    stair-factorize it and take its verified pumps one at a time, so that
+    a candidate is re-checked only when the search gets to it; for each
+    pump find a state q reachable by popping X and again by
     popping gamma (nonempty witnesses w and y); walk the words z on which
     L(q gamma delta) and L(q delta) differ, in one pruned walk; read z's
     membership on every level q gamma^l delta exactly, as the threshold
@@ -228,10 +230,10 @@ def find_witness(m: Dpda, budgets: SearchBudgets = SearchBudgets()) -> WitnessTu
     """
     mc = m if m.completed else complete_dpda(m)
     oracle = oracle_from_dpda(mc)
-    summary = pop_summaries(mc)
+    graph = _Product(mc, pop_summaries(mc))
 
     try:
-        u = find_divergent_word(mc, summary, budgets.word_length)
+        u = find_divergent_word(mc, budgets.word_length, graph=graph)
     except ExhaustedError as exc:
         raise SearchExhaustedError("divergent_word", budgets) from exc
     try:
@@ -239,13 +241,12 @@ def find_witness(m: Dpda, budgets: SearchBudgets = SearchBudgets()) -> WitnessTu
     except NoLevelsError as exc:
         raise SearchExhaustedError("stair", budgets) from exc
 
-    graph = _Product(mc)
     deepest = "pump"
     for pump in _pumps(mc, u, levels):
         deepest = _deeper(deepest, "pop_witness")
         bottom = graph.push(0, pump.delta[::-1])
         top = graph.push(bottom, pump.gamma[::-1])
-        for q, w_word, y_word in _loop_candidates(summary, pump):
+        for q, w_word, y_word in _loop_candidates(graph, pump, top, bottom):
             deepest = _deeper(deepest, "z_probe")
             failures = 0
             # Each z separates q delta from q gamma delta: its flags on the

@@ -12,7 +12,7 @@ from itertools import product
 import pytest
 
 from dcflab import corpus
-from dcflab.analysis import periodicity, pop_summaries, pop_witnesses
+from dcflab.analysis import periodicity, pop_summaries
 from dcflab.dpda import Configuration, advance, config_member
 from dcflab.mealy import (
     LanguageOracle,
@@ -33,6 +33,7 @@ from dcflab.witness import (
 )
 
 import bruteforce as bf
+from test_analysis import pop_witnesses
 from test_mealy import (
     copier_machine,
     even_length_dfa,

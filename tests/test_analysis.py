@@ -18,11 +18,10 @@ from dcflab.analysis import (
     find_divergent_word,
     periodicity,
     pop_summaries,
-    pop_witnesses,
     stair_factorize,
 )
 from dcflab.dpda import Configuration, advance, config_member, complete_dpda, validate_dpda
-from dcflab.witness import SearchBudgets
+from dcflab.witness import SearchBudgets, SearchExhaustedError, _loop_candidates, find_witness
 
 import bruteforce as bf
 from test_dpda import SMALL_MACHINES, random_eps_machine
@@ -61,8 +60,18 @@ POP_SYMBOLS = st.sampled_from("XY")
 POP_WORDS = st.text(alphabet="ab", max_size=2)
 
 
+def pop_witnesses(summary, state, stack):
+    """The reference for the graph's pop layers: the pop witnesses from
+    `state` of the whole stack word, composed symbol by symbol from
+    scratch, one (length, lex)-least word per reachable end state."""
+    current = {state: ""}
+    for symbol in stack:
+        current = analysis._pop_step(summary, current, symbol)
+    return current
+
+
 def pop_walk(summary, state, stack):
-    """The top segments of `stack` that `pop_probes` walks: every one down
+    """The top segments of `stack` that `pop_layers` walks: every one down
     to the first whose pop witnesses from `state` are empty."""
     for k in range(1, len(stack) + 1):
         yield stack[:k]
@@ -208,9 +217,27 @@ class TestDistinguishing:
         s = pop_summaries(lsharp)
         c0 = lsharp.start_configuration()
         c1 = advance(lsharp, c0, "0")[0]
-        assert distinguishing_word(lsharp, c0, c1, s, graph=analysis._Product(lsharp)) == "1"
+        assert distinguishing_word(lsharp, c0, c1, s, graph=analysis._Product(lsharp, s)) == "1"
         with pytest.raises(ValueError, match="another machine"):
-            distinguishing_word(lsharp, c0, c1, s, graph=analysis._Product(machine("dyck1")))
+            distinguishing_word(lsharp, c0, c1, s, graph=analysis._Product(machine("dyck1"), s))
+        with pytest.raises(ValueError, match="another machine"):
+            find_divergent_word(lsharp, 4, graph=analysis._Product(machine("dyck1"), s))
+        # So do a graph's trie layers for its own summary: a verdict read on
+        # a graph first used with another summary would depend on that
+        # history.  On lr this pair gets "bb" on a fresh graph, and got ""
+        # on one first used with the empty summary.
+        lr = machine("lr")
+        s = pop_summaries(lr)
+        c1, c2 = Configuration("qf", ("X0", "⊥")), Configuration("r", ("B", "B0", "X0", "⊥"))
+        assert distinguishing_word(lr, c1, c2, s) == "bb"
+        assert distinguishing_word(lr, c1, c2, s, graph=analysis._Product(lr, s)) == "bb"
+        graph = analysis._Product(lr, {})
+        assert distinguishing_word(lr, c1, c2, graph.summary, graph=graph) == ""
+        for summary in (s, dict(s), None):
+            with pytest.raises(ValueError, match="another pop summary"):
+                distinguishing_word(lr, c1, c2, summary, graph=graph)
+        with pytest.raises(ValueError, match="another pop summary"):
+            distinguishing_word(lr, c1, c2, graph=analysis._Product(lr, s))
 
     def test_found_word_actually_separates(self, lsharp):
         s = pop_summaries(lsharp)
@@ -403,9 +430,9 @@ class TestDistinguishing:
 def proved(m, c1, c2, node_cap=DISTINGUISH_NODE_CAP):
     """Whether the search with a pop summary, past the pop probes, closes
     with no separator, which proves c1 and c2 equivalent."""
-    sides = analysis._Product(m)
+    sides = analysis._Product(m, pop_summaries(m))
     (s1, a1), (s2, a2) = sides.close(c1), sides.close(c2)
-    return a1 == a2 and analysis._search(sides, pop_summaries(m), s1, s2, node_cap) == (None, True)
+    return a1 == a2 and analysis._search(sides, s1, s2, node_cap) == (None, True)
 
 
 class TestDecompositionProof:
@@ -557,6 +584,73 @@ class TestDecompositionProof:
         assert distinguishing_word(m, c1, c2, node_cap=200) is None
 
 
+def pop_layer_machines():
+    """Random ε-machines, raw and completed, with their pop summaries."""
+    for seed in range(30):
+        raw = random_eps_machine(random.Random(seed))
+        for m in (raw, complete_dpda(raw)):
+            yield m, pop_summaries(m)
+
+
+class TestPopLayers:
+    def test_every_split_reads_the_reference_layer(self, monkeypatch):
+        # Over every pair of configurations reached by words of length
+        # <= 5, on one graph per machine: the last layer each common-top
+        # split reads is the pop witnesses of its segment α, composed from
+        # scratch.
+        splits = []
+        real = analysis._Product.pop_layers
+
+        def recorded(graph, state, node, stop=0):
+            layers = list(real(graph, state, node, stop))
+            if sys._getframe(1).f_code.co_name == "_search":
+                alpha = graph.stack(node)[: graph.heights[node] - graph.heights[stop]]
+                splits.append((state, alpha, layers[-1], pop_witnesses(graph.summary, state, alpha)))
+            return iter(layers)
+
+        monkeypatch.setattr(analysis._Product, "pop_layers", recorded)
+        for m, summary in pop_layer_machines():
+            graph = analysis._Product(m, summary)
+            runs = (advance(m, m.start_configuration(), u) for u in bf.iter_words("01", 5))
+            configs = list(dict.fromkeys(r[0] for r in runs if r is not None))
+            for i, c1 in enumerate(configs):
+                for c2 in configs[i + 1 :]:
+                    distinguishing_word(m, c1, c2, summary, graph=graph)
+        assert len(splits) > 100
+        for state, alpha, got, want in splits:
+            assert got == want, (state, alpha)
+
+    def test_loop_candidates_match_the_reference(self):
+        # Every pump read off a word of length <= 6, on one graph per
+        # machine: the loop stage's candidates are the summary's nonempty
+        # w words whose end state q pops gamma back into q by a nonempty y,
+        # with y composed from scratch.
+        found = 0
+        for m, summary in pop_layer_machines():
+            graph = analysis._Product(m, summary)
+            seen = set()
+            for u in bf.iter_words(m.input_alphabet, 6):
+                try:
+                    levels = stair_factorize(m, u)
+                except NoLevelsError:
+                    continue
+                for pump in analysis._pumps(m, u, levels):
+                    if pump in seen:
+                        continue
+                    seen.add(pump)
+                    bottom = graph.push(0, pump.delta[::-1])
+                    top = graph.push(bottom, pump.gamma[::-1])
+                    want = [
+                        (q, w, y)
+                        for q, w in sorted(summary.get((pump.p, pump.X), {}).items())
+                        for y in [pop_witnesses(summary, q, pump.gamma).get(q)]
+                        if w and y
+                    ]
+                    assert list(_loop_candidates(graph, pump, top, bottom)) == want, pump
+                    found += len(want)
+        assert found > 100
+
+
 def graph_read_ends(m):
     """Check the graph's reading of every word of length <= 6 against
     `config_member`, `advance` and, on a completed machine, the rules-only
@@ -655,7 +749,7 @@ def test_separators_are_the_words_whose_flags_differ(m):
 
 
 def divergent(m, length):
-    return find_divergent_word(m, pop_summaries(m), length)
+    return find_divergent_word(m, length)
 
 
 class TestDivergentWord:
@@ -724,12 +818,11 @@ class TestDivergentWord:
             runs += 1
             return real(*args, **kwargs)
 
-        summary = pop_summaries(m)
         monkeypatch.setattr(dpda, "_drive", counted)
         monkeypatch.setattr(analysis, "_drive", counted)
         budgets = SearchBudgets()
         try:
-            find_divergent_word(m, summary, budgets.word_length)
+            find_divergent_word(m, budgets.word_length)
         except ExhaustedError:
             pass
         assert runs <= len(m.states) * len(m.stack_alphabet) * (len(m.input_alphabet) + 1)
@@ -756,55 +849,62 @@ class TestDivergentWord:
             calls += 1
             return distinguish(*args, **kwargs)
 
-        summary = pop_summaries(m)
         monkeypatch.setattr(analysis._Product, "configuration", counted_configuration)
         monkeypatch.setattr(analysis, "distinguishing_word", counted_distinguish)
         budgets = SearchBudgets()
         try:
-            find_divergent_word(m, summary, budgets.word_length)
+            find_divergent_word(m, budgets.word_length)
         except ExhaustedError:
             pass
         assert built <= 2 * calls, (built, calls)
 
     @pytest.mark.parametrize("m", SMALL_MACHINES)
     def test_pop_probes_are_built_once_per_side(self, monkeypatch, m):
-        # The graph composes each pop-probe layer once per search: one
-        # `_pop_step` per trie entry.  Each side's probes are the pop
-        # witnesses of every prefix of its stack.
-        summary = pop_summaries(m)
-        steps, probed = 0, set()
-        real_step, real_probes = analysis._pop_step, analysis._Product.pop_probes
+        # One graph serves the whole extraction, and every reader of its
+        # trie (the distinguisher's probes, `_search`'s common-top splits
+        # and the loop stage's y words) walks it through `pop_layers`: the
+        # extraction composes each layer once, one `_pop_step` per trie
+        # entry.  Every walk's layers are the pop witnesses of its top
+        # segments, so a walk down a whole stack, as a side's probes are,
+        # gives the pop witnesses of every prefix of that stack.
+        steps, walks = 0, []
+        real_step, real_layers = analysis._pop_step, analysis._Product.pop_layers
 
         def counted_step(entries, current, symbol):
             nonlocal steps
-            if sys._getframe(1).f_code.co_name == "pop_probes":
+            if sys._getframe(1).f_code.co_name == "pop_layers":
                 steps += 1
             return real_step(entries, current, symbol)
 
-        def recorded_probes(graph, side, summary):
-            probed.add((graph, side))
-            return real_probes(graph, side, summary)
+        def recorded_layers(graph, state, node, stop=0):
+            walks.append((graph, state, node, stop))
+            return real_layers(graph, state, node, stop)
 
         monkeypatch.setattr(analysis, "_pop_step", counted_step)
-        monkeypatch.setattr(analysis._Product, "pop_probes", recorded_probes)
-        budgets = SearchBudgets()
+        monkeypatch.setattr(analysis._Product, "pop_layers", recorded_layers)
         try:
-            find_divergent_word(m, summary, budgets.word_length)
-        except ExhaustedError:
+            find_witness(m)
+        except SearchExhaustedError:
             pass
-        graphs = {graph for graph, _ in probed}
+        graphs = {graph for graph, *_ in walks}
         assert len(graphs) <= 1
         composed = steps
         assert composed == sum(len(graph.layers) for graph in graphs)
-        for graph, side in probed:
-            c = graph.configuration(side)
-            want = {
-                w
-                for k in range(1, len(c.stack) + 1)
-                for w in pop_witnesses(summary, c.state, c.stack[:k]).values()
-            }
-            assert set(real_probes(graph, side, summary)) == want, c
-        assert steps == composed  # reading the probes again composes nothing
+        for graph, state, node, stop in walks:
+            summary = graph.summary
+            segment = graph.stack(node)[: graph.heights[node] - graph.heights[stop]]
+            layers = list(real_layers(graph, state, node, stop))
+            want = [pop_witnesses(summary, state, top) for top in pop_walk(summary, state, segment)]
+            assert layers == want, (state, segment)
+            if not stop:
+                probes = {w for layer in layers for w in layer.values()}
+                stack = graph.stack(node)
+                assert probes == {
+                    w
+                    for k in range(1, len(stack) + 1)
+                    for w in pop_witnesses(summary, state, stack[:k]).values()
+                }, (state, stack)
+        assert steps == composed  # reading every walk again composes nothing
 
     @pytest.mark.parametrize(
         "m, steady",
@@ -822,15 +922,23 @@ class TestDivergentWord:
         # with the one after 0^k and composes A, A0 and X0 below it, where
         # the walk stops on an empty layer.  On the counter the state
         # cycles with period 3: the side after 0^k shares A^(k-4) with the
-        # one after 0^(k-3) and composes three A's, A0 and X0.
+        # one after 0^(k-3) and composes three A's, A0 and X0.  A walk down
+        # a top segment only, as a split's or a loop's is, composes nothing
+        # after the whole stack's walk.
         summary = pop_summaries(m)
-        graph = analysis._Product(m)
+        graph = analysis._Product(m, summary)
         walked = set()
         for k in range(12):
             c = advance(m, m.start_configuration(), "0" * k)[0]
+            node = graph.push(0, c.stack[::-1])
             new = {(c.state, top) for top in pop_walk(summary, c.state, c.stack)} - walked
             before = len(graph.layers)
-            graph.pop_probes(graph.side(c.state, graph.push(0, c.stack[::-1])), summary)
+            list(graph.pop_layers(c.state, node))
+            assert len(graph.layers) - before == len(new), (k, c)
+            stop = node
+            while stop:
+                stop = graph.cells[stop][1]
+                list(graph.pop_layers(c.state, node, stop))
             assert len(graph.layers) - before == len(new), (k, c)
             walked |= new
             if k >= 5:
@@ -911,8 +1019,9 @@ class TestPumps:
         assert pumps(lsharp, "0") == []
 
     def test_pop_witnesses_compose(self, lsharp):
-        s = pop_summaries(lsharp)
-        ends = pop_witnesses(s, "q0", ("A", "A0"))
+        graph = analysis._Product(lsharp, pop_summaries(lsharp))
+        *_, ends = graph.pop_layers("q0", graph.push(0, ("A0", "A")))
+        assert ends
         for q, w in ends.items():
             res = advance(lsharp, Configuration("q0", ("A", "A0")), w)
             assert res is not None and res[0] == Configuration(q, ())

@@ -279,6 +279,35 @@ class TestFindWitness:
         find_witness(corpus.get_entry("lsharp").machine)
         assert len(calls) == 1
 
+    def test_one_graph_per_extraction(self, monkeypatch):
+        # One `_Product` over one pop summary serves the divergent-word
+        # search, its distinguisher calls and the pump stage, on the corpus,
+        # the counter machines and the first random-suite machines, through
+        # `find_witness` and through `reduce_lsharp`.
+        machines = bench_machines()
+        docs = [machines.counter_doc(k) for k in machines.COUNTER_KS] + machines.random_suite()[:12]
+        suite = [corpus.get_entry(name).machine for name in corpus.names()]
+        suite += [complete_dpda(validate_dpda(doc)) for doc in docs]
+        graphs = []
+        init = analysis._Product.__init__
+
+        def counted_init(graph, *args, **kwargs):
+            graphs.append(graph)
+            init(graph, *args, **kwargs)
+
+        monkeypatch.setattr(analysis._Product, "__init__", counted_init)
+        summaries = counting(monkeypatch, "pop_summaries", (analysis, witness))
+        for m in suite:
+            for run in (find_witness, lambda m: reduce_lsharp(m, check_len=4)):
+                graphs.clear()
+                summaries.clear()
+                try:
+                    run(m)
+                except SearchExhaustedError:
+                    pass
+                assert len(graphs) == len(summaries) == 1, m
+                assert graphs[0].summary is not None
+
     def test_outcomes_match_the_golden_file(self):
         got = {param.id: outcome(param.values[0]) for param in SMALL_MACHINES}
         assert got == json.loads(OUTCOMES.read_text(encoding="utf-8"))
