@@ -437,8 +437,9 @@ def find_divergent_word(m: Dpda, target_length: int, *, graph: Optional[_Product
     suffix adds one bit to each kept signature and to the candidate's,
     which is the signature over the grown set, so no prefix is signed
     again.  Raises ExhaustedError when no extension survives, which
-    signals regular-looking behavior at this word length, and ValueError
-    for a target below 1, which no grown word meets.
+    signals regular-looking behavior at this word length, ValueError for a
+    target below 1, which no grown word meets, and RuntimeError for a
+    distinguishing word that does not separate its pair.
 
     One `_Product` of m, `graph`, serves the whole search; without one, it
     builds one over `pop_summaries(m)`, and one of another machine raises
@@ -490,11 +491,7 @@ def find_divergent_word(m: Dpda, target_length: int, *, graph: Optional[_Product
             continue
         symbol, side = nxt
         sig = tuple(read(side, s)[1] for s in suffixes)
-        ok = True
-        while True:
-            clash = next((i for i, s in enumerate(sigs) if s == sig), None)
-            if clash is None:
-                break
+        while (clash := next((i for i, s in enumerate(sigs) if s == sig), None)) is not None:
             pair = (side, sides[clash])
             if pair not in verdicts:
                 # Equal sides are equal configurations, which nothing separates.
@@ -503,13 +500,15 @@ def find_divergent_word(m: Dpda, target_length: int, *, graph: Optional[_Product
                 )
             extra = verdicts[pair]
             if extra is None:
-                ok = False
-                break
+                break  # equivalent to a kept prefix
             suffixes.append(extra)
             for i, s in enumerate(sides):
                 sigs[i] += (read(s, extra)[1],)
             sig += (read(side, extra)[1],)
-        if not ok:
+            if sig[-1] == sigs[clash][-1]:
+                c1, c2 = map(graph.configuration, pair)
+                raise RuntimeError(f"distinguishing word {extra!r} does not separate {c1} and {c2}")
+        if clash is not None:
             continue
         word.append(symbol)
         sides.append(side)

@@ -112,12 +112,17 @@ class Dpda:
         weakref.finalize(self, _clear_letter_moves, table)
         return table
 
+    @cached_property
+    def outcomes(self) -> dict:
+        """`find_witness`'s outcome per budgets: a tuple, or the stage it exhausted at."""
+        return {}
+
     def start_configuration(self) -> Configuration:
         return Configuration(self.start_state, (self.start_symbol,))
 
     def __reduce__(self):
-        # Copies and pickles rebuild the machine from its fields, so none
-        # carries the compiled table that this machine's finalizer empties.
+        # Copies and pickles rebuild the machine from its fields, so none carries
+        # its outcomes or the compiled table that this machine's finalizer empties.
         return Dpda, tuple(getattr(self, f.name) for f in fields(self))
 
 

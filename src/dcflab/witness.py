@@ -226,8 +226,29 @@ def find_witness(m: Dpda, budgets: SearchBudgets = SearchBudgets()) -> WitnessTu
     machine's own language.
 
     Pumps are tried until they run out: `_pumps` yields at most one per pair
-    of levels of u, so `word_length` bounds their number.
+    of levels of u, so `word_length` bounds their number.  The outcome is
+    kept in `m.outcomes` per budgets: a repeat returns the same tuple, or
+    raises anew at the same stage, without a search.
     """
+    return _kept_outcome(m, budgets, m)
+
+
+def _kept_outcome(m: Dpda, budgets: SearchBudgets, searched: Dpda) -> WitnessTuple:
+    """m's outcome under budgets, searched on `searched` (m or its completion) if m keeps none."""
+    kept = m.outcomes.get(budgets)
+    if kept is None:
+        try:
+            kept = m.outcomes[budgets] = _search_witness(searched, budgets)
+        except SearchExhaustedError as exc:
+            m.outcomes[budgets] = exc.stage
+            raise
+    elif type(kept) is str:
+        raise SearchExhaustedError(kept, budgets)
+    return kept
+
+
+def _search_witness(m: Dpda, budgets: SearchBudgets) -> WitnessTuple:
+    """`find_witness`'s search."""
     mc = m if m.completed else complete_dpda(m)
     oracle = oracle_from_dpda(mc)
     graph = _Product(mc, pop_summaries(mc))
@@ -391,7 +412,7 @@ def _check_reducer_agreement(
 def reduce_lsharp(
     m: Dpda, budgets: SearchBudgets = SearchBudgets(), check_len: int = 16
 ) -> tuple[WitnessTuple, OracleMealyMachine, AgreementReport]:
-    """Extract a witness, build the reducer, and certify it.
+    """Take m's kept `find_witness` outcome, build the reducer, and certify it.
 
     The reducer runs against the machine's own language as the oracle and
     must agree with the 0^n 1^n predicate on every binary word of length up
@@ -401,7 +422,7 @@ def reduce_lsharp(
     if check_len < 0:
         raise ValueError(f"check_len must be >= 0, not {check_len}")
     mc = m if m.completed else complete_dpda(m)
-    t = find_witness(mc, budgets)
+    t = _kept_outcome(m, budgets, mc)
     reducer = build_lsharp_reducer(t, sorted(m.input_alphabet))
     oracle = oracle_from_dpda(mc)
     checked = _check_reducer_agreement(reducer, oracle, check_len)

@@ -5,6 +5,7 @@ them) and enforces the stated time budget where one is given.  Everything
 is exact: no tolerances beyond the explicit word-length and bound limits.
 """
 
+import copy
 import time
 from contextlib import contextmanager
 from itertools import product
@@ -75,8 +76,9 @@ def test_criterion_2_extraction_end_to_end():
     with criterion(2, "witness extraction verified on lsharp, l1_le, dyck1 (10s each)"):
         for name in WITNESS_ENTRIES:
             entry = corpus.get_entry(name)
+            m = copy.copy(entry.machine)  # no earlier test's outcome is kept on a copy
             t0 = time.perf_counter()
-            t = find_witness(entry.machine)
+            t = find_witness(m)
             elapsed = time.perf_counter() - t0
             assert elapsed < 10.0, f"{name} took {elapsed:.2f}s"
             report = verify_witness(corpus.oracle_of(entry), t, 25, 25)
@@ -87,8 +89,9 @@ def test_criterion_3_reducer_faithfulness():
     with criterion(3, "reducers agree with the 0^n1^n predicate on 131071 words (5s each)"):
         for name in WITNESS_ENTRIES:
             entry = corpus.get_entry(name)
+            m = copy.copy(entry.machine)  # no earlier test's outcome is kept on a copy
             t0 = time.perf_counter()
-            _, _, report = reduce_lsharp(entry.machine, check_len=16)
+            _, _, report = reduce_lsharp(m, check_len=16)
             elapsed = time.perf_counter() - t0
             assert elapsed < 5.0, f"{name} took {elapsed:.2f}s"
             assert report.passed

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -883,7 +884,7 @@ class TestDivergentWord:
         monkeypatch.setattr(analysis, "_pop_step", counted_step)
         monkeypatch.setattr(analysis._Product, "pop_layers", recorded_layers)
         try:
-            find_witness(m)
+            find_witness(copy.copy(m))  # a copy keeps no earlier test's outcome
         except SearchExhaustedError:
             pass
         graphs = {graph for graph, *_ in walks}

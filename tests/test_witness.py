@@ -1,7 +1,11 @@
+import copy
+import gc
 import json
+import pickle
 import random
 import signal
 import types
+import weakref
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -275,38 +279,50 @@ class TestFindWitness:
         assert verify_witness(oracle("lsharp"), t, 25, 25).passed
 
     def test_pop_summary_is_computed_once(self, monkeypatch):
+        # On a copy: the shared corpus machine keeps any earlier test's outcome.
         calls = counting(monkeypatch, "pop_summaries", (analysis, witness))
-        find_witness(corpus.get_entry("lsharp").machine)
+        find_witness(copy.copy(corpus.get_entry("lsharp").machine))
         assert len(calls) == 1
 
     def test_one_graph_per_extraction(self, monkeypatch):
-        # One `_Product` over one pop summary serves the divergent-word
-        # search, its distinguisher calls and the pump stage, on the corpus,
-        # the counter machines and the first random-suite machines, through
-        # `find_witness` and through `reduce_lsharp`.
+        # A first extraction, through `find_witness` or through
+        # `reduce_lsharp`, builds one `_Product` over one pop summary, which
+        # serves the divergent-word search, its distinguisher calls and the
+        # pump stage.  The outcome is kept on the machine, so a repeated
+        # `find_witness`, and a `reduce_lsharp` after it, build none.  On
+        # copies of the corpus machines, the counter machines and the first
+        # random-suite machines.
         machines = bench_machines()
         docs = [machines.counter_doc(k) for k in machines.COUNTER_KS] + machines.random_suite()[:12]
         suite = [corpus.get_entry(name).machine for name in corpus.names()]
         suite += [complete_dpda(validate_dpda(doc)) for doc in docs]
-        graphs = []
-        init = analysis._Product.__init__
-
-        def counted_init(graph, *args, **kwargs):
-            graphs.append(graph)
-            init(graph, *args, **kwargs)
-
-        monkeypatch.setattr(analysis._Product, "__init__", counted_init)
+        graphs = counted_graphs(monkeypatch)
         summaries = counting(monkeypatch, "pop_summaries", (analysis, witness))
+        reduce = lambda m: reduce_lsharp(m, check_len=4)  # noqa: E731
         for m in suite:
-            for run in (find_witness, lambda m: reduce_lsharp(m, check_len=4)):
-                graphs.clear()
-                summaries.clear()
-                try:
-                    run(m)
-                except SearchExhaustedError:
-                    pass
-                assert len(graphs) == len(summaries) == 1, m
-                assert graphs[0].summary is not None
+            for first in (find_witness, reduce):
+                fresh = copy.copy(m)
+                for run, built in ((first, 1), (find_witness, 0), (reduce, 0)):
+                    graphs.clear()
+                    summaries.clear()
+                    try:
+                        run(fresh)
+                    except SearchExhaustedError:
+                        pass
+                    assert len(graphs) == len(summaries) == built, (m, run)
+                    assert all(graph.summary is not None for graph in graphs)
+
+    def test_a_word_that_does_not_separate_its_pair_raises(self, monkeypatch, ten_seconds):
+        # A distinguisher word that leaves the clashing pair's signatures
+        # equal must not be appended again and again; the error is not kept.
+        monkeypatch.setattr(analysis, "distinguishing_word", lambda *args, **kwargs: "")
+        m = copy.copy(corpus.get_entry("lsharp").machine)
+        with pytest.raises(RuntimeError, match="does not separate"):
+            analysis.find_divergent_word(m, 24)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="distinguishing word '' does not separate"):
+                find_witness(m)
+        assert m.outcomes == {}
 
     def test_outcomes_match_the_golden_file(self):
         got = {param.id: outcome(param.values[0]) for param in SMALL_MACHINES}
@@ -363,6 +379,102 @@ class TestFindWitness:
             assert [pump for pump, _ in taken] == every[: len(taken)], name
             skipped += len(every) > len(taken)
         assert skipped
+
+
+def counted_graphs(monkeypatch):
+    """Record each `_Product` built."""
+    graphs = []
+    init = analysis._Product.__init__
+
+    def counted_init(graph, *args, **kwargs):
+        graphs.append(graph)
+        init(graph, *args, **kwargs)
+
+    monkeypatch.setattr(analysis._Product, "__init__", counted_init)
+    return graphs
+
+
+class TestKeptOutcomes:
+    # `find_witness` keeps its outcome on the machine it was given, per
+    # budgets: a tuple, or the stage of an exhaustion.
+
+    def test_a_repeat_returns_the_identical_tuple(self, monkeypatch):
+        m = copy.copy(corpus.get_entry("lsharp").machine)
+        t = find_witness(m)
+        graphs = counted_graphs(monkeypatch)
+        assert find_witness(m) is t
+        assert find_witness(m, SearchBudgets()) is t
+        assert reduce_lsharp(m, check_len=4)[0] is t
+        assert m.outcomes == {SearchBudgets(): t}
+        assert graphs == []
+
+    def test_an_exhaustion_is_kept_as_its_stage(self, monkeypatch):
+        m = copy.copy(corpus.get_entry("even_length_reg").machine)
+        with pytest.raises(SearchExhaustedError) as first:
+            find_witness(m)
+        assert first.value.stage == "divergent_word"
+        assert m.outcomes == {SearchBudgets(): "divergent_word"}
+        graphs = counted_graphs(monkeypatch)
+        for run in (find_witness, lambda m: reduce_lsharp(m, check_len=4)):
+            with pytest.raises(SearchExhaustedError) as again:
+                run(m)
+            assert again.value is not first.value
+            assert (again.value.stage, again.value.budgets) == ("divergent_word", SearchBudgets())
+        assert graphs == []
+
+    def test_distinct_budgets_search_separately(self, monkeypatch):
+        m = copy.copy(corpus.get_entry("lsharp").machine)
+        graphs = counted_graphs(monkeypatch)
+        short = SearchBudgets(word_length=8)
+        t = find_witness(m)
+        u = find_witness(m, short)
+        assert len(graphs) == 2
+        assert t == find_witness(copy.copy(m)) and u == find_witness(copy.copy(m), short)
+        assert find_witness(m) is t and find_witness(m, SearchBudgets(word_length=8)) is u
+        assert m.outcomes == {SearchBudgets(): t, short: u}
+        assert len(graphs) == 4
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(copy.copy, id="copy"),
+            pytest.param(copy.deepcopy, id="deepcopy"),
+            pytest.param(lambda m: pickle.loads(pickle.dumps(m)), id="pickle"),
+        ],
+    )
+    def test_copies_carry_no_outcomes(self, monkeypatch, make):
+        m = copy.copy(corpus.get_entry("lsharp").machine)
+        t = find_witness(m)
+        c = make(m)
+        assert c == m and "outcomes" not in vars(c)
+        graphs = counted_graphs(monkeypatch)
+        assert find_witness(c) == t
+        assert len(graphs) == 1
+
+    @pytest.mark.parametrize("name", ["lsharp", "even_length_reg"])
+    def test_no_graph_outlives_the_extraction(self, monkeypatch, name):
+        # Without the cyclic collector, every graph is freed when the
+        # extraction returns, and a machine that keeps outcomes is freed
+        # when it is dropped.
+        graphs = counted_graphs(monkeypatch)
+        gc.collect()
+        gc.disable()
+        try:
+            m = copy.copy(corpus.get_entry(name).machine)
+            for _ in range(2):
+                try:
+                    find_witness(m)
+                except SearchExhaustedError:
+                    pass
+            assert len(graphs) == 1 and len(m.outcomes) == 1
+            # Once this list lets go of the one graph built, nothing holds it.
+            graph = weakref.ref(graphs.pop())
+            assert graph() is None
+            machine = weakref.ref(m)
+            del m
+            assert machine() is None
+        finally:
+            gc.enable()
 
 
 def _rule(source, top, label, target, push=()):
