@@ -2,10 +2,11 @@
 
 Pop-relation saturation (which states a configuration can reach with its
 stack fully consumed, and with which input words), divergent-word search
-driven by quotient signatures, stair factorization of stack-increasing
-runs, pump detection, and eventual periodicity of y-iterates.  The pop
-summary is a plain mapping {(p, X): {q: witness word}}, and a stair
-factorization a plain tuple of (position, configuration) levels.
+over a discrimination tree of suffix flags, stair factorization of
+stack-increasing runs, pump detection, and eventual periodicity of
+y-iterates.  The pop summary is a plain mapping {(p, X): {q: witness
+word}}, and a stair factorization a plain tuple of (position,
+configuration) levels.
 
 Exact configuration equivalence is out of desk scope; wherever a decision
 would need it, these routines use bounded search (signatures over a finite
@@ -16,6 +17,9 @@ through pop summaries; when it closes, its None proves the pair equivalent,
 and a search cut at its node cap proves nothing.  One graph of int sides,
 each with a row of the words read from it, owns the pop summary and serves
 a whole extraction, so no word is read, and no pop layer composed, twice.
+Words that cannot separate are not read at all: a suffix only from the
+prefixes it is compared on, and a pop probe of a common top segment only
+when the closures below that segment tell the two sides apart.
 
 After the search, work is done on demand: pumps come from a generator
 that re-checks a candidate only when it is asked for, the z probes are
@@ -25,7 +29,7 @@ q gamma^l delta comes from one run per key of a gamma-window map.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -391,8 +395,13 @@ def distinguishing_word(
     """A word on which exactly one of the two configurations accepts.
 
     Equal configurations have none.  With a pop summary, pop-guided probes
-    come first: words that unwind either stack reach the depth at which the
-    configurations differ without any search.  Then `_search` walks the
+    come first, in (length, word) order: words that unwind either stack
+    reach the depth at which the configurations differ without any search.
+    A pop word of a top segment α that both stacks share, read from their
+    common state, runs alike on both until it pops α, after its last
+    letter, into a down-state r.  Its flags can then differ only if the
+    ε-closure flags of r over the two rests below α do, so only then is
+    it read.  Then `_search` walks the
     pairs of sides, splitting common tops through the pop summary.  None
     covers two cases: the walk closed, which proves the configurations
     equivalent, or it was cut at `node_cap` pairs, which proves nothing.
@@ -413,11 +422,22 @@ def distinguishing_word(
     u1, u2 = (graph.side(c.state, graph.push(0, c.stack[::-1])) for c in (c1, c2))
     if summary is not None:
         # Words that pop some prefix of either stack drive that side to a
-        # known state with a known stack remainder.
-        walks = (graph.pop_layers(*graph.pairs[u]) for u in (u1, u2))
-        probes = {w for walk in walks for pops in walk for w in pops.values()}
+        # known state with a known stack remainder.  The walks share the
+        # layers of the common top segment.
+        read, side, cells = graph.read, graph.side, graph.cells
+        (p1, d1), (p2, d2) = graph.pairs[u1], graph.pairs[u2]
+        walk2, shared, probes = graph.pop_layers(p2, d2), p1 == p2, set()
+        for pops in graph.pop_layers(p1, d1):
+            if shared := shared and cells[d1][0] == cells[d2][0]:
+                next(walk2)  # this same layer
+            d1, d2 = cells[d1][1], cells[d2][1]
+            probes.update(
+                w for r, w in pops.items()
+                if not shared or read(side(r, d1), "")[1] != read(side(r, d2), "")[1]
+            )
+        probes.update(w for pops in walk2 for w in pops.values())
         for cand in sorted(probes, key=lambda w: (len(w), w)):
-            if graph.read(u1, cand)[1] != graph.read(u2, cand)[1]:
+            if read(u1, cand)[1] != read(u2, cand)[1]:
                 return cand
 
     (s1, a1), (s2, a2) = graph.read(u1, ""), graph.read(u2, "")
@@ -431,20 +451,25 @@ def find_divergent_word(m: Dpda, target_length: int, *, graph: Optional[_Product
 
     Greedy extension with backtracking; extensions that grow the stack are
     tried first, which steers the word toward the stack-increasing runs the
-    downstream stair analysis needs.  Signatures are taken over a suffix
-    set that starts with all words of length <= 2 and grows by
-    distinguishing words discovered when two prefixes collide.  A new
-    suffix adds one bit to each kept signature and to the candidate's,
-    which is the signature over the grown set, so no prefix is signed
-    again.  Raises ExhaustedError when no extension survives, which
-    signals regular-looking behavior at this word length, ValueError for a
-    target below 1, which no grown word meets, and RuntimeError for a
-    distinguishing word that does not separate its pair.
+    downstream stair analysis needs.  Prefixes are told apart by their
+    flags on a suffix list that starts with all words of length <= 2 and
+    grows by the distinguishing words of colliding prefixes.  The kept
+    prefixes, pairwise distinct on it, are the leaves of a discrimination
+    tree (Kearns & Vazirani) whose inner nodes each test one suffix.  A
+    candidate sifts to the one leaf it could equal and is compared with it
+    in suffix order: the first difference splits that leaf (backtracking
+    undoes it), and a full match is a collision, whose distinguishing word
+    is read from that pair only.  A side's flags are kept for the call and
+    read only as far as it is compared.  Raises ExhaustedError when no
+    extension survives, which signals regular-looking behavior at this
+    word length, ValueError for a target below 1, which no grown word
+    meets, and RuntimeError for a distinguishing word that does not
+    separate its pair.
 
     One `_Product` of m, `graph`, serves the whole search; without one, it
     builds one over `pop_summaries(m)`, and one of another machine raises
     ValueError.  The start, every candidate and every kept prefix is a side
-    of it; a letter of an extension, a signature bit or a distinguisher
+    of it; a letter of an extension, a suffix flag or a distinguisher
     probe is one memoised step, and a word read again from one side is one
     lookup.  The search holds sides only: extensions rank by the stack
     heights kept on the graph's nodes, and configurations are built only
@@ -464,11 +489,18 @@ def find_divergent_word(m: Dpda, target_length: int, *, graph: Optional[_Product
     sigma = sorted(m.input_alphabet)
     suffixes = ["", *sigma, *(a + b for a in sigma for b in sigma)]
     verdicts: dict[tuple[int, int], Optional[Word]] = {}
+    flags: defaultdict[int, list[bool]] = defaultdict(list)  # side -> its first suffixes' flags
     read = graph.read
 
+    def flag(side: int, i: int) -> bool:
+        bits = flags[side]
+        while len(bits) <= i:
+            bits.append(read(side, suffixes[len(bits)])[1])
+        return bits[i]
+
     start, _ = graph.close(m.start_configuration())
-    sides = [start]
-    sigs = [tuple(read(start, s)[1] for s in suffixes)]
+    tree = [start]  # a leaf [kept side], or [suffix index, False subtree, True subtree]
+    splits = []  # (leaf, its side before the split), one per kept prefix after the start
     word: list[str] = []
     best = ""
 
@@ -486,33 +518,33 @@ def find_divergent_word(m: Dpda, target_length: int, *, graph: Optional[_Product
             if not pending:
                 raise ExhaustedError(best)
             word.pop()
-            sides.pop()
-            sigs.pop()
+            leaf, kept = splits.pop()
+            leaf[:] = [kept]
             continue
         symbol, side = nxt
-        sig = tuple(read(side, s)[1] for s in suffixes)
-        while (clash := next((i for i, s in enumerate(sigs) if s == sig), None)) is not None:
-            pair = (side, sides[clash])
+        leaf = tree
+        while len(leaf) > 1:
+            leaf = leaf[1 + flag(side, leaf[0])]
+        kept = leaf[0]  # every other kept prefix differs from side on the path
+        i = next((i for i in range(len(suffixes)) if flag(side, i) != flag(kept, i)), None)
+        if i is None:
+            pair = (side, kept)
             if pair not in verdicts:
                 # Equal sides are equal configurations, which nothing separates.
-                verdicts[pair] = None if side == sides[clash] else distinguishing_word(
+                verdicts[pair] = None if side == kept else distinguishing_word(
                     m, *map(graph.configuration, pair), graph.summary, graph=graph
                 )
             extra = verdicts[pair]
             if extra is None:
-                break  # equivalent to a kept prefix
+                continue  # equivalent to a kept prefix
             suffixes.append(extra)
-            for i, s in enumerate(sides):
-                sigs[i] += (read(s, extra)[1],)
-            sig += (read(side, extra)[1],)
-            if sig[-1] == sigs[clash][-1]:
+            i = len(suffixes) - 1
+            if flag(side, i) == flag(kept, i):
                 c1, c2 = map(graph.configuration, pair)
                 raise RuntimeError(f"distinguishing word {extra!r} does not separate {c1} and {c2}")
-        if clash is not None:
-            continue
+        leaf[:] = [i, [side], [kept]] if flag(kept, i) else [i, [kept], [side]]
+        splits.append((leaf, kept))
         word.append(symbol)
-        sides.append(side)
-        sigs.append(sig)
         if len(word) > len(best):
             best = "".join(word)
         if len(word) == target_length:

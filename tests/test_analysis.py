@@ -3,7 +3,7 @@ import hashlib
 import json
 import random
 import sys
-from itertools import product
+from itertools import product, takewhile
 
 import pytest
 from hypothesis import given, settings
@@ -753,6 +753,11 @@ def divergent(m, length):
     return find_divergent_word(m, length)
 
 
+def leaves(tree):
+    """The kept sides at the leaves of the search's discrimination tree."""
+    return [tree[0]] if len(tree) == 1 else leaves(tree[1]) + leaves(tree[2])
+
+
 class TestDivergentWord:
     def test_lsharp_grows_zeros(self, lsharp):
         assert divergent(lsharp, 8) == "00000000"
@@ -783,9 +788,11 @@ class TestDivergentWord:
 
     @pytest.mark.parametrize("name, length", [("lsharp", 8), ("dyck1", 8), ("l_m_nn", 12)])
     def test_kept_signature_bits_match_a_fresh_signature(self, monkeypatch, name, length):
-        # Each distinguisher call meets a clash in the kept signatures; at
-        # that moment every kept signature, and the candidate's, must be
-        # the one signed afresh over the suffixes known so far.
+        # Each distinguisher call meets a collision: the candidate and the
+        # kept prefix it sifts to agree, signed afresh, on every suffix
+        # known so far, and every two kept prefixes differ on some suffix.
+        # The search keeps no signatures, so both are checked against
+        # `config_member` alone.
         real = analysis.distinguishing_word
         sizes = []
 
@@ -796,10 +803,13 @@ class TestDivergentWord:
             def fresh(c):
                 return tuple(config_member(m, c, s) for s in suffixes)
 
-            for side, bits in zip(search["sides"], search["sigs"], strict=True):
-                assert bits == fresh(graph.configuration(side))
+            kept = [graph.configuration(side) for side in leaves(search["tree"])]
+            assert len(kept) == len(search["word"]) + 1
             assert c1 == graph.configuration(search["side"])
-            assert search["sig"] == fresh(c1)
+            assert c2 in kept
+            assert fresh(c1) == fresh(c2)
+            signed = [fresh(c) for c in kept]
+            assert len(set(signed)) == len(signed)
             sizes.append(len(suffixes))
             return real(m, c1, c2, summary, **kwargs)
 
@@ -960,6 +970,246 @@ class TestDivergentWord:
             divergent(machine("even_length_reg"), 8)
         assert excinfo.value.best_prefix == "0"
         assert len(calls) == len(set(calls)) == 1
+
+
+def reference_distinguishing_word(m, c1, c2, graph):
+    """The distinguisher with every pop probe read: the union of both
+    sides' pop probes in (length, word) order, then the closure flags, then
+    `_search`, all on `graph`."""
+    if c1 == c2:
+        return None
+    u1, u2 = (graph.side(c.state, graph.push(0, c.stack[::-1])) for c in (c1, c2))
+    walks = (graph.pop_layers(*graph.pairs[u]) for u in (u1, u2))
+    probes = {w for walk in walks for pops in walk for w in pops.values()}
+    for cand in sorted(probes, key=lambda w: (len(w), w)):
+        if graph.read(u1, cand)[1] != graph.read(u2, cand)[1]:
+            return cand
+    (s1, a1), (s2, a2) = graph.read(u1, ""), graph.read(u2, "")
+    if a1 != a2:
+        return ""
+    return analysis._search(graph, s1, s2, DISTINGUISH_NODE_CAP)[0]
+
+
+def reference_divergent_word(m, target_length, calls):
+    """The flat signature scan: every kept prefix carries its flags on the
+    whole suffix list, a candidate is signed on all of it and compared with
+    every kept signature, and a new suffix is read from every kept prefix.
+    Distinguisher pairs go to `calls`; returns the word, or the best prefix
+    in an ExhaustedError."""
+    graph = analysis._Product(m, pop_summaries(m))
+    sigma = sorted(m.input_alphabet)
+    suffixes = ["", *sigma, *(a + b for a in sigma for b in sigma)]
+    verdicts = {}
+
+    def sign(side):
+        return [graph.read(side, s)[1] for s in suffixes]
+
+    def extensions(side):
+        ends = [(a, graph.read(side, a)[0]) for a in sigma]
+        ends = [(a, end) for a, end in ends if end is not None]
+        return iter(sorted(ends, key=lambda e: -graph.heights[graph.pairs[e[1]][1]]))
+
+    start = graph.close(m.start_configuration())[0]
+    sides, sigs, word, best = [start], [sign(start)], [], ""
+    pending = [extensions(start)]
+    while True:
+        nxt = next(pending[-1], None)
+        if nxt is None:
+            pending.pop()
+            if not pending:
+                raise ExhaustedError(best)
+            word.pop(), sides.pop(), sigs.pop()
+            continue
+        symbol, side = nxt
+        sig = sign(side)
+        clash = next((i for i, kept in enumerate(sigs) if kept == sig), None)
+        if clash is not None:
+            pair = (side, sides[clash])
+            if pair not in verdicts and side == sides[clash]:
+                verdicts[pair] = None
+            elif pair not in verdicts:
+                calls.append(tuple(map(graph.configuration, pair)))
+                verdicts[pair] = reference_distinguishing_word(m, *calls[-1], graph)
+            if verdicts[pair] is None:
+                continue
+            suffixes.append(verdicts[pair])
+            for kept, bits in zip(sides, sigs):
+                bits.append(graph.read(kept, suffixes[-1])[1])
+            sig.append(graph.read(side, suffixes[-1])[1])
+        word.append(symbol)
+        sides.append(side)
+        sigs.append(sig)
+        best = max(best, "".join(word), key=len)
+        if len(word) == target_length:
+            return best
+        pending.append(extensions(side))
+
+
+def rule(p, top, label, q, push):
+    return {"from": p, "top": top, "label": label, "to": q, "push": push}
+
+
+# After "a" and "b" the stacks are A X Z and A Y Z in state p.  From p, "a"
+# pops A into r1 and "bb" pops it into r, where an ε-step pops X into the
+# accepting f: so "bb" separates the two, though it is a pop word of the
+# shared top A only ("ab" pops A X into f first).  "a" and "ab" do not
+# separate, and "ac" does and is what `_search` finds alone: a probe stage
+# that dropped every shared-top probe would return "ac", not "bb".
+COMMON_TOP_PROBE_DOC = {
+    "states": ["s", "p", "t", "r", "r1", "f", "acc", "g", "h"],
+    "input_alphabet": ["a", "b", "c"],
+    "stack_alphabet": ["Z", "A", "X", "Y"],
+    "rules": [
+        rule("s", "Z", "a", "p", ["A", "X", "Z"]),
+        rule("s", "Z", "b", "p", ["A", "Y", "Z"]),
+        rule("p", "A", "a", "r1", []),
+        rule("p", "A", "b", "t", ["A"]),
+        rule("t", "A", "b", "r", []),
+        rule("r", "X", "", "f", []),
+        rule("r1", "X", "b", "f", []),
+        rule("r1", "Y", "b", "acc", ["Y"]),
+        rule("r1", "X", "c", "g", ["X"]),
+        rule("r1", "Y", "c", "h", ["Y"]),
+    ],
+    "start_state": "s",
+    "start_symbol": "Z",
+    "accepting": ["f", "acc", "g"],
+}
+
+
+def divergent_outcome(search, m, calls):
+    try:
+        return search(m, SearchBudgets().word_length, calls)
+    except ExhaustedError as e:
+        return ("exhausted", e.best_prefix)
+
+
+def exactness_machines(group):
+    if group == "eps":
+        raw = [random_eps_machine(random.Random(seed)) for seed in range(30)]
+        return raw + [complete_dpda(m) for m in raw]
+    machines = bench_suite_machines()
+    return {"corpus": machines[:8], "counters": machines[8:14], "random": machines[14:]}[group]
+
+
+class TestFewerReadsSameWords:
+    """The discrimination tree and the skipped common-top probes read fewer
+    words than the flat signature scan and the read-every-probe stage kept
+    above as references, and change nothing they return."""
+
+    @pytest.mark.parametrize("group", ["corpus", "counters", "random", "eps"])
+    def test_same_distinguisher_pairs_and_words_as_the_flat_scan(self, monkeypatch, group):
+        real = analysis.distinguishing_word
+        machines = exactness_machines(group)
+        assert len(machines) == {"corpus": 8, "counters": 6, "random": 60, "eps": 60}[group]
+        for m in machines:
+            calls, want_calls = [], []
+
+            def recording(m, c1, c2, summary=None, **kwargs):
+                calls.append((c1, c2))
+                return real(m, c1, c2, summary, **kwargs)
+
+            monkeypatch.setattr(analysis, "distinguishing_word", recording)
+            got = divergent_outcome(lambda m, n, _: find_divergent_word(m, n), m, calls)
+            monkeypatch.setattr(analysis, "distinguishing_word", real)
+            want = divergent_outcome(reference_divergent_word, m, want_calls)
+            assert (got, calls) == (want, want_calls)
+
+    @pytest.mark.parametrize("complete", [False, True])
+    def test_a_common_top_probe_whose_closures_differ_is_read(self, complete):
+        m = validate_dpda(COMMON_TOP_PROBE_DOC)
+        m = complete_dpda(m) if complete else m
+        summary = pop_summaries(m)
+        c1, c2 = Configuration("p", ("A", "X", "Z")), Configuration("p", ("A", "Y", "Z"))
+        graph = analysis._Product(m, summary)
+        u1, u2 = (graph.close(c)[0] for c in (c1, c2))
+        assert [list(graph.pop_layers(*graph.pairs[u])) for u in (u1, u2)] == [
+            [{"r1": "a", "r": "bb"}, {"f": "ab"}, {}],
+            [{"r1": "a", "r": "bb"}, {}],
+        ]
+        assert analysis._search(graph, u1, u2, DISTINGUISH_NODE_CAP) == ("ac", True)
+        assert distinguishing_word(m, c1, c2, summary, graph=graph) == "bb"
+        assert [config_member(m, c, "bb") for c in (c1, c2)] == [True, False]
+
+    @pytest.mark.parametrize(
+        "m",
+        SMALL_MACHINES
+        + [pytest.param(complete_dpda(validate_dpda(COMMON_TOP_PROBE_DOC)), id="common-top-probe")],
+    )
+    def test_same_word_on_every_pair_of_short_configurations(self, m):
+        # Every ordered pair of configurations reached by words of length
+        # <= 4 gets the reference's word, each implementation on its own
+        # graph over the same summary.
+        start = m.start_configuration()
+        reached = {advance(m, start, u) for u in bf.iter_words(m.input_alphabet, 4)} - {None}
+        configs = sorted({c for c, _ in reached}, key=lambda c: (c.state, len(c.stack), c.stack))
+        summary = pop_summaries(m)
+        graph, reference = analysis._Product(m, summary), analysis._Product(m, summary)
+        for c1, c2 in product(configs, repeat=2):
+            got = distinguishing_word(m, c1, c2, summary, graph=graph)
+            assert got == reference_distinguishing_word(m, c1, c2, reference), (c1, c2)
+
+    def test_read_misses_walk_well_under_half_the_flat_scans_letters(self, monkeypatch):
+        # Over the random suite at rename seed 1, `find_witness`'s read
+        # misses walked 229,440 letters with the flat scan and every probe
+        # read; the tree and the probe filter must stay under half of that.
+        walked = 0
+        real = analysis._Product.read
+
+        def counted(graph, side, word):
+            nonlocal walked
+            if side is not None and word not in graph.rows[side]:
+                end = side
+                for ch in word or ("",):
+                    walked += 1
+                    end = real(graph, end, ch)[0]
+                    if end is None:
+                        break
+            return real(graph, side, word)
+
+        machines = bench_machines()
+        docs = [machines.rename(doc, 1) for doc in machines.random_suite()]
+        suite = [complete_dpda(validate_dpda(doc)) for doc in docs]
+        monkeypatch.setattr(analysis._Product, "read", counted)
+        for m in suite:
+            try:
+                find_witness(m)
+            except SearchExhaustedError:
+                pass
+        assert 0 < walked <= 229_440 // 2
+
+    @pytest.mark.parametrize("group", ["corpus", "random"])
+    def test_a_new_suffix_is_read_from_its_clashing_pair_only(self, monkeypatch, group):
+        # Right after a distinguisher call returns a word, the search reads
+        # that word from the candidate and the kept prefix it clashed with,
+        # and from no other kept prefix.
+        log = []
+        real_read, real_distinguish = analysis._Product.read, analysis.distinguishing_word
+
+        def logged_read(graph, side, word):
+            log.append((side, word))
+            return real_read(graph, side, word)
+
+        def marked(m, c1, c2, summary=None, *, graph, **kwargs):
+            word = real_distinguish(m, c1, c2, summary, graph=graph, **kwargs)
+            pair = {graph.side(c.state, graph.push(0, c.stack[::-1])) for c in (c1, c2)}
+            log.append((pair, word))
+            return word
+
+        monkeypatch.setattr(analysis._Product, "read", logged_read)
+        monkeypatch.setattr(analysis, "distinguishing_word", marked)
+        for m in exactness_machines(group):
+            try:
+                find_divergent_word(m, SearchBudgets().word_length)
+            except ExhaustedError:
+                pass
+        added = 0
+        for at, (pair, word) in enumerate(log):
+            if isinstance(pair, set) and word is not None:
+                read_from = list(takewhile(lambda e: e[1] == word, log[at + 1 :]))
+                assert {side for side, _ in read_from} == pair, word
+                added += 1
+        assert added
 
 
 class TestStairs:
