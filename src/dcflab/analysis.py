@@ -2,24 +2,25 @@
 
 Pop-relation saturation (which states a configuration can reach with its
 stack fully consumed, and with which input words), divergent-word search
-over a discrimination tree of suffix flags, stair factorization of
+over a discrimination tree of separating words, stair factorization of
 stack-increasing runs, pump detection, and eventual periodicity of
 y-iterates.  The pop summary is a plain mapping {(p, X): {q: witness
 word}}, and a stair factorization a plain tuple of (position,
 configuration) levels.
 
 Exact configuration equivalence is out of desk scope; wherever a decision
-would need it, these routines use bounded search (signatures over a finite
-suffix set, product-simulation distinguishers) and leave final soundness to
-simulation re-checks by their callers.  The distinguisher is one search over
+would need it, these routines use bounded search (product-simulation
+distinguishers under a node cap) and leave final soundness to simulation
+re-checks by their callers.  The distinguisher is one search over
 pairs of configurations, with no length cap, that splits common stack tops
 through pop summaries; when it closes, its None proves the pair equivalent,
 and a search cut at its node cap proves nothing.  One graph of int sides,
 each with a row of the words read from it, owns the pop summary and serves
 a whole extraction, so no word is read, and no pop layer composed, twice.
-Words that cannot separate are not read at all: a suffix only from the
-prefixes it is compared on, and a pop probe of a common top segment only
-when the closures below that segment tell the two sides apart.
+Words that cannot separate are not read at all: a tree node's word only
+from the candidates that sift through it, and a pop probe of a common top
+segment only when the closures below that segment tell the two sides
+apart.
 
 After the search, work is done on demand: pumps come from a generator
 that re-checks a candidate only when it is asked for, the z probes are
@@ -29,7 +30,7 @@ q gamma^l delta comes from one run per key of a gamma-window map.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -451,35 +452,34 @@ def find_divergent_word(m: Dpda, target_length: int, *, graph: Optional[_Product
 
     Greedy extension with backtracking; extensions that grow the stack are
     tried first, which steers the word toward the stack-increasing runs the
-    downstream stair analysis needs.  Prefixes are told apart by their
-    flags on a suffix list that starts with all words of length <= 2 and
-    grows by the distinguishing words of colliding prefixes.  The kept
-    prefixes, pairwise distinct on it, are the leaves of a discrimination
-    tree (Kearns & Vazirani) whose inner nodes each test one suffix.  A
-    candidate sifts to the one leaf it could equal and is compared with it
-    in suffix order: the first difference splits that leaf (backtracking
-    undoes it), and a full match is a collision, whose distinguishing word
-    is read from that pair only.  A side's flags are kept for the call and
-    read only as far as it is compared.  Raises ExhaustedError when no
-    extension survives, which signals regular-looking behavior at this
-    word length, ValueError for a target below 1, which no grown word
-    meets, and RuntimeError for a distinguishing word that does not
-    separate its pair.
+    downstream stair analysis needs.  The kept prefixes are the leaves of a
+    discrimination tree (Kearns & Vazirani); each inner node holds a word
+    that separates the prefixes of its two subtrees.  A candidate sifts
+    down by its flags on those words to the one leaf it could equal.  It is
+    skipped when its side is that leaf's or the distinguisher finds no word
+    for the pair; otherwise it splits the leaf on that word, and
+    backtracking undoes the split.  Raises ExhaustedError when no extension
+    survives, which signals regular-looking behavior at this word length,
+    ValueError for a target below 1, which no grown word meets, and
+    RuntimeError for a distinguishing word that does not separate its pair.
+
+    The word is the one a flat scan grows, which keeps a candidate iff the
+    distinguisher separates it from every kept prefix.  The words on its
+    sift path separate a candidate from every other leaf, so it can be
+    equivalent to its leaf's prefix only; with an exact distinguisher,
+    "equivalent to no kept prefix" does not depend on the tree's shape.
+    The two differ only where the distinguisher gives up at its node cap
+    on a pair that an earlier word already separates.
 
     One `_Product` of m, `graph`, serves the whole search; without one, it
     builds one over `pop_summaries(m)`, and one of another machine raises
-    ValueError.  The start, every candidate and every kept prefix is a side
-    of it; a letter of an extension, a suffix flag or a distinguisher
-    probe is one memoised step, and a word read again from one side is one
-    lookup.  The search holds sides only: extensions rank by the stack
-    heights kept on the graph's nodes, and configurations are built only
-    for a distinguisher call, which reads on the same graph.
-
-    `distinguishing_word` runs at most once per ordered (candidate, earlier
-    prefix) pair per call: its verdict depends only on the machine, the
-    pair, the graph's fixed pop summary and the module's node cap, and
-    backtracking meets the same pairs again.  A pair of equal sides gets
-    its verdict, None, without a call.
+    ValueError.  The search holds its sides only, ranks extensions by the
+    stack heights kept on the graph's nodes, and reads each word on the
+    graph at most once per side; configurations are built only for a
+    distinguisher call, which reads on the same graph.  That call runs at
+    most once per ordered (candidate, leaf prefix) pair per search: given
+    the machine, the graph's pop summary and the node cap, its verdict
+    depends on the pair alone, and backtracking meets the same pairs again.
     """
     if target_length < 1:
         raise ValueError(f"target_length must be >= 1, not {target_length}")
@@ -487,19 +487,10 @@ def find_divergent_word(m: Dpda, target_length: int, *, graph: Optional[_Product
     if graph.m is not m:
         raise ValueError("graph is the _Product of another machine")
     sigma = sorted(m.input_alphabet)
-    suffixes = ["", *sigma, *(a + b for a in sigma for b in sigma)]
     verdicts: dict[tuple[int, int], Optional[Word]] = {}
-    flags: defaultdict[int, list[bool]] = defaultdict(list)  # side -> its first suffixes' flags
     read = graph.read
-
-    def flag(side: int, i: int) -> bool:
-        bits = flags[side]
-        while len(bits) <= i:
-            bits.append(read(side, suffixes[len(bits)])[1])
-        return bits[i]
-
     start, _ = graph.close(m.start_configuration())
-    tree = [start]  # a leaf [kept side], or [suffix index, False subtree, True subtree]
+    tree = [start]  # a leaf [kept side], or [word, False subtree, True subtree]
     splits = []  # (leaf, its side before the split), one per kept prefix after the start
     word: list[str] = []
     best = ""
@@ -524,25 +515,23 @@ def find_divergent_word(m: Dpda, target_length: int, *, graph: Optional[_Product
         symbol, side = nxt
         leaf = tree
         while len(leaf) > 1:
-            leaf = leaf[1 + flag(side, leaf[0])]
+            leaf = leaf[1 + read(side, leaf[0])[1]]
         kept = leaf[0]  # every other kept prefix differs from side on the path
-        i = next((i for i in range(len(suffixes)) if flag(side, i) != flag(kept, i)), None)
-        if i is None:
-            pair = (side, kept)
-            if pair not in verdicts:
-                # Equal sides are equal configurations, which nothing separates.
-                verdicts[pair] = None if side == kept else distinguishing_word(
-                    m, *map(graph.configuration, pair), graph.summary, graph=graph
-                )
-            extra = verdicts[pair]
-            if extra is None:
-                continue  # equivalent to a kept prefix
-            suffixes.append(extra)
-            i = len(suffixes) - 1
-            if flag(side, i) == flag(kept, i):
-                c1, c2 = map(graph.configuration, pair)
-                raise RuntimeError(f"distinguishing word {extra!r} does not separate {c1} and {c2}")
-        leaf[:] = [i, [side], [kept]] if flag(kept, i) else [i, [kept], [side]]
+        if side == kept:
+            continue  # equal sides are equal configurations
+        pair = (side, kept)
+        if pair not in verdicts:
+            verdicts[pair] = distinguishing_word(
+                m, *map(graph.configuration, pair), graph.summary, graph=graph
+            )
+        extra = verdicts[pair]
+        if extra is None:
+            continue  # no word found: treated as equivalent to the leaf's prefix
+        bit = read(kept, extra)[1]
+        if read(side, extra)[1] == bit:
+            c1, c2 = map(graph.configuration, pair)
+            raise RuntimeError(f"distinguishing word {extra!r} does not separate {c1} and {c2}")
+        leaf[:] = [extra, [side], [kept]] if bit else [extra, [kept], [side]]
         splits.append((leaf, kept))
         word.append(symbol)
         if len(word) > len(best):

@@ -90,6 +90,14 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class SearchBudgets:
+    """Bounds on `find_witness`'s search, each an integer >= 1.
+    `word_length` is the divergent word's length, and so bounds the pumps
+    tried, one per pair of its levels; `z_length` bounds the length of the
+    z words; `max_l` bounds the y^l z samples of `periodicity`.  The
+    distinguisher's node cap is not a budget but the module constant
+    `analysis.DISTINGUISH_NODE_CAP`.
+    """
+
     word_length: int = 24
     z_length: int = 6
     max_l: int = 200

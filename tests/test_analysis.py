@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import inspect
 import json
 import random
 import sys
@@ -788,34 +789,38 @@ class TestDivergentWord:
 
     @pytest.mark.parametrize("name, length", [("lsharp", 8), ("dyck1", 8), ("l_m_nn", 12)])
     def test_kept_signature_bits_match_a_fresh_signature(self, monkeypatch, name, length):
-        # Each distinguisher call meets a collision: the candidate and the
-        # kept prefix it sifts to agree, signed afresh, on every suffix
-        # known so far, and every two kept prefixes differ on some suffix.
-        # The search keeps no signatures, so both are checked against
-        # `config_member` alone.
+        # Each distinguisher call meets a leaf: the candidate agrees with
+        # that leaf's prefix on every word along its sift path, and every
+        # inner word separates the prefixes of its two subtrees, so every
+        # two kept prefixes differ on the word at their lowest common node.
+        # Both are checked against `config_member` alone.
         real = analysis.distinguishing_word
-        sizes = []
+        depths = []
 
         def checking(m, c1, c2, summary=None, **kwargs):
             search = sys._getframe(1).f_locals
-            suffixes, graph = search["suffixes"], search["graph"]
-
-            def fresh(c):
-                return tuple(config_member(m, c, s) for s in suffixes)
-
-            kept = [graph.configuration(side) for side in leaves(search["tree"])]
-            assert len(kept) == len(search["word"]) + 1
+            graph, node = search["graph"], search["tree"]
+            assert len(leaves(node)) == len(search["word"]) + 1
             assert c1 == graph.configuration(search["side"])
-            assert c2 in kept
-            assert fresh(c1) == fresh(c2)
-            signed = [fresh(c) for c in kept]
-            assert len(set(signed)) == len(signed)
-            sizes.append(len(suffixes))
+            path = []
+            while len(node) > 1:
+                path.append(node[0])
+                node = node[1 + config_member(m, c1, node[0])]
+            assert c2 == graph.configuration(node[0])
+            assert [config_member(m, c2, w) for w in path] == [config_member(m, c1, w) for w in path]
+            nodes = [search["tree"]]
+            while nodes:
+                w, *subtrees = nodes.pop()  # no subtrees at a leaf
+                for bit, subtree in enumerate(subtrees):
+                    kept = [graph.configuration(side) for side in leaves(subtree)]
+                    assert all(config_member(m, c, w) == bit for c in kept), w
+                    nodes.append(subtree)
+            depths.append(len(path))
             return real(m, c1, c2, summary, **kwargs)
 
         monkeypatch.setattr(analysis, "distinguishing_word", checking)
         divergent(machine(name), length)
-        assert len(set(sizes)) > 2
+        assert len(set(depths)) > 2
 
     @pytest.mark.parametrize("m", SMALL_MACHINES)
     def test_drive_runs_are_bounded_by_the_step_keys(self, monkeypatch, m):
@@ -956,20 +961,35 @@ class TestDivergentWord:
                 assert len(new) == steady, c
 
     def test_one_distinguisher_run_per_pair(self, monkeypatch):
-        # Backtracking meets the same clashing pair four times on this
-        # machine; the verdict of the first run is reused.
-        calls = []
-        real = analysis.distinguishing_word
+        # Backtracking meets the same two (candidate, leaf) pairs six times
+        # on this machine; each pair's verdict is computed once and reused.
+        # A meeting is a run of the line that forms the pair, counted by a
+        # line tracer on the search's frame.
+        calls, meetings = [], 0
+        real, code = analysis.distinguishing_word, find_divergent_word.__code__
+        source, first = inspect.getsourcelines(code)
+        at = first + next(i for i, line in enumerate(source) if "pair = (side, kept)" in line)
 
         def counting(m, c1, c2, summary=None, **kwargs):
             calls.append((c1, c2))
             return real(m, c1, c2, summary, **kwargs)
 
+        def lines(frame, event, arg):
+            nonlocal meetings
+            meetings += event == "line" and frame.f_lineno == at
+            return lines
+
         monkeypatch.setattr(analysis, "distinguishing_word", counting)
-        with pytest.raises(ExhaustedError) as excinfo:
-            divergent(machine("even_length_reg"), 8)
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: lines if frame.f_code is code else None)
+        try:
+            with pytest.raises(ExhaustedError) as excinfo:
+                divergent(machine("even_length_reg"), 8)
+        finally:
+            sys.settrace(previous)
         assert excinfo.value.best_prefix == "0"
-        assert len(calls) == len(set(calls)) == 1
+        assert len(calls) == len(set(calls)) == 2
+        assert meetings > len(calls)
 
 
 def reference_distinguishing_word(m, c1, c2, graph):
@@ -990,12 +1010,11 @@ def reference_distinguishing_word(m, c1, c2, graph):
     return analysis._search(graph, s1, s2, DISTINGUISH_NODE_CAP)[0]
 
 
-def reference_divergent_word(m, target_length, calls):
+def reference_divergent_word(m, target_length):
     """The flat signature scan: every kept prefix carries its flags on the
     whole suffix list, a candidate is signed on all of it and compared with
     every kept signature, and a new suffix is read from every kept prefix.
-    Distinguisher pairs go to `calls`; returns the word, or the best prefix
-    in an ExhaustedError."""
+    Returns the word, or the best prefix in an ExhaustedError."""
     graph = analysis._Product(m, pop_summaries(m))
     sigma = sorted(m.input_alphabet)
     suffixes = ["", *sigma, *(a + b for a in sigma for b in sigma)]
@@ -1028,8 +1047,8 @@ def reference_divergent_word(m, target_length, calls):
             if pair not in verdicts and side == sides[clash]:
                 verdicts[pair] = None
             elif pair not in verdicts:
-                calls.append(tuple(map(graph.configuration, pair)))
-                verdicts[pair] = reference_distinguishing_word(m, *calls[-1], graph)
+                configurations = map(graph.configuration, pair)
+                verdicts[pair] = reference_distinguishing_word(m, *configurations, graph)
             if verdicts[pair] is None:
                 continue
             suffixes.append(verdicts[pair])
@@ -1077,9 +1096,9 @@ COMMON_TOP_PROBE_DOC = {
 }
 
 
-def divergent_outcome(search, m, calls):
+def divergent_outcome(search, m):
     try:
-        return search(m, SearchBudgets().word_length, calls)
+        return search(m, SearchBudgets().word_length)
     except ExhaustedError as e:
         return ("exhausted", e.best_prefix)
 
@@ -1098,22 +1117,31 @@ class TestFewerReadsSameWords:
     above as references, and change nothing they return."""
 
     @pytest.mark.parametrize("group", ["corpus", "counters", "random", "eps"])
-    def test_same_distinguisher_pairs_and_words_as_the_flat_scan(self, monkeypatch, group):
-        real = analysis.distinguishing_word
+    def test_same_words_as_the_flat_scan(self, monkeypatch, group):
+        # The tree asks the distinguisher about other pairs than the flat
+        # scan, but it returns the same word or best prefix, and `_search`
+        # gives up at its node cap no more often than under the scan.
+        real = analysis._search
+
+        def outcome_and_give_ups(search, m):
+            gave_up = 0
+
+            def counting(*args):
+                nonlocal gave_up
+                word, closed = real(*args)
+                gave_up += not closed
+                return word, closed
+
+            monkeypatch.setattr(analysis, "_search", counting)
+            return divergent_outcome(search, m), gave_up
+
         machines = exactness_machines(group)
         assert len(machines) == {"corpus": 8, "counters": 6, "random": 60, "eps": 60}[group]
         for m in machines:
-            calls, want_calls = [], []
-
-            def recording(m, c1, c2, summary=None, **kwargs):
-                calls.append((c1, c2))
-                return real(m, c1, c2, summary, **kwargs)
-
-            monkeypatch.setattr(analysis, "distinguishing_word", recording)
-            got = divergent_outcome(lambda m, n, _: find_divergent_word(m, n), m, calls)
-            monkeypatch.setattr(analysis, "distinguishing_word", real)
-            want = divergent_outcome(reference_divergent_word, m, want_calls)
-            assert (got, calls) == (want, want_calls)
+            got, got_gave_up = outcome_and_give_ups(find_divergent_word, m)
+            want, want_gave_up = outcome_and_give_ups(reference_divergent_word, m)
+            assert got == want
+            assert got_gave_up <= want_gave_up, (got_gave_up, want_gave_up)
 
     @pytest.mark.parametrize("complete", [False, True])
     def test_a_common_top_probe_whose_closures_differ_is_read(self, complete):

@@ -539,9 +539,9 @@ def ten_seconds():
 
 
 class TestWideAlphabets:
-    # With 7 or more letters the divergent-word search seeds its suffix set
-    # with 57 or more words of length <= 2; no cap on that set may stop a
-    # clash from adding its separator.
+    # With 7 or more letters the search meets many leaves of other sides;
+    # no cap may stop such a meeting from getting its distinguisher
+    # verdict and splitting the leaf (a cap of that kind made Dyck_4 hang).
     @pytest.mark.parametrize("doc", [dyck_doc(4), pal_doc(6)], ids=["dyck4", "pal6"])
     def test_default_budgets_find_a_verified_tuple(self, ten_seconds, doc):
         m = complete_dpda(validate_dpda(doc))
