@@ -3,7 +3,7 @@
 Pop-relation saturation (which states a configuration can reach with its
 stack fully consumed, and with which input words), divergent-word search
 over a discrimination tree of separating words, stair factorization of
-stack-increasing runs, pump detection, and eventual periodicity of
+stack-increasing runs, pump detection, and exact eventual periodicity of
 y-iterates.  The pop summary is a plain mapping {(p, X): {q: witness
 word}}, and a stair factorization a plain tuple of (position,
 configuration) levels.
@@ -24,12 +24,14 @@ apart.
 
 After the search, work is done on demand: pumps come from a generator
 that re-checks a candidate only when it is asked for, the z probes are
-one pruned walk over a pair of sides, and z's membership on the levels
-q gamma^l delta comes from one run per key of a gamma-window map.
+one pruned walk over a pair of sides, z's membership on the levels
+q gamma^l delta comes from one run per key of a gamma-window map, and the
+memberships of y^l z from a cycle of snapshots or such maps over a pump.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -67,18 +69,10 @@ class NoLevelsError(Exception):
     """Stack height does not trend upward on the given word."""
 
 
-class NoPeriodFoundError(Exception):
-    """Sampled range too short to exhibit a (threshold, period) pair."""
-
-    def __init__(self, max_l: int):
-        self.max_l = max_l
-        super().__init__(f"no period found within {max_l} samples; raise max_l")
-
-
 @dataclass(frozen=True)
 class Pump:
-    """A stack-increasing loop: start -v-> (p, X·delta) and
-    (p, X) -x-> (p, X·gamma), with x and gamma nonempty."""
+    """A stack-increasing loop: base -v-> (p, X·delta) and (p, X) -x->
+    (p, X·gamma), x and gamma nonempty, from the start or a given base."""
 
     v: Word
     x: Word
@@ -91,7 +85,7 @@ class Pump:
 @dataclass(frozen=True)
 class PeriodicityReport:
     """Membership of y^l z from a base configuration is table[l mod period]
-    for every sampled l >= k."""
+    for every l >= k."""
 
     k: int
     period: int
@@ -543,22 +537,27 @@ def find_divergent_word(m: Dpda, target_length: int, *, graph: Optional[_Product
 
 def stair_factorize(m: Dpda, u: Word) -> tuple[tuple[int, Configuration], ...]:
     """Decompose the run on u along positions whose stack is never touched
-    again within u.
-
-    Returns the levels (i, c): reading u[:i] from the start configuration
-    lands in the stable configuration c, and the rest of the run on u never
-    touches c's stack.  Positions and stack heights strictly increase along
-    the levels.
-
-    A position is a level when every configuration visited strictly after
-    it, unstable ones inside ε-chains included, keeps a strictly taller
-    stack.  ε-steps pop, so the lowest stack between two letters is the
-    stable one before the next letter, and the test reads only the stable
-    stacks after each letter.  The first level is left out, so pumps are
-    based at the second and later ones.
+    again within u: the levels (i, c) of `_levels` from the start
+    configuration, whose positions and stack heights strictly increase, but
+    the first, so that pumps are based at the second and later ones.
     """
-    stack = [m.start_symbol]
-    state, _, _ = _drive(m, m.start_state, stack, "")
+    levels = _levels(m, m.start_configuration(), u)
+    if len(levels) < 2:
+        raise NoLevelsError(f"only {len(levels)} level(s) on {u!r}")
+    return tuple(levels[1:])
+
+
+def _levels(m: Dpda, c: Configuration, u: Word) -> list[tuple[int, Configuration]]:
+    """The levels (i, c_i) of the run on u from c, in order: reading u[:i]
+    from c lands in the stable configuration c_i, and every configuration
+    visited after it, unstable ones inside ε-chains included, keeps a
+    strictly taller stack.  ε-steps pop, so the lowest stack between two
+    letters is the stable one before the next letter, and the test reads
+    only the stable stacks after each letter.  A run that sticks ends its
+    levels there.
+    """
+    stack = list(reversed(c.stack))
+    state, _, _ = _drive(m, c.state, stack, "")
     stables = [_configuration(state, stack)]  # after each read prefix u[:i]
     for ch in u:
         state, _, consumed = _drive(m, state, stack, ch)
@@ -571,9 +570,7 @@ def stair_factorize(m: Dpda, u: Word) -> tuple[tuple[int, Configuration], ...]:
         if len(stables[i].stack) < lowest:
             levels.append((i, stables[i]))
             lowest = len(stables[i].stack)
-    if len(levels) < 2:
-        raise NoLevelsError(f"only {len(levels)} level(s) on {u!r}")
-    return tuple(reversed(levels[:-1]))
+    return levels[::-1]
 
 
 def _pumps(m: Dpda, u: Word, levels):
@@ -591,6 +588,8 @@ def _pumps(m: Dpda, u: Word, levels):
     stack taller than c_i's, so from the bare X it takes the same steps.
     """
     for lo, (i, ci) in enumerate(levels):
+        if not ci.stack:
+            continue  # only the first level can be empty, and has no top
         p, X, delta = ci.state, ci.stack[0], ci.stack[1:]
         for j, cj in levels[lo + 1 :]:
             if (cj.state, cj.stack[0]) != (p, X):
@@ -603,10 +602,10 @@ def _pumps(m: Dpda, u: Word, levels):
 
 
 def _level_flags(
-    m: Dpda, q: str, gamma: StackWord, delta: StackWord, z: Word
+    m: Dpda, q: str, gamma: StackWord, delta: StackWord, z: Word, top: StackWord = ()
 ) -> tuple[list[bool], int]:
-    """z's membership in L(q gamma^l delta) for every l, as (flags, start):
-    flags[l] up to its end, then cycling through flags[start:].
+    """z's membership in L(q top gamma^l delta) for every l, as (flags,
+    start): flags[l] up to its end, then cycling through flags[start:].
 
     The run on z reads the stack one gamma window at a time, and what it
     does in a window depends only on the key it enters with: its state,
@@ -618,6 +617,7 @@ def _level_flags(
     run from the key after l windows.  The orbit is followed until a key
     repeats, where the flags start to cycle, or the run ends inside a
     window, after which every higher level ends there too, with one flag.
+    A nonempty `top` is one more window above them all, read first.
     """
     windows = gamma[::-1], delta[::-1]  # top last, as `_drive` holds them
 
@@ -634,6 +634,10 @@ def _level_flags(
     flags: list[bool] = []
     seen: dict[tuple[str, int, bool], int] = {}
     key: Optional[tuple[str, int, bool]] = (q, 0, False)
+    if top:
+        key, flag = run(key, top[::-1])
+        if key is None:
+            return [flag], 0
     while key not in seen:
         seen[key] = len(flags)
         flags.append(run(key, windows[1])[1])
@@ -643,47 +647,74 @@ def _level_flags(
     return flags, seen[key]
 
 
-def periodicity(
-    m: Dpda, base: Configuration, y: Word, z: Word, max_l: int = 200
-) -> PeriodicityReport:
-    """Detect the eventual periodicity of membership of y^l z in L(base).
+def periodicity(m: Dpda, base: Configuration, y: Word, z: Word) -> PeriodicityReport:
+    """The eventual periodicity of membership of y^l z in L(base), exact.
 
-    Membership is sampled for l = 0..max_l by extending a snapshot by y at
-    each step and probing z from it.  Snapshots are values of a
-    deterministic run, so once one repeats, the samples cycle from its
-    first sighting on, and the rest of the sequence is filled from that
-    cycle instead of sampled.  The least (k, period) is returned, k-major,
-    with period <= max_l // 3 and the periodic pattern required to hold
-    over the whole sampled tail; table is indexed by l mod period.
+    The snapshots after y^l from base (a configuration, and whether the
+    last letter's run saw an accepting state) are values of a deterministic
+    run: once one repeats, the memberships cycle.  Until one does, at
+    l = 2, 4, 8, ... the run on y^l from base is searched for a verified
+    pump at a level i = |v| whose loop x is a multiple of |y| letters.  Each
+    loop reads the same letters and stays above its X, so position i + t|x|
+    holds p X gamma^t delta for every t, and an l with l|y| = i + t|x| + r,
+    0 < r <= |x|, has the membership of x[:r] z there: one `_level_flags`
+    orbit in t per r (r > 0 keeps the flag of z = ε the last letter's).
+
+    The search ends.  If no snapshot repeats, no configuration recurs at
+    one position mod |y| either, so the stack heights along the run on
+    y y y ... tend to infinity and it has infinitely many levels, positions
+    whose stack it never touches again.  Two share (state, top, position
+    mod |y|); once y^l covers both, they are levels of its run and give
+    such a pump.
     """
     if not y:
         raise ValueError("y must be nonempty")
-    seq: list[bool] = []
+    seq: list[bool] = []  # the membership of y^l z, for l = 0, 1, ...
     seen: dict[Optional[tuple[Configuration, bool]], int] = {}
-    snapshot: Optional[tuple[Configuration, bool]] = advance(m, base, "")
-    for l in range(max_l + 1):
-        first = seen.setdefault(snapshot, l)
-        if first < l:
-            cycle = seq[first:]
-            seq += [cycle[i % len(cycle)] for i in range(max_l + 1 - l)]
-            break
+    snapshot, n, horizon, pump = advance(m, base, ""), len(y), 2, None
+    while snapshot not in seen:
+        if len(seq) == horizon:
+            u, horizon = y * horizon, horizon * 2
+            pump = next((p for p in _pumps(m, u, _levels(m, base, u)) if len(p.x) % n == 0), None)
+            if pump is not None:
+                break
+        seen[snapshot] = len(seq)
         if snapshot is None:
             seq.append(False)
-            continue
-        cfg, arrived_accepting = snapshot
-        if z:
-            seq.append(config_member(m, cfg, z))
         else:
-            seq.append(arrived_accepting)
-        snapshot = advance(m, cfg, y)
+            cfg, arrived = snapshot
+            seq.append(config_member(m, cfg, z) if z else arrived)
+            snapshot = advance(m, cfg, y)
 
-    for k in range(max_l + 1):
-        limit = (max_l - k) // 3
-        for p in range(1, min(limit, max_l // 3) + 1):
-            if all(seq[l] == seq[k + ((l - k) % p)] for l in range(k, max_l + 1)):
-                table = [False] * p
-                for r in range(p):
-                    l0 = k + ((r - k) % p)
-                    table[l0 % p] = seq[l0]
-                return PeriodicityReport(k=k, period=p, table=tuple(table))
-    raise NoPeriodFoundError(max_l)
+    if pump is None:  # the memberships cycle from the repeated snapshot's first sighting
+        k0 = seen[snapshot]
+        flag, period = (seq + seq[k0:]).__getitem__, len(seq) - k0
+    else:
+        i, size = len(pump.v), len(pump.x)
+        orbits = {  # r -> the orbit of x[:r] z, for each r that ends on a y boundary
+            r: _level_flags(m, pump.p, pump.gamma, pump.delta, pump.x[:r] + z, top=(pump.X,))
+            for r in range(-i % n or n, size + 1, n)
+        }
+
+        def flag(l: int) -> bool:
+            if l < len(seq):
+                return seq[l]
+            t, r = divmod(l * n - i - 1, size)  # l * n > i, as i < len(u) = len(seq) * n
+            flags, start = orbits[r + 1]
+            return flags[t if t < start else start + (t - start) % (len(flags) - start)]
+
+        # Every orbit cycles from t = threshold on, and l + period has the
+        # r of l and a t that many cycles on.
+        threshold = max(start for _, start in orbits.values())
+        k0 = -(-(threshold * size + i + 1) // n)  # the least l with t >= threshold
+        period = size // n * math.lcm(*(len(flags) - start for flags, start in orbits.values()))
+
+    # flag(l) == flag(l + period) for l >= k0.  A periodic tail has one least
+    # period, dividing every other, so the least p from k0 on is k-major least.
+    p = 1
+    while period % p or any(flag(l) != flag(l + p) for l in range(k0, k0 + period)):
+        p += 1
+    k = k0
+    while k and flag(k - 1) == flag(k - 1 + p):
+        k -= 1
+    return PeriodicityReport(k=k, period=p, table=tuple(flag(k + (r - k) % p) for r in range(p)))

@@ -21,7 +21,6 @@ from typing import Any, Optional
 from .analysis import (
     ExhaustedError,
     NoLevelsError,
-    NoPeriodFoundError,
     _level_flags,
     _Product,
     _pumps,
@@ -93,14 +92,13 @@ class SearchBudgets:
     """Bounds on `find_witness`'s search, each an integer >= 1.
     `word_length` is the divergent word's length, and so bounds the pumps
     tried, one per pair of its levels; `z_length` bounds the length of the
-    z words; `max_l` bounds the y^l z samples of `periodicity`.  The
+    z words.  Every later stage is exact and needs no bound.  The
     distinguisher's node cap is not a budget but the module constant
     `analysis.DISTINGUISH_NODE_CAP`.
     """
 
     word_length: int = 24
     z_length: int = 6
-    max_l: int = 200
 
     def __post_init__(self):
         for f in fields(self):
@@ -226,12 +224,13 @@ def find_witness(m: Dpda, budgets: SearchBudgets = SearchBudgets()) -> WitnessTu
     membership on every level q gamma^l delta exactly, as the threshold
     and cycle of one gamma window's orbit, skip z when the cycle is not
     constant, and shift the base by gamma^l0, l0 the last change, so that
-    the difference stabilizes; sample the periodicity of y-iterates from
-    the shifted base up to max_l and raise x, y to a multiple of the
-    period above the threshold; fix the polarity by whether z lies in the
-    shifted base language; repair empty components and accept the first
-    tuple that passes verification at bounds (25, 25) against the
-    machine's own language.
+    the difference stabilizes; read the periodicity of y-iterates from the
+    shifted base exactly and raise x, y to a multiple of the period above
+    the threshold; fix the polarity by whether z lies in the shifted base
+    language; repair empty components.  Every stage is exact, so the first
+    z that stabilizes gives a tuple that holds for every (m, n) (Jančar &
+    Šíma); its re-check at bounds (25, 25) against the machine's own
+    language raises AssertionError, a bug, if it fails.
 
     Pumps are tried until they run out: `_pumps` yields at most one per pair
     of levels of u, so `word_length` bounds their number.  The outcome is
@@ -272,64 +271,33 @@ def _search_witness(m: Dpda, budgets: SearchBudgets) -> WitnessTuple:
 
     deepest = "pump"
     for pump in _pumps(mc, u, levels):
-        deepest = _deeper(deepest, "pop_witness")
+        deepest = max(deepest, "pop_witness", key=_STAGES.index)
         bottom = graph.push(0, pump.delta[::-1])
         top = graph.push(bottom, pump.gamma[::-1])
         for q, w_word, y_word in _loop_candidates(graph, pump, top, bottom):
-            deepest = _deeper(deepest, "z_probe")
-            failures = 0
+            deepest = max(deepest, "z_probe", key=_STAGES.index)
             # Each z separates q delta from q gamma delta: its flags on the
             # levels q gamma^l delta differ at l = 0 and 1.
             for z in graph.separators(graph.side(q, bottom), graph.side(q, top), budgets.z_length):
-                deepest = _deeper(deepest, "stabilize")
+                deepest = max(deepest, "stabilize", key=_STAGES.index)
                 flags, start = _level_flags(mc, q, pump.gamma, pump.delta, z)
                 settled = flags[-1]
                 if len(set(flags[start:])) > 1:
                     continue  # the cycle holds both values: z never settles
                 l0 = max(l for l, f in enumerate(flags) if f != settled)  # the last change
-                delta_shifted = pump.gamma * l0 + pump.delta
-                v_shifted = pump.v + pump.x * l0
-                deepest = _deeper(deepest, "periodicity")
-                try:
-                    report = periodicity(
-                        mc, Configuration(q, delta_shifted), y_word, z, budgets.max_l
-                    )
-                except NoPeriodFoundError:
-                    continue
+                base = Configuration(q, pump.gamma * l0 + pump.delta)
+                report = periodicity(mc, base, y_word, z)
                 k0 = report.period * (report.k // report.period + 1)
                 polarity = COMPLEMENT if settled else DIRECT
-                candidate = WitnessTuple(
-                    v=v_shifted,
-                    x=pump.x * k0,
-                    w=w_word,
-                    y=y_word * k0,
-                    z=z,
-                    polarity=polarity,
-                )
-                candidate = repair_nonempty(candidate)
-                deepest = _deeper(deepest, "verify")
-                if verify_witness(oracle, candidate, 25, 25).passed:
-                    return candidate
-                failures += 1
-                if failures >= 3:
-                    break  # this (pump, q) pair looks structurally wrong; move on
+                v, x, y = pump.v + pump.x * l0, pump.x * k0, y_word * k0
+                candidate = repair_nonempty(WitnessTuple(v, x, w_word, y, z, polarity))
+                if not verify_witness(oracle, candidate, 25, 25).passed:
+                    raise AssertionError(f"{candidate} fails its 25 x 25 grid")
+                return candidate
     raise SearchExhaustedError(deepest, budgets)
 
 
-_STAGES = (
-    "divergent_word",
-    "stair",
-    "pump",
-    "pop_witness",
-    "z_probe",
-    "stabilize",
-    "periodicity",
-    "verify",
-)
-
-
-def _deeper(a: str, b: str) -> str:
-    return b if _STAGES.index(b) > _STAGES.index(a) else a
+_STAGES = ("divergent_word", "stair", "pump", "pop_witness", "z_probe", "stabilize")
 
 
 def build_lsharp_reducer(t: WitnessTuple, delta_alphabet) -> OracleMealyMachine:

@@ -151,7 +151,7 @@ def test_criterion_6_periodicity_reverified_independently():
             assert len(triples) >= 3
             for prefix, y, z in triples:
                 base = advance(m, m.start_configuration(), prefix)[0]
-                report = periodicity(m, base, y, z, max_l=200)
+                report = periodicity(m, base, y, z)
                 for l in range(report.k, report.k + 3 * report.period + 1):
                     fresh = config_member(m, base, y * l + z)
                     assert fresh == report.table[l % report.period], (name, prefix, y, z, l)

@@ -15,7 +15,6 @@ from dcflab.analysis import (
     DISTINGUISH_NODE_CAP,
     ExhaustedError,
     NoLevelsError,
-    NoPeriodFoundError,
     distinguishing_word,
     find_divergent_word,
     periodicity,
@@ -27,7 +26,7 @@ from dcflab.witness import SearchBudgets, SearchExhaustedError, _loop_candidates
 
 import bruteforce as bf
 from test_dpda import SMALL_MACHINES, random_eps_machine
-from test_witness import bench_machines
+from test_witness import bench_machines, ten_seconds  # noqa: F401 (a fixture)
 
 
 def machine(name):
@@ -1453,7 +1452,7 @@ class TestPeriodicity:
     def test_constant_true(self):
         m = machine("l1_le")
         base = advance(m, m.start_configuration(), "01")[0]
-        report = periodicity(m, base, "1", "", max_l=60)
+        report = periodicity(m, base, "1", "")
         assert (report.k, report.period, report.table) == (0, 1, (True,))
 
     def test_l1_le_threshold(self):
@@ -1463,12 +1462,12 @@ class TestPeriodicity:
         expected = [pred("00" + "1" * l) for l in range(10)]
         assert expected == [False, False] + [True] * 8
         base = advance(m, m.start_configuration(), "00")[0]
-        report = periodicity(m, base, "1", "", max_l=60)
+        report = periodicity(m, base, "1", "")
         assert (report.k, report.period, report.table) == (2, 1, (True,))
 
     def test_alternating_parity(self):
         m = machine("even_length_reg")
-        report = periodicity(m, m.start_configuration(), "0", "", max_l=60)
+        report = periodicity(m, m.start_configuration(), "0", "")
         assert (report.k, report.period) == (0, 2)
         assert report.table == (True, False)
 
@@ -1476,60 +1475,161 @@ class TestPeriodicity:
         m = machine("lsharp")
         pred = corpus.get_entry("lsharp").predicate
         base = advance(m, m.start_configuration(), "000")[0]
-        report = periodicity(m, base, "1", "1", max_l=60)
+        report = periodicity(m, base, "1", "1")
         for l in range(report.k, report.k + 3 * report.period + 1):
             assert pred("000" + "1" * l + "1") == report.table[l % report.period]
 
     def test_independent_re_simulation(self):
         m = machine("dyck1")
         base = advance(m, m.start_configuration(), "((")[0]
-        report = periodicity(m, base, ")", "", max_l=60)
+        report = periodicity(m, base, ")", "")
         for l in range(report.k, report.k + 3 * report.period + 1):
             assert config_member(m, base, ")" * l) == report.table[l % report.period]
-
-    def test_no_period_when_sample_too_short(self):
-        m = machine("l1_le")
-        base = advance(m, m.start_configuration(), "00")[0]
-        with pytest.raises(NoPeriodFoundError):
-            periodicity(m, base, "1", "", max_l=3)
 
     def test_rejects_empty_y(self, lsharp):
         with pytest.raises(ValueError):
             periodicity(lsharp, lsharp.start_configuration(), "", "1")
 
     @pytest.mark.parametrize("m", SMALL_MACHINES)
-    def test_matches_a_full_sample(self, m):
-        # The report read off a cycle of snapshots must be the one a full
-        # sample of every l gives, and so must a missing period.
-        sigma = sorted(m.input_alphabet)
-        rng = random.Random(len(m.rules))
-        words = list(bf.iter_words(sigma, 2))
-        for max_l in (4, 12, 30, 45):
-            for _ in range(3):
-                prefix, y, z = rng.choice(words), rng.choice(words[1:]), rng.choice(words)
-                res = advance(m, m.start_configuration(), prefix)
-                if res is None:
-                    continue
-                base = res[0]
-                want = reference_periodicity(m, base, y, z, max_l)
-                if want is None:
-                    with pytest.raises(NoPeriodFoundError):
-                        periodicity(m, base, y, z, max_l)
-                else:
-                    report = periodicity(m, base, y, z, max_l)
-                    assert (report.k, report.period, report.table) == want, (prefix, y, z, max_l)
+    def test_matches_the_brute_force(self, m, ten_seconds):
+        for base, y, z in periodicity_cases(m):
+            assert_exact_periodicity(m, base, y, z)
+
+    def test_the_sweep_takes_the_growth_branch(self, tails, ten_seconds):
+        # Every case above whose snapshots never repeat reads its tail off
+        # a pump; enough of them do that the sweep tests that branch too.
+        grown = 0
+        for param in SMALL_MACHINES:
+            (m,) = param.values
+            for base, y, z in periodicity_cases(m):
+                before = len(tails)
+                periodicity(m, base, y, z)
+                grown += len(tails) > before
+        assert grown >= 20
+
+    def test_growth_with_a_pump_at_y_boundaries(self, tails, ten_seconds):
+        # a pushes X and Y in turn over Z, so the run on a^l never repeats;
+        # b pops an X into the accepting f, and f pops X or Y on b.
+        m = validate_dpda(GROWTH_RAW)
+        for z in bf.iter_words("ab", 3):
+            before = len(tails)
+            assert_exact_periodicity(m, m.start_configuration(), "a", z)
+            assert len(tails) > before, z
+        report = periodicity(m, m.start_configuration(), "a", "bb")
+        assert (report.k, report.period, report.table) == (2, 2, (False, True))
+
+    def test_growth_with_a_rotated_pump(self, tails, ten_seconds):
+        # y = ab: a pops an X, b pushes three, so every stack after an a is
+        # lower than the one before it, and only the positions after an a
+        # (and the run's end) are levels: the pump starts mid-y.
+        m = validate_dpda(ROTATED_RAW)
+        base = Configuration("p", ("X", "Z"))
+        assert [i for i, _ in analysis._levels(m, base, "ab" * 4)] == [1, 3, 5, 7, 8]
+        for z in bf.iter_words("abc", 3):
+            before = len(tails)
+            assert_exact_periodicity(m, base, "ab", z)
+            assert len(tails) > before, z
+
+    def test_a_level_on_the_empty_stack_is_not_pumped(self, ten_seconds):
+        # The run on a^2 pops both X's, so its last level has no top.
+        m = validate_dpda(EMPTY_STACK_RAW)
+        base = Configuration("p", ("X", "X"))
+        report = periodicity(m, base, "a", "")
+        assert (report.k, report.period, report.table) == (3, 1, (False,))
+        assert_exact_periodicity(m, base, "a", "")
 
 
-def reference_periodicity(m, base, y, z, max_l):
-    """The least (k, period, table) of `periodicity`'s search over all
-    max_l + 1 memberships of y^l z in L(base), each run from base by the
-    rules-only reference; None when no period fits."""
-    seq = [bf.ref_config_member(m, base.state, base.stack, y * l + z) for l in range(max_l + 1)]
-    for k in range(max_l + 1):
-        for p in range(1, min((max_l - k) // 3, max_l // 3) + 1):
-            if all(seq[l] == seq[l - p] for l in range(k + p, max_l + 1)):
-                table = [None] * p
-                for l in range(k, k + p):
-                    table[l % p] = seq[l]
-                return k, p, tuple(table)
+GROWTH_RAW = {
+    "states": ["p", "f"],
+    "input_alphabet": ["a", "b"],
+    "stack_alphabet": ["Z", "X", "Y"],
+    "rules": [
+        {"from": "p", "top": "Z", "label": "a", "to": "p", "push": ["X", "Z"]},
+        {"from": "p", "top": "X", "label": "a", "to": "p", "push": ["Y", "X"]},
+        {"from": "p", "top": "Y", "label": "a", "to": "p", "push": ["X", "Y"]},
+        {"from": "p", "top": "X", "label": "b", "to": "f", "push": []},
+        {"from": "f", "top": "X", "label": "b", "to": "f", "push": []},
+        {"from": "f", "top": "Y", "label": "b", "to": "f", "push": []},
+    ],
+    "start_state": "p",
+    "start_symbol": "Z",
+    "accepting": ["f"],
+}
+
+# From p X Z: a pops an X, b pushes three (two over Z), and c pops an X into
+# the accepting f, which pops one more X per c.
+ROTATED_RAW = {
+    "states": ["p", "f"],
+    "input_alphabet": ["a", "b", "c"],
+    "stack_alphabet": ["Z", "X"],
+    "rules": [
+        {"from": "p", "top": "X", "label": "a", "to": "p", "push": []},
+        {"from": "p", "top": "X", "label": "b", "to": "p", "push": ["X", "X", "X"]},
+        {"from": "p", "top": "Z", "label": "b", "to": "p", "push": ["X", "X", "Z"]},
+        {"from": "p", "top": "X", "label": "c", "to": "f", "push": []},
+        {"from": "f", "top": "X", "label": "c", "to": "f", "push": []},
+    ],
+    "start_state": "p",
+    "start_symbol": "Z",
+    "accepting": ["f"],
+}
+
+EMPTY_STACK_RAW = {
+    "states": ["p"],
+    "input_alphabet": ["a"],
+    "stack_alphabet": ["X"],
+    "rules": [{"from": "p", "top": "X", "label": "a", "to": "p", "push": []}],
+    "start_state": "p",
+    "start_symbol": "X",
+    "accepting": ["p"],
+}
+
+
+@pytest.fixture
+def tails(monkeypatch):
+    """The `_level_flags` calls that read a pump's tail, from a top window."""
+    calls = []
+    real = analysis._level_flags
+
+    def spy(*args, **kwargs):
+        if kwargs.get("top"):
+            calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_level_flags", spy)
+    return calls
+
+
+def periodicity_cases(m, count=12):
+    """(base, y, z) drawn from m's short words: base after a prefix of
+    length <= 2, 1 <= |y| <= 2 and |z| <= 2."""
+    rng = random.Random(len(m.rules))
+    words = list(bf.iter_words(sorted(m.input_alphabet), 2))
+    cases = []
+    for _ in range(count):
+        prefix, y, z = rng.choice(words), rng.choice(words[1:]), rng.choice(words)
+        res = advance(m, m.start_configuration(), prefix)
+        if res is not None:
+            cases.append((res[0], y, z))
+    return cases
+
+
+def reference_periodicity(m, base, y, z, horizon):
+    """The least (k, period, table), k-major, that fits the memberships of
+    y^l z in L(base) for l = 0..horizon, each run from base by the
+    rules-only reference, with k + 3·period <= horizon."""
+    seq = [bf.ref_config_member(m, base.state, base.stack, y * l + z) for l in range(horizon + 1)]
+    for k in range(horizon + 1):
+        for p in range(1, (horizon - k) // 3 + 1):
+            if all(seq[l] == seq[l - p] for l in range(k + p, horizon + 1)):
+                return k, p, tuple(seq[k + (r - k) % p] for r in range(p))
     return None
+
+
+def assert_exact_periodicity(m, base, y, z):
+    """`periodicity`'s report is the brute-force one over a horizon well
+    past its k + 3·period."""
+    report = periodicity(m, base, y, z)
+    horizon = max(30, 2 * (report.k + 3 * report.period))
+    want = reference_periodicity(m, base, y, z, horizon)
+    assert (report.k, report.period, report.table) == want, (base, y, z)

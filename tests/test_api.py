@@ -68,4 +68,4 @@ def test_the_public_names_are_pinned():
 
 def test_the_search_budgets_are_pinned():
     # Each field is a `witness find` flag too, so a new knob is a CLI change.
-    assert [f.name for f in fields(dcflab.SearchBudgets)] == ["word_length", "z_length", "max_l"]
+    assert [f.name for f in fields(dcflab.SearchBudgets)] == ["word_length", "z_length"]

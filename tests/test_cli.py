@@ -229,8 +229,8 @@ def test_corpus_documents_survive_cli_round_trip(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["witness", "find", "--lang", "lsharp", "--max-l", "0"],
-        ["witness", "find", "--lang", "lsharp", "--max-l", "-1"],
+        ["witness", "find", "--lang", "lsharp", "--z-length", "0"],
+        ["witness", "find", "--lang", "lsharp", "--z-length", "-1"],
         ["reduce", "lsharp", "--lang", "lsharp", "--check-len", "-1"],
     ],
 )
@@ -369,7 +369,9 @@ def test_witness_find_flags_mirror_search_budgets():
         assert getattr(args, f.name) == 7, flag
 
 
-@pytest.mark.parametrize("flag", [["--suffix-budget", "64"], ["--pump-limit", "32"]])
+@pytest.mark.parametrize(
+    "flag", [["--suffix-budget", "64"], ["--pump-limit", "32"], ["--max-l", "200"]]
+)
 def test_removed_budget_flags_are_usage_errors(flag, capsys, monkeypatch):
     monkeypatch.setattr("sys.argv", ["dcflab", "witness", "find", "--lang", "lsharp", *flag, "--json"])
     with pytest.raises(SystemExit) as exc:

@@ -324,6 +324,20 @@ class TestFindWitness:
                 find_witness(m)
         assert m.outcomes == {}
 
+    def test_a_tuple_that_fails_its_grid_raises(self, monkeypatch):
+        # Every stage is exact, so a failed re-check is a bug: the search
+        # raises, tries no further z and does not exhaust; nothing is kept.
+        failed = witness.VerificationReport(25, 25, False, ((1, 1, False, False),))
+        monkeypatch.setattr(witness, "verify_witness", lambda *args: failed)
+        m = copy.copy(corpus.get_entry("lsharp").machine)
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="fails its 25 x 25 grid"):
+                find_witness(m)
+        assert m.outcomes == {}
+        # A search that reaches a z that stabilizes returns or raises there.
+        assert witness._STAGES[-1] == "stabilize"
+        assert {"periodicity", "verify"}.isdisjoint(witness._STAGES)
+
     def test_outcomes_match_the_golden_file(self):
         got = {param.id: outcome(param.values[0]) for param in SMALL_MACHINES}
         assert got == json.loads(OUTCOMES.read_text(encoding="utf-8"))
