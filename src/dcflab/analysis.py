@@ -379,48 +379,35 @@ def _search(product: _Product, s1: int, s2: int, node_cap: int) -> tuple[Optiona
 
 
 def distinguishing_word(
-    m: Dpda,
-    c1: Configuration,
-    c2: Configuration,
-    summary: Optional[Mapping] = None,
-    node_cap: int = DISTINGUISH_NODE_CAP,
-    *,
-    graph: Optional[_Product] = None,
+    graph: _Product, s1: int, s2: int, node_cap: int = DISTINGUISH_NODE_CAP
 ) -> Optional[Word]:
-    """A word on which exactly one of the two configurations accepts.
+    """A word on which exactly one of the configurations that the sides s1
+    and s2 of `graph` stand for accepts.
 
-    Equal configurations have none.  With a pop summary, pop-guided probes
-    come first, in (length, word) order: words that unwind either stack
-    reach the depth at which the configurations differ without any search.
-    A pop word of a top segment α that both stacks share, read from their
-    common state, runs alike on both until it pops α, after its last
-    letter, into a down-state r.  Its flags can then differ only if the
-    ε-closure flags of r over the two rests below α do, so only then is
-    it read.  Then `_search` walks the
-    pairs of sides, splitting common tops through the pop summary.  None
-    covers two cases: the walk closed, which proves the configurations
-    equivalent, or it was cut at `node_cap` pairs, which proves nothing.
+    Equal sides have none.  With a pop summary on the graph, pop-guided
+    probes come first, in (length, word) order: words that unwind either
+    stack reach the depth at which the configurations differ without any
+    search.  A pop word of a top segment α that both stacks share, read
+    from their common state, runs alike on both until it pops α, after its
+    last letter, into a down-state r.  Its flags can then differ only if
+    the ε-closure flags of r over the two rests below α do, so only then
+    is it read.  Then `_search` walks the pairs of sides, splitting common
+    tops through the pop summary.  None covers two cases: the walk closed,
+    which proves the configurations equivalent, or it was cut at
+    `node_cap` pairs, which proves nothing.
 
-    Every probe and step is read on `graph`, the `_Product` of m that owns
-    `summary`; one graph serves a whole extraction, so steps, reads and pop
-    layers from earlier calls are lookups.  Without one, the call builds
-    its own.  A graph of another machine or summary object raises
-    ValueError, so a verdict depends only on the pair and the summary.
+    One graph serves a whole extraction, so steps, reads and pop layers
+    from earlier calls are lookups; given the graph's machine, its pop
+    summary and the node cap, the verdict depends on the pair alone.
     """
-    if c1 == c2:
+    if s1 == s2:
         return None
-    graph = _Product(m, summary) if graph is None else graph
-    if graph.m is not m:
-        raise ValueError("graph is the _Product of another machine")
-    if graph.summary is not summary:
-        raise ValueError("graph owns another pop summary")
-    u1, u2 = (graph.side(c.state, graph.push(0, c.stack[::-1])) for c in (c1, c2))
-    if summary is not None:
+    if graph.summary is not None:
         # Words that pop some prefix of either stack drive that side to a
         # known state with a known stack remainder.  The walks share the
         # layers of the common top segment.
         read, side, cells = graph.read, graph.side, graph.cells
-        (p1, d1), (p2, d2) = graph.pairs[u1], graph.pairs[u2]
+        (p1, d1), (p2, d2) = graph.pairs[s1], graph.pairs[s2]
         walk2, shared, probes = graph.pop_layers(p2, d2), p1 == p2, set()
         for pops in graph.pop_layers(p1, d1):
             if shared := shared and cells[d1][0] == cells[d2][0]:
@@ -432,13 +419,13 @@ def distinguishing_word(
             )
         probes.update(w for pops in walk2 for w in pops.values())
         for cand in sorted(probes, key=lambda w: (len(w), w)):
-            if read(u1, cand)[1] != read(u2, cand)[1]:
+            if read(s1, cand)[1] != read(s2, cand)[1]:
                 return cand
 
-    (s1, a1), (s2, a2) = graph.read(u1, ""), graph.read(u2, "")
+    (e1, a1), (e2, a2) = graph.read(s1, ""), graph.read(s2, "")
     if a1 != a2:
         return ""
-    return _search(graph, s1, s2, node_cap)[0]
+    return _search(graph, e1, e2, node_cap)[0]
 
 
 def find_divergent_word(m: Dpda, target_length: int, *, graph: Optional[_Product] = None) -> Word:
@@ -468,12 +455,10 @@ def find_divergent_word(m: Dpda, target_length: int, *, graph: Optional[_Product
     One `_Product` of m, `graph`, serves the whole search; without one, it
     builds one over `pop_summaries(m)`, and one of another machine raises
     ValueError.  The search holds its sides only, ranks extensions by the
-    stack heights kept on the graph's nodes, and reads each word on the
-    graph at most once per side; configurations are built only for a
-    distinguisher call, which reads on the same graph.  That call runs at
-    most once per ordered (candidate, leaf prefix) pair per search: given
-    the machine, the graph's pop summary and the node cap, its verdict
-    depends on the pair alone, and backtracking meets the same pairs again.
+    stack heights kept on the graph's nodes, reads each word on the graph
+    at most once per side, and hands the distinguisher the two sides.
+    That call runs at most once per ordered (candidate, leaf prefix) pair
+    per search, since backtracking meets the same pairs again.
     """
     if target_length < 1:
         raise ValueError(f"target_length must be >= 1, not {target_length}")
@@ -515,9 +500,7 @@ def find_divergent_word(m: Dpda, target_length: int, *, graph: Optional[_Product
             continue  # equal sides are equal configurations
         pair = (side, kept)
         if pair not in verdicts:
-            verdicts[pair] = distinguishing_word(
-                m, *map(graph.configuration, pair), graph.summary, graph=graph
-            )
+            verdicts[pair] = distinguishing_word(graph, side, kept)
         extra = verdicts[pair]
         if extra is None:
             continue  # no word found: treated as equivalent to the leaf's prefix

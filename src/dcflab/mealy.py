@@ -19,7 +19,6 @@ from functools import cached_property, lru_cache
 from itertools import product
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .analysis import _Product, distinguishing_word, pop_summaries
 from .dpda import (
     Dpda,
     InvalidMachineError,
@@ -584,20 +583,20 @@ def refute_simplicity_LR(a: OracleMealyMachine, k_max: int) -> Optional[str]:
     Prefixes over {a, b} of each length k are bucketed by the machine's
     state and the run position of the corpus `lsharp` machine after the
     oracle tape.  Equal positions read the same language, so two prefixes
-    with one key get the same verdict on every extension.  On a collision
-    (w1, w2), a word s that separates the corpus `lr` machine's
-    configurations after w1 and w2 puts exactly one of w1·s and w2·s in the
-    language, so the machine misclassifies one of them; it is confirmed
-    against the direct predicates before being returned.  None means the
-    bound was exhausted without a collision that confirms (the machine may
-    still be incorrect elsewhere).  Raises ValueError when k_max is below 1.
+    with one key get the same verdict on every extension.  After a prefix
+    w over {a, b}, the marked palindromes go on by exactly `c wᴿ`, so on a
+    collision (w1, w2) of one length the separator s = c·min(w1ᴿ, w2ᴿ)
+    puts exactly one of w1·s and w2·s in the language, and the machine
+    misclassifies one of them.  A prefix w on which the transducer dies
+    rejects `w c wᴿ`, a marked palindrome.  Each word is confirmed against
+    the direct predicates before being returned.  None means the bound was
+    exhausted without a word that confirms (the machine may still be
+    incorrect elsewhere).  Raises ValueError when k_max is below 1.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     from .corpus import get_entry, is_lr, is_lsharp  # corpus imports this module
 
-    lr = get_entry("lr").machine
-    graph = _Product(lr, pop_summaries(lr))  # one graph for every collision
     tape = oracle_from_dpda(get_entry("lsharp").machine)
     oracle = LanguageOracle(alphabet=a.oracle_alphabet, membership=is_lsharp, name="lsharp")
     for k in range(1, k_max + 1):
@@ -606,16 +605,15 @@ def refute_simplicity_LR(a: OracleMealyMachine, k_max: int) -> Optional[str]:
             w2 = "".join(chars)
             res = transduce(a, w2)
             if res is None:
-                continue
-            state, out = res
-            w1 = buckets.setdefault((state, tape.step(tape.start(), out)), w2)
-            if w1 == w2:
-                continue
-            c1, c2 = (advance(lr, lr.start_configuration(), w)[0] for w in (w1, w2))
-            s = distinguishing_word(lr, c1, c2, graph.summary, graph=graph)
-            if s is None:
-                continue
-            for cand in (w1 + s, w2 + s):
+                cands = (w2 + "c" + w2[::-1],)
+            else:
+                state, out = res
+                w1 = buckets.setdefault((state, tape.step(tape.start(), out)), w2)
+                if w1 == w2:
+                    continue
+                s = "c" + min(w1[::-1], w2[::-1])
+                cands = (w1 + s, w2 + s)
+            for cand in cands:
                 if evaluate(a, oracle, cand) != is_lr(cand):
                     return cand
     return None

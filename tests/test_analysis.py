@@ -39,6 +39,14 @@ def eps_pop_end(m, c):
     return None if end.stack else end.state
 
 
+def distinguish(m, c1, c2, summary=None, node_cap=DISTINGUISH_NODE_CAP, *, graph=None):
+    """The distinguisher on the sides of c1 and c2 in `graph`, or in a
+    fresh `_Product(m, summary)` (summary None: plain product simulation)."""
+    graph = analysis._Product(m, summary) if graph is None else graph
+    s1, s2 = (graph.side(c.state, graph.push(0, c.stack[::-1])) for c in (c1, c2))
+    return distinguishing_word(graph, s1, s2, node_cap)
+
+
 def pumps(m, u):
     """Every pump read off the levels of u."""
     return list(analysis._pumps(m, u, stair_factorize(m, u)))
@@ -211,40 +219,31 @@ class TestPopSummaries:
 class TestDistinguishing:
     def test_identical_configurations_have_no_distinguisher(self, lsharp):
         c = advance(lsharp, lsharp.start_configuration(), "0")[0]
-        assert distinguishing_word(lsharp, c, c) is None
+        assert distinguish(lsharp, c, c) is None
 
     def test_a_graph_of_another_machine_raises(self, lsharp):
         # Its steps and pop layers answer for the other machine's runs.
         s = pop_summaries(lsharp)
         c0 = lsharp.start_configuration()
         c1 = advance(lsharp, c0, "0")[0]
-        assert distinguishing_word(lsharp, c0, c1, s, graph=analysis._Product(lsharp, s)) == "1"
-        with pytest.raises(ValueError, match="another machine"):
-            distinguishing_word(lsharp, c0, c1, s, graph=analysis._Product(machine("dyck1"), s))
+        assert distinguish(lsharp, c0, c1, graph=analysis._Product(lsharp, s)) == "1"
         with pytest.raises(ValueError, match="another machine"):
             find_divergent_word(lsharp, 4, graph=analysis._Product(machine("dyck1"), s))
-        # So do a graph's trie layers for its own summary: a verdict read on
-        # a graph first used with another summary would depend on that
-        # history.  On lr this pair gets "bb" on a fresh graph, and got ""
-        # on one first used with the empty summary.
+        # A graph's trie layers answer for its own summary: on lr this pair
+        # gets "bb" on a graph that owns the pop summary, and "" on one that
+        # owns the empty summary.
         lr = machine("lr")
         s = pop_summaries(lr)
         c1, c2 = Configuration("qf", ("X0", "⊥")), Configuration("r", ("B", "B0", "X0", "⊥"))
-        assert distinguishing_word(lr, c1, c2, s) == "bb"
-        assert distinguishing_word(lr, c1, c2, s, graph=analysis._Product(lr, s)) == "bb"
-        graph = analysis._Product(lr, {})
-        assert distinguishing_word(lr, c1, c2, graph.summary, graph=graph) == ""
-        for summary in (s, dict(s), None):
-            with pytest.raises(ValueError, match="another pop summary"):
-                distinguishing_word(lr, c1, c2, summary, graph=graph)
-        with pytest.raises(ValueError, match="another pop summary"):
-            distinguishing_word(lr, c1, c2, graph=analysis._Product(lr, s))
+        assert distinguish(lr, c1, c2, s) == "bb"
+        assert distinguish(lr, c1, c2, graph=analysis._Product(lr, s)) == "bb"
+        assert distinguish(lr, c1, c2, graph=analysis._Product(lr, {})) == ""
 
     def test_found_word_actually_separates(self, lsharp):
         s = pop_summaries(lsharp)
         c1 = advance(lsharp, lsharp.start_configuration(), "00")[0]
         c2 = advance(lsharp, lsharp.start_configuration(), "0000")[0]
-        w = distinguishing_word(lsharp, c1, c2, s)
+        w = distinguish(lsharp, c1, c2, s)
         assert w is not None
         assert config_member(lsharp, c1, w) != config_member(lsharp, c2, w)
 
@@ -271,7 +270,7 @@ class TestDistinguishing:
 
             for i, c1 in enumerate(configs):
                 for c2 in configs[i + 1 :]:
-                    w = distinguishing_word(m, c1, c2)
+                    w = distinguish(m, c1, c2)
                     want, closed = bf.ref_distinguishing_word(
                         m, (c1.state, c1.stack), (c2.state, c2.stack), max_len=64, node_cap=2_000
                     )
@@ -314,14 +313,14 @@ class TestDistinguishing:
             return drive(*args)
 
         monkeypatch.setattr(analysis, "_drive", counted)
-        assert distinguishing_word(m, Configuration("p", ("X",)), Configuration("q", ("X",))) is None
+        assert distinguish(m, Configuration("p", ("X",)), Configuration("q", ("X",))) is None
         assert calls <= 2 + 2 * len(m.input_alphabet)
 
     def test_none_at_the_node_cap_proves_nothing(self, lsharp):
         c1 = advance(lsharp, lsharp.start_configuration(), "00")[0]
         c2 = advance(lsharp, lsharp.start_configuration(), "0000")[0]
-        assert distinguishing_word(lsharp, c1, c2) == "11"
-        assert distinguishing_word(lsharp, c1, c2, node_cap=1) is None
+        assert distinguish(lsharp, c1, c2) == "11"
+        assert distinguish(lsharp, c1, c2, node_cap=1) is None
 
     def test_one_drive_per_state_top_and_letter(self, monkeypatch, lsharp):
         # Steps are memoised per call: `_drive` runs at most once per
@@ -362,7 +361,7 @@ class TestDistinguishing:
         ]
         for m, c1, c2, node_cap, want in searches:
             runs.clear()
-            assert distinguishing_word(m, c1, c2, node_cap=node_cap) == want
+            assert distinguish(m, c1, c2, node_cap=node_cap) == want
             bound = len(m.states) * len(m.stack_alphabet) * (len(m.input_alphabet) + 1)
             assert len(runs) == len(set(runs)) <= bound, runs
 
@@ -382,7 +381,7 @@ class TestDistinguishing:
                         m, (c1.state, c1.stack), (c2.state, c2.stack), max_len=64, node_cap=2_000
                     )
                     if closed:
-                        assert distinguishing_word(m, c1, c2) == want, (c1, c2)
+                        assert distinguish(m, c1, c2) == want, (c1, c2)
 
     def test_an_eps_chain_that_strands_the_side(self):
         # From p, the letter a sets off an ε-chain e, o, e, ... that pops
@@ -415,7 +414,7 @@ class TestDistinguishing:
         )
         stacks = [("X",) * k + bottom for k in range(1, 5) for bottom in ((), ("Y",))]
         configs = [Configuration("p", stack) for stack in stacks]
-        assert distinguishing_word(raw, configs[-2], configs[-1]) == "aa"
+        assert distinguish(raw, configs[-2], configs[-1]) == "aa"
         # Sides that start on the empty stack: only their own state counts.
         configs += [Configuration("o", ()), Configuration("e", ())]
         for m in (raw, complete_dpda(raw)):
@@ -425,7 +424,7 @@ class TestDistinguishing:
                         m, (c1.state, c1.stack), (c2.state, c2.stack), max_len=64, node_cap=2_000
                     )
                     assert closed, (c1, c2)
-                    assert distinguishing_word(m, c1, c2) == want, (c1, c2)
+                    assert distinguish(m, c1, c2) == want, (c1, c2)
 
 
 def proved(m, c1, c2, node_cap=DISTINGUISH_NODE_CAP):
@@ -451,7 +450,7 @@ class TestDecompositionProof:
             configs = list(dict.fromkeys(r[0] for r in runs if r is not None))
             for i, c1 in enumerate(configs):
                 for c2 in configs[i + 1 :]:
-                    w = distinguishing_word(m, c1, c2, summary)
+                    w = distinguish(m, c1, c2, summary)
                     if w is not None:
                         assert bf.ref_config_member(m, c1.state, c1.stack, w) != bf.ref_config_member(
                             m, c2.state, c2.stack, w
@@ -484,7 +483,7 @@ class TestDecompositionProof:
         )
         c1, c2 = Configuration("p", ("A", "X")), Configuration("p", ("A", "Y"))
         assert not proved(m, c1, c2)
-        assert distinguishing_word(m, c1, c2, pop_summaries(m)) == "b"
+        assert distinguish(m, c1, c2, pop_summaries(m)) == "b"
 
     def test_sides_that_coincide_after_closure(self):
         # (p, X Y) ε-pops X into (q, Y): the two configurations differ,
@@ -505,7 +504,7 @@ class TestDecompositionProof:
         )
         c1, c2 = Configuration("p", ("X", "Y")), Configuration("q", ("Y",))
         assert proved(m, c1, c2)
-        assert distinguishing_word(m, c1, c2, pop_summaries(m)) is None
+        assert distinguish(m, c1, c2, pop_summaries(m)) is None
 
     def test_growing_stacks_are_proved_under_a_small_cap(self, monkeypatch):
         # The only state accepts, a and b push A and B above a bottom Z
@@ -542,11 +541,11 @@ class TestDecompositionProof:
 
         monkeypatch.setattr(analysis._Product, "probe", counted)
         c1, c2 = Configuration("q", ("A", "Z")), Configuration("q", ("B", "Z"))
-        assert distinguishing_word(m, c1, c2, node_cap=50) is None
+        assert distinguish(m, c1, c2, node_cap=50) is None
         assert calls > 150
         assert proved(m, c1, c2, node_cap=50)
         calls = 0
-        assert distinguishing_word(m, c1, c2, pop_summaries(m), node_cap=50) is None
+        assert distinguish(m, c1, c2, pop_summaries(m), node_cap=50) is None
         assert calls <= 2 + 3 * 2 + 2 * 2
 
     def test_separator_below_a_deep_common_top(self):
@@ -579,10 +578,10 @@ class TestDecompositionProof:
             }
         )
         c1, c2 = Configuration("q", ("Z",) * 20 + ("X",)), Configuration("q", ("Z",) * 20 + ("Y",))
-        w = distinguishing_word(m, c1, c2, pop_summaries(m), node_cap=200)
+        w = distinguish(m, c1, c2, pop_summaries(m), node_cap=200)
         assert w is not None
         assert bf.ref_config_member(m, "q", c1.stack, w) != bf.ref_config_member(m, "q", c2.stack, w)
-        assert distinguishing_word(m, c1, c2, node_cap=200) is None
+        assert distinguish(m, c1, c2, node_cap=200) is None
 
 
 def pop_layer_machines():
@@ -616,7 +615,7 @@ class TestPopLayers:
             configs = list(dict.fromkeys(r[0] for r in runs if r is not None))
             for i, c1 in enumerate(configs):
                 for c2 in configs[i + 1 :]:
-                    distinguishing_word(m, c1, c2, summary, graph=graph)
+                    distinguish(m, c1, c2, graph=graph)
         assert len(splits) > 100
         for state, alpha, got, want in splits:
             assert got == want, (state, alpha)
@@ -772,7 +771,7 @@ class TestDivergentWord:
         s = pop_summaries(lsharp)
         for i in range(len(configs)):
             for j in range(i + 1, len(configs)):
-                assert distinguishing_word(lsharp, configs[i], configs[j], s) is not None
+                assert distinguish(lsharp, configs[i], configs[j], s) is not None
 
     @pytest.mark.parametrize("length", [0, -1])
     def test_a_target_below_one_raises(self, lsharp, length):
@@ -796,16 +795,18 @@ class TestDivergentWord:
         real = analysis.distinguishing_word
         depths = []
 
-        def checking(m, c1, c2, summary=None, **kwargs):
+        def checking(graph, s1, s2, *args):
             search = sys._getframe(1).f_locals
-            graph, node = search["graph"], search["tree"]
+            m, node = graph.m, search["tree"]
+            assert graph is search["graph"]
             assert len(leaves(node)) == len(search["word"]) + 1
-            assert c1 == graph.configuration(search["side"])
+            assert s1 == search["side"]
+            c1, c2 = graph.configuration(s1), graph.configuration(s2)
             path = []
             while len(node) > 1:
                 path.append(node[0])
                 node = node[1 + config_member(m, c1, node[0])]
-            assert c2 == graph.configuration(node[0])
+            assert s2 == node[0]
             assert [config_member(m, c2, w) for w in path] == [config_member(m, c1, w) for w in path]
             nodes = [search["tree"]]
             while nodes:
@@ -815,7 +816,7 @@ class TestDivergentWord:
                     assert all(config_member(m, c, w) == bit for c in kept), w
                     nodes.append(subtree)
             depths.append(len(path))
-            return real(m, c1, c2, summary, **kwargs)
+            return real(graph, s1, s2, *args)
 
         monkeypatch.setattr(analysis, "distinguishing_word", checking)
         divergent(machine(name), length)
@@ -847,22 +848,22 @@ class TestDivergentWord:
         [corpus._ENTRIES[name][0]() for name in corpus.names()]
         + [bench_machines().counter_doc(k) for k in bench_machines().COUNTER_KS],
     )
-    def test_the_search_builds_configurations_only_for_the_distinguisher(self, monkeypatch, doc):
-        # The search holds sides; a configuration is built only for the two
-        # arguments of a distinguisher call, not for every extension.
+    def test_the_search_builds_no_configuration(self, monkeypatch, doc):
+        # The search holds sides and hands the distinguisher two of them,
+        # so no side is turned back into a configuration.
         m = complete_dpda(validate_dpda(doc))
         built = calls = 0
-        configuration, distinguish = analysis._Product.configuration, analysis.distinguishing_word
+        configuration, real = analysis._Product.configuration, analysis.distinguishing_word
 
         def counted_configuration(graph, side):
             nonlocal built
             built += 1
             return configuration(graph, side)
 
-        def counted_distinguish(*args, **kwargs):
+        def counted_distinguish(graph, s1, s2, *args):
             nonlocal calls
             calls += 1
-            return distinguish(*args, **kwargs)
+            return real(graph, s1, s2, *args)
 
         monkeypatch.setattr(analysis._Product, "configuration", counted_configuration)
         monkeypatch.setattr(analysis, "distinguishing_word", counted_distinguish)
@@ -871,7 +872,7 @@ class TestDivergentWord:
             find_divergent_word(m, budgets.word_length)
         except ExhaustedError:
             pass
-        assert built <= 2 * calls, (built, calls)
+        assert built == 0 < calls, (built, calls)
 
     @pytest.mark.parametrize("m", SMALL_MACHINES)
     def test_pop_probes_are_built_once_per_side(self, monkeypatch, m):
@@ -969,9 +970,9 @@ class TestDivergentWord:
         source, first = inspect.getsourcelines(code)
         at = first + next(i for i, line in enumerate(source) if "pair = (side, kept)" in line)
 
-        def counting(m, c1, c2, summary=None, **kwargs):
-            calls.append((c1, c2))
-            return real(m, c1, c2, summary, **kwargs)
+        def counting(graph, s1, s2, *args):
+            calls.append((s1, s2))
+            return real(graph, s1, s2, *args)
 
         def lines(frame, event, arg):
             nonlocal meetings
@@ -1155,7 +1156,7 @@ class TestFewerReadsSameWords:
             [{"r1": "a", "r": "bb"}, {}],
         ]
         assert analysis._search(graph, u1, u2, DISTINGUISH_NODE_CAP) == ("ac", True)
-        assert distinguishing_word(m, c1, c2, summary, graph=graph) == "bb"
+        assert distinguish(m, c1, c2, graph=graph) == "bb"
         assert [config_member(m, c, "bb") for c in (c1, c2)] == [True, False]
 
     @pytest.mark.parametrize(
@@ -1173,7 +1174,7 @@ class TestFewerReadsSameWords:
         summary = pop_summaries(m)
         graph, reference = analysis._Product(m, summary), analysis._Product(m, summary)
         for c1, c2 in product(configs, repeat=2):
-            got = distinguishing_word(m, c1, c2, summary, graph=graph)
+            got = distinguish(m, c1, c2, graph=graph)
             assert got == reference_distinguishing_word(m, c1, c2, reference), (c1, c2)
 
     def test_read_misses_walk_well_under_half_the_flat_scans_letters(self, monkeypatch):
@@ -1217,10 +1218,9 @@ class TestFewerReadsSameWords:
             log.append((side, word))
             return real_read(graph, side, word)
 
-        def marked(m, c1, c2, summary=None, *, graph, **kwargs):
-            word = real_distinguish(m, c1, c2, summary, graph=graph, **kwargs)
-            pair = {graph.side(c.state, graph.push(0, c.stack[::-1])) for c in (c1, c2)}
-            log.append((pair, word))
+        def marked(graph, s1, s2, *args):
+            word = real_distinguish(graph, s1, s2, *args)
+            log.append(({s1, s2}, word))
             return word
 
         monkeypatch.setattr(analysis._Product, "read", logged_read)

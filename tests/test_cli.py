@@ -181,6 +181,10 @@ def test_refute_lr(tmp_path):
     path.write_text(json.dumps(mealy_to_document(wide_tree_machine())))
     outcome = run_cli(["refute", "lr", str(path), "--k-max", "5"])
     assert outcome.exit_code == 1
+    # Every prefix of length 7 is dead, and a dead prefix refutes.
+    outcome = run_cli(["refute", "lr", str(path), "--k-max", "7"])
+    assert outcome.exit_code == 0
+    assert outcome.payload["word"] == "aaaaaaacaaaaaaa"
 
 
 def test_usage_error_is_exit_2():

@@ -3,14 +3,14 @@ import gc
 import hashlib
 import json
 import pickle
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcflab import corpus
+from dcflab import analysis, corpus
 from dcflab.dpda import InvalidMachineError, validate_dpda
 from dcflab.mealy import (
     IDENTITY_TABLE,
@@ -647,6 +647,26 @@ class TestRefuteLR:
 
     def test_no_collision_within_bound_gives_none(self):
         assert refute_simplicity_LR(wide_tree_machine(), k_max=5) is None
+
+    def test_a_dead_prefix_refutes(self):
+        # The transducer dies on every prefix of length 7, so the machine
+        # rejects the marked palindrome w c wᴿ for the first of them.
+        assert refute_simplicity_LR(wide_tree_machine(), k_max=7) == "aaaaaaacaaaaaaa"
+
+    def test_the_separator_is_the_distinguishers_word(self):
+        # After w over {a, b}, lr accepts exactly c wᴿ, so c·min(w1ᴿ, w2ᴿ)
+        # is the (length, lex)-least word that separates w1 from w2: the
+        # distinguisher on lr's graph must return that very word.
+        lr = corpus.get_entry("lr").machine
+        graph = analysis._Product(lr, analysis.pop_summaries(lr))
+        start = graph.close(lr.start_configuration())[0]
+        pairs = 0
+        for k in range(1, 7):
+            for w1, w2 in combinations(map("".join, product("ab", repeat=k)), 2):
+                s1, s2 = graph.read(start, w1)[0], graph.read(start, w2)[0]
+                assert analysis.distinguishing_word(graph, s1, s2) == "c" + min(w1[::-1], w2[::-1])
+                pairs += 1
+        assert pairs == 2667
 
     def test_tapes_at_one_position_collide(self):
         # "01" and "0011" differ as tapes but leave the 0^n1^n oracle at
