@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 from .dpda import (
     Configuration,
@@ -161,15 +161,15 @@ class _Product:
     maps each word read from the side, each letter and "" among them, to
     the end side and its flag.
 
-    The graph owns m's pop summary, `summary` (None: plain product
-    simulation).  Pop words compose top-down, so `layers` is a trie of their
-    layers {end state: pop word} per (state p, top segment), rooted at key
-    p, that `pop_layers` walks for the probes, the splits and the y words.
+    The graph computes and owns m's pop summary, `summary`.  Pop words
+    compose top-down, so `layers` is a trie of their layers {end state: pop
+    word} per (state p, top segment), rooted at key p, that `pop_layers`
+    walks for the probes, the splits and the y words.
     """
 
-    def __init__(self, m: Dpda, summary: Optional[Mapping] = None):
+    def __init__(self, m: Dpda):
         self.m = m
-        self.summary = summary
+        self.summary = pop_summaries(m)
         self.cells: list[tuple[str, int]] = [("", 0)]  # node -> (top, node below)
         self.heights: list[int] = [0]  # node -> stack height
         self.ids: dict[tuple[str, int], int] = {}  # (top, node below) -> node
@@ -306,24 +306,23 @@ class _Product:
             yield layer
 
 
-def _search(product: _Product, s1: int, s2: int, node_cap: int) -> tuple[Optional[Word], bool]:
+def _search(product: _Product, s1: int, s2: int) -> tuple[Optional[Word], bool]:
     """A word that separates the stable sides s1 and s2, found by a
     breadth-first walk over side pairs, each carrying the word that leads
     to it.  Returns (word, True), (None, True) when the walk closes, which
     proves that no nonempty word separates them, or (None, False) once it
-    meets more than `node_cap` pairs past the first, which proves nothing.
+    meets more than `DISTINGUISH_NODE_CAP` pairs past the first, which
+    proves nothing.
 
-    A pair whose sides coincide needs nothing.  When the graph has a pop
-    summary, a pair whose sides share the state p and the top symbol is
-    split: with α the longest common top segment, so that the stacks are
-    α·ρ1 and α·ρ2, each down-state r of α from p, with pop witness u (in
-    the last of α's pop layers), gives the ε-closures of (r, ρ1) and
-    (r, ρ2), reached by the pair's word followed by u.  A split needs the
-    two closure flags of every r to agree.  Every other pair, and a split
-    pair whose flags disagree for some r, is expanded by each letter; a
-    letter whose two flags disagree ends the walk with the pair's word and
-    that letter.  Without a summary this is plain product
-    simulation, and the word found is the shortest separator.
+    A pair whose sides coincide needs nothing.  A pair whose sides share
+    the state p and the top symbol is split: with α the longest common top
+    segment, so that the stacks are α·ρ1 and α·ρ2, each down-state r of α
+    from p, with pop witness u (in the last of α's pop layers), gives the
+    ε-closures of (r, ρ1) and (r, ρ2), reached by the pair's word followed
+    by u.  A split needs the two closure flags of every r to agree.  Every
+    other pair, and a split pair whose flags disagree for some r, is
+    expanded by each letter; a letter whose two flags disagree ends the
+    walk with the pair's word and that letter.
 
     Every returned word separates: u drives (p, α·ρ) to the ε-closure of
     (r, ρ), since α is popped only after u's last letter.
@@ -340,7 +339,7 @@ def _search(product: _Product, s1: int, s2: int, node_cap: int) -> tuple[Optiona
     closed pair.  Each case contradicts the checks or the choice of w.
     """
     cells, pairs, side, read = product.cells, product.pairs, product.side, product.read
-    sigma = sorted(product.m.input_alphabet)
+    sigma, cap = sorted(product.m.input_alphabet), DISTINGUISH_NODE_CAP + 1
     seen = {(s1, s2)}
     work = deque([(s1, s2, "")])
     while work:
@@ -348,7 +347,7 @@ def _search(product: _Product, s1: int, s2: int, node_cap: int) -> tuple[Optiona
         if d1 == d2:
             continue
         nexts = None
-        if product.summary is not None and d1 is not None and d2 is not None:
+        if d1 is not None and d2 is not None:
             (p, n1), (p2, n2) = pairs[d1], pairs[d2]
             if p == p2 and cells[n1][0] == cells[n2][0]:
                 # Distinct nodes with one top have distinct nodes below,
@@ -372,60 +371,57 @@ def _search(product: _Product, s1: int, s2: int, node_cap: int) -> tuple[Optiona
             if e1 == e2 or (e1, e2) in seen:
                 continue
             seen.add((e1, e2))
-            if len(seen) > node_cap + 1:
+            if len(seen) > cap:
                 return None, False
             work.append((e1, e2, w))
     return None, True
 
 
-def distinguishing_word(
-    graph: _Product, s1: int, s2: int, node_cap: int = DISTINGUISH_NODE_CAP
-) -> Optional[Word]:
+def distinguishing_word(graph: _Product, s1: int, s2: int) -> Optional[Word]:
     """A word on which exactly one of the configurations that the sides s1
     and s2 of `graph` stand for accepts.
 
-    Equal sides have none.  With a pop summary on the graph, pop-guided
-    probes come first, in (length, word) order: words that unwind either
-    stack reach the depth at which the configurations differ without any
-    search.  A pop word of a top segment α that both stacks share, read
-    from their common state, runs alike on both until it pops α, after its
-    last letter, into a down-state r.  Its flags can then differ only if
-    the ε-closure flags of r over the two rests below α do, so only then
-    is it read.  Then `_search` walks the pairs of sides, splitting common
-    tops through the pop summary.  None covers two cases: the walk closed,
-    which proves the configurations equivalent, or it was cut at
-    `node_cap` pairs, which proves nothing.
+    Equal sides have none.  Pop-guided probes come first, in (length,
+    word) order: words that unwind either stack reach the depth at which
+    the configurations differ without any search.  A pop word of a top
+    segment α that both stacks share, read from their common state, runs
+    alike on both until it pops α, after its last letter, into a
+    down-state r.  Its flags can then differ only if the ε-closure flags
+    of r over the two rests below α do, so only then is it read.  Then
+    `_search` walks the pairs of sides, splitting common tops through the
+    pop summary.  None covers two cases: the walk closed, which proves the
+    configurations equivalent, or it was cut at `DISTINGUISH_NODE_CAP`
+    pairs, which proves nothing.
 
     One graph serves a whole extraction, so steps, reads and pop layers
-    from earlier calls are lookups; given the graph's machine, its pop
-    summary and the node cap, the verdict depends on the pair alone.
+    from earlier calls are lookups; given the graph's machine and the node
+    cap, the verdict depends on the pair alone.
     """
     if s1 == s2:
         return None
-    if graph.summary is not None:
-        # Words that pop some prefix of either stack drive that side to a
-        # known state with a known stack remainder.  The walks share the
-        # layers of the common top segment.
-        read, side, cells = graph.read, graph.side, graph.cells
-        (p1, d1), (p2, d2) = graph.pairs[s1], graph.pairs[s2]
-        walk2, shared, probes = graph.pop_layers(p2, d2), p1 == p2, set()
-        for pops in graph.pop_layers(p1, d1):
-            if shared := shared and cells[d1][0] == cells[d2][0]:
-                next(walk2)  # this same layer
-            d1, d2 = cells[d1][1], cells[d2][1]
-            probes.update(
-                w for r, w in pops.items()
-                if not shared or read(side(r, d1), "")[1] != read(side(r, d2), "")[1]
-            )
-        probes.update(w for pops in walk2 for w in pops.values())
-        for cand in sorted(probes, key=lambda w: (len(w), w)):
-            if read(s1, cand)[1] != read(s2, cand)[1]:
-                return cand
+    # Words that pop some prefix of either stack drive that side to a known
+    # state with a known stack remainder.  The walks share the layers of
+    # the common top segment.
+    read, side, cells = graph.read, graph.side, graph.cells
+    (p1, d1), (p2, d2) = graph.pairs[s1], graph.pairs[s2]
+    walk2, shared, probes = graph.pop_layers(p2, d2), p1 == p2, set()
+    for pops in graph.pop_layers(p1, d1):
+        if shared := shared and cells[d1][0] == cells[d2][0]:
+            next(walk2)  # this same layer
+        d1, d2 = cells[d1][1], cells[d2][1]
+        probes.update(
+            w for r, w in pops.items()
+            if not shared or read(side(r, d1), "")[1] != read(side(r, d2), "")[1]
+        )
+    probes.update(w for pops in walk2 for w in pops.values())
+    for cand in sorted(probes, key=lambda w: (len(w), w)):
+        if read(s1, cand)[1] != read(s2, cand)[1]:
+            return cand
 
-    (e1, a1), (e2, a2) = graph.read(s1, ""), graph.read(s2, "")
+    (e1, a1), (e2, a2) = read(s1, ""), read(s2, "")
     if a1 != a2:
         return ""
-    return _search(graph, e1, e2, node_cap)[0]
+    return _search(graph, e1, e2)[0]
 
 
 def find_divergent_word(m: Dpda, target_length: int, *, graph: Optional[_Product] = None) -> Word:
@@ -453,16 +449,16 @@ def find_divergent_word(m: Dpda, target_length: int, *, graph: Optional[_Product
     on a pair that an earlier word already separates.
 
     One `_Product` of m, `graph`, serves the whole search; without one, it
-    builds one over `pop_summaries(m)`, and one of another machine raises
-    ValueError.  The search holds its sides only, ranks extensions by the
-    stack heights kept on the graph's nodes, reads each word on the graph
-    at most once per side, and hands the distinguisher the two sides.
+    builds `_Product(m)`, and one of another machine raises ValueError.
+    The search holds its sides only, ranks extensions by the stack heights
+    kept on the graph's nodes, reads each word on the graph at most once
+    per side, and hands the distinguisher the two sides.
     That call runs at most once per ordered (candidate, leaf prefix) pair
     per search, since backtracking meets the same pairs again.
     """
     if target_length < 1:
         raise ValueError(f"target_length must be >= 1, not {target_length}")
-    graph = _Product(m, pop_summaries(m)) if graph is None else graph
+    graph = _Product(m) if graph is None else graph
     if graph.m is not m:
         raise ValueError("graph is the _Product of another machine")
     sigma = sorted(m.input_alphabet)

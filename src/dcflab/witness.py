@@ -26,7 +26,6 @@ from .analysis import (
     _pumps,
     find_divergent_word,
     periodicity,
-    pop_summaries,
     stair_factorize,
 )
 from .corpus import is_lsharp, is_lsharp_prefix
@@ -201,9 +200,7 @@ def _loop_candidates(graph: _Product, pump, top: int, bottom: int):
     being the stack from node `top` down to node `bottom` of the graph."""
     pops_here = graph.summary.get((pump.p, pump.X), {})
     for q in sorted(pops_here):
-        w_word = pops_here[q]
-        if not w_word:
-            continue
+        w_word = pops_here[q]  # nonempty: a level's top (p, X) has no ε-rule
         *_, pops = graph.pop_layers(q, top, bottom)
         y_word = pops.get(q)
         if y_word:
@@ -214,8 +211,8 @@ def find_witness(m: Dpda, budgets: SearchBudgets = SearchBudgets()) -> WitnessTu
     """Extract a verified witness tuple from a machine with a non-regular
     language (the caller asserts non-regularity).
 
-    Pipeline: complete the machine and build one `_Product` graph over its
-    pop summary, which every stage below reads; grow a divergent word;
+    Pipeline: complete the machine and build its one `_Product` graph,
+    which every stage below reads; grow a divergent word;
     stair-factorize it and take its verified pumps one at a time, so that
     a candidate is re-checked only when the search gets to it; for each
     pump find a state q reachable by popping X and again by
@@ -258,7 +255,7 @@ def _search_witness(m: Dpda, budgets: SearchBudgets) -> WitnessTuple:
     """`find_witness`'s search."""
     mc = m if m.completed else complete_dpda(m)
     oracle = oracle_from_dpda(mc)
-    graph = _Product(mc, pop_summaries(mc))
+    graph = _Product(mc)
 
     try:
         u = find_divergent_word(mc, budgets.word_length, graph=graph)

@@ -39,12 +39,19 @@ def eps_pop_end(m, c):
     return None if end.stack else end.state
 
 
-def distinguish(m, c1, c2, summary=None, node_cap=DISTINGUISH_NODE_CAP, *, graph=None):
+def distinguish(m, c1, c2, *, graph=None):
     """The distinguisher on the sides of c1 and c2 in `graph`, or in a
-    fresh `_Product(m, summary)` (summary None: plain product simulation)."""
-    graph = analysis._Product(m, summary) if graph is None else graph
+    fresh `_Product(m)`."""
+    graph = analysis._Product(m) if graph is None else graph
     s1, s2 = (graph.side(c.state, graph.push(0, c.stack[::-1])) for c in (c1, c2))
-    return distinguishing_word(graph, s1, s2, node_cap)
+    return distinguishing_word(graph, s1, s2)
+
+
+def separates(m, c1, c2, w):
+    """Whether the rules-only reference accepts w from exactly one of c1, c2."""
+    return bf.ref_config_member(m, c1.state, c1.stack, w) != bf.ref_config_member(
+        m, c2.state, c2.stack, w
+    )
 
 
 def pumps(m, u):
@@ -202,6 +209,24 @@ class TestPopSummaries:
         want = {q2: min(ws, key=lambda w: (len(w), w)) for q2, ws in words.items()}
         assert analysis._pop_step(entries, current, symbol) == want
 
+    def test_every_pop_witness_of_an_eps_free_top_is_nonempty(self):
+        # A pump's (p, X) tops a stable level, so it has no ε-rule, and a
+        # pop witness from it starts with a letter: the loop stage's w is
+        # never empty.  On the small machines and the benchmark's, the
+        # random suite also under rename seeds 1 and 11.
+        machines = bench_machines()
+        renamed = [machines.rename(doc, seed) for doc in machines.random_suite() for seed in (1, 11)]
+        suite = [param.values[0] for param in SMALL_MACHINES] + bench_suite_machines()
+        suite += [complete_dpda(validate_dpda(doc)) for doc in renamed]
+        checked = 0
+        for m in suite:
+            eps = {(r.from_state, r.top) for r in m.rules if not r.label}
+            for (p, X), pops in pop_summaries(m).items():
+                if (p, X) not in eps:
+                    assert all(pops.values()), (m, p, X, pops)
+                    checked += len(pops)
+        assert checked > 1000
+
     def test_summaries_match_the_pinned_digest(self):
         # Every corpus, counter and random-suite machine's summary, its
         # entries and end states in their order.  The digest was taken
@@ -223,39 +248,32 @@ class TestDistinguishing:
 
     def test_a_graph_of_another_machine_raises(self, lsharp):
         # Its steps and pop layers answer for the other machine's runs.
-        s = pop_summaries(lsharp)
         c0 = lsharp.start_configuration()
         c1 = advance(lsharp, c0, "0")[0]
-        assert distinguish(lsharp, c0, c1, graph=analysis._Product(lsharp, s)) == "1"
+        assert distinguish(lsharp, c0, c1, graph=analysis._Product(lsharp)) == "1"
         with pytest.raises(ValueError, match="another machine"):
-            find_divergent_word(lsharp, 4, graph=analysis._Product(machine("dyck1"), s))
-        # A graph's trie layers answer for its own summary: on lr this pair
-        # gets "bb" on a graph that owns the pop summary, and "" on one that
-        # owns the empty summary.
+            find_divergent_word(lsharp, 4, graph=analysis._Product(machine("dyck1")))
+        # A graph's trie layers answer for its own machine's pop summary:
+        # on lr this pair gets "bb" through them.
         lr = machine("lr")
-        s = pop_summaries(lr)
         c1, c2 = Configuration("qf", ("X0", "⊥")), Configuration("r", ("B", "B0", "X0", "⊥"))
-        assert distinguish(lr, c1, c2, s) == "bb"
-        assert distinguish(lr, c1, c2, graph=analysis._Product(lr, s)) == "bb"
-        assert distinguish(lr, c1, c2, graph=analysis._Product(lr, {})) == ""
+        assert distinguish(lr, c1, c2, graph=analysis._Product(lr)) == "bb"
 
     def test_found_word_actually_separates(self, lsharp):
-        s = pop_summaries(lsharp)
         c1 = advance(lsharp, lsharp.start_configuration(), "00")[0]
         c2 = advance(lsharp, lsharp.start_configuration(), "0000")[0]
-        w = distinguish(lsharp, c1, c2, s)
+        w = distinguish(lsharp, c1, c2)
         assert w is not None
         assert config_member(lsharp, c1, w) != config_member(lsharp, c2, w)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_product_search_against_reference(self, seed):
         # Pairs of configurations reached by words of length <= 3, on the
-        # raw machine (runs stick) and on its completion.  Wherever a plain
-        # product BFS off the rule list closes under its own cap, the
-        # distinguisher returns its very word, or None.  In any case a
-        # found word separates the pair and no shorter word does; None
-        # means no word of length <= 6 separates it, since the depth-6
-        # product tree (126 nodes) lies far below the node cap.
+        # raw machine (runs stick) and on its completion.  A found word
+        # separates the pair off the rule list.  None means that no word of
+        # length <= 6 separates it, and, wherever a plain product BFS off
+        # the rule list closes under its own cap, that the BFS found no
+        # word either.
         raw = random_eps_machine(random.Random(seed))
         short = list(bf.iter_words("01", 6))
         for m in (raw, complete_dpda(raw)):
@@ -271,17 +289,14 @@ class TestDistinguishing:
             for i, c1 in enumerate(configs):
                 for c2 in configs[i + 1 :]:
                     w = distinguish(m, c1, c2)
+                    if w is not None:
+                        assert separates(m, c1, c2, w), (c1, c2, w)
+                        continue
                     want, closed = bf.ref_distinguishing_word(
                         m, (c1.state, c1.stack), (c2.state, c2.stack), max_len=64, node_cap=2_000
                     )
-                    if closed:
-                        assert w == want, (c1, c2)
-                    if w is None:
-                        assert verdicts(c1, short) == verdicts(c2, short), (c1, c2)
-                        continue
-                    assert verdicts(c1, [w]) != verdicts(c2, [w]), (c1, c2, w)
-                    shorter = list(bf.iter_words("01", len(w) - 1)) if w else []
-                    assert verdicts(c1, shorter) == verdicts(c2, shorter), (c1, c2, w)
+                    assert want is None or not closed, (c1, c2, want)
+                    assert verdicts(c1, short) == verdicts(c2, short), (c1, c2)
 
     def test_coinciding_sides_end_the_search(self, monkeypatch):
         # From every state and top, a and b both go to r, so (p, X) and
@@ -316,11 +331,14 @@ class TestDistinguishing:
         assert distinguish(m, Configuration("p", ("X",)), Configuration("q", ("X",))) is None
         assert calls <= 2 + 2 * len(m.input_alphabet)
 
-    def test_none_at_the_node_cap_proves_nothing(self, lsharp):
-        c1 = advance(lsharp, lsharp.start_configuration(), "00")[0]
-        c2 = advance(lsharp, lsharp.start_configuration(), "0000")[0]
-        assert distinguish(lsharp, c1, c2) == "11"
-        assert distinguish(lsharp, c1, c2, node_cap=1) is None
+    def test_none_at_the_node_cap_proves_nothing(self, monkeypatch, lsharp):
+        # No pop probe separates q0 and q1 over A0 X0 ⊥, so the word comes
+        # from the search, three letters deep.
+        c1 = advance(lsharp, lsharp.start_configuration(), "0")[0]
+        c2 = advance(lsharp, lsharp.start_configuration(), "001")[0]
+        assert distinguish(lsharp, c1, c2) == "011"
+        monkeypatch.setattr(analysis, "DISTINGUISH_NODE_CAP", 1)
+        assert distinguish(lsharp, c1, c2) is None
 
     def test_one_drive_per_state_top_and_letter(self, monkeypatch, lsharp):
         # Steps are memoised per call: `_drive` runs at most once per
@@ -351,17 +369,18 @@ class TestDistinguishing:
             return drive(m, state, stack, word)
 
         monkeypatch.setattr(analysis, "_drive", counted)
-        c1 = advance(lsharp, lsharp.start_configuration(), "00")[0]
-        c2 = advance(lsharp, lsharp.start_configuration(), "0000")[0]
+        c1 = advance(lsharp, lsharp.start_configuration(), "0")[0]
+        c2 = advance(lsharp, lsharp.start_configuration(), "001")[0]
         p, q = Configuration("p", ("X",)), Configuration("q", ("X",))
         searches = [
-            (lsharp, c1, c2, DISTINGUISH_NODE_CAP, "11"),
+            (lsharp, c1, c2, DISTINGUISH_NODE_CAP, "011"),
             (lsharp, c1, c2, 1, None),
             (twins, p, q, DISTINGUISH_NODE_CAP, None),
         ]
         for m, c1, c2, node_cap, want in searches:
             runs.clear()
-            assert distinguish(m, c1, c2, node_cap=node_cap) == want
+            monkeypatch.setattr(analysis, "DISTINGUISH_NODE_CAP", node_cap)
+            assert distinguish(m, c1, c2) == want
             bound = len(m.states) * len(m.stack_alphabet) * (len(m.input_alphabet) + 1)
             assert len(runs) == len(set(runs)) <= bound, runs
 
@@ -369,25 +388,29 @@ class TestDistinguishing:
     def test_deep_stacks_against_reference(self, seed):
         # Configurations reached by words of length <= 6 stack up to nine
         # symbols, so steps pop through many stack nodes and ε-chains
-        # run below the one-symbol window.  Wherever the reference closes,
-        # the distinguisher returns its very word.
+        # run below the one-symbol window.  A found word separates the pair
+        # off the rule list; wherever the reference closes, None means that
+        # it found no word either.
         raw = random_eps_machine(random.Random(seed))
         for m in (raw, complete_dpda(raw)):
             runs = (advance(m, m.start_configuration(), u) for u in bf.iter_words("01", 6))
             configs = list(dict.fromkeys(r[0] for r in runs if r is not None))
             for i, c1 in enumerate(configs):
                 for c2 in configs[i + 1 :]:
+                    w = distinguish(m, c1, c2)
+                    if w is not None:
+                        assert separates(m, c1, c2, w), (c1, c2, w)
+                        continue
                     want, closed = bf.ref_distinguishing_word(
                         m, (c1.state, c1.stack), (c2.state, c2.stack), max_len=64, node_cap=2_000
                     )
-                    if closed:
-                        assert distinguish(m, c1, c2) == want, (c1, c2)
+                    assert want is None or not closed, (c1, c2, want)
 
     def test_an_eps_chain_that_strands_the_side(self):
         # From p, the letter a sets off an ε-chain e, o, e, ... that pops
         # every X, passing the accepting o.  On X^4 it leaves the side on
         # the empty stack, so the next letter strands it; on X^4 Y it stops
-        # at e over Y, where a accepts.
+        # at e over Y, where a accepts: "aa" separates the two.
         rules = [
             {"from": "p", "top": "X", "label": "a", "to": "e", "push": ["X"]},
             {"from": "p", "top": "X", "label": "b", "to": "p", "push": ["X"]},
@@ -414,7 +437,12 @@ class TestDistinguishing:
         )
         stacks = [("X",) * k + bottom for k in range(1, 5) for bottom in ((), ("Y",))]
         configs = [Configuration("p", stack) for stack in stacks]
-        assert distinguish(raw, configs[-2], configs[-1]) == "aa"
+        graph = analysis._Product(raw)
+        stranded, kept = (graph.close(c)[0] for c in configs[-2:])
+        assert graph.read(stranded, "a") == (graph.side("e", 0), True)
+        assert graph.read(stranded, "aa") == (None, False)
+        assert graph.read(kept, "aa")[1]
+        assert separates(raw, *configs[-2:], distinguish(raw, *configs[-2:], graph=graph))
         # Sides that start on the empty stack: only their own state counts.
         configs += [Configuration("o", ()), Configuration("e", ())]
         for m in (raw, complete_dpda(raw)):
@@ -424,15 +452,18 @@ class TestDistinguishing:
                         m, (c1.state, c1.stack), (c2.state, c2.stack), max_len=64, node_cap=2_000
                     )
                     assert closed, (c1, c2)
-                    assert distinguish(m, c1, c2) == want, (c1, c2)
+                    w = distinguish(m, c1, c2)
+                    assert (w is None) == (want is None), (c1, c2, w, want)
+                    if w is not None:
+                        assert separates(m, c1, c2, w), (c1, c2, w)
 
 
-def proved(m, c1, c2, node_cap=DISTINGUISH_NODE_CAP):
-    """Whether the search with a pop summary, past the pop probes, closes
-    with no separator, which proves c1 and c2 equivalent."""
-    sides = analysis._Product(m, pop_summaries(m))
+def proved(m, c1, c2):
+    """Whether the search, past the pop probes, closes with no separator,
+    which proves c1 and c2 equivalent."""
+    sides = analysis._Product(m)
     (s1, a1), (s2, a2) = sides.close(c1), sides.close(c2)
-    return a1 == a2 and analysis._search(sides, s1, s2, node_cap) == (None, True)
+    return a1 == a2 and analysis._search(sides, s1, s2) == (None, True)
 
 
 class TestDecompositionProof:
@@ -440,21 +471,19 @@ class TestDecompositionProof:
     def test_proved_pairs_have_no_separator(self, seed):
         # Pairs of configurations reached by words of length <= 6, raw and
         # completed: wherever the search proves a pair equivalent, or the
-        # distinguisher with a pop summary returns None, the plain product
-        # BFS off the rule list finds no separator; every word it returns
-        # separates the pair off the rule list.
+        # distinguisher returns None, the plain product BFS off the rule
+        # list finds no separator; every word it returns separates the pair
+        # off the rule list.
         raw = random_eps_machine(random.Random(seed))
         for m in (raw, complete_dpda(raw)):
-            summary = pop_summaries(m)
+            graph = analysis._Product(m)
             runs = (advance(m, m.start_configuration(), u) for u in bf.iter_words("01", 6))
             configs = list(dict.fromkeys(r[0] for r in runs if r is not None))
             for i, c1 in enumerate(configs):
                 for c2 in configs[i + 1 :]:
-                    w = distinguish(m, c1, c2, summary)
+                    w = distinguish(m, c1, c2, graph=graph)
                     if w is not None:
-                        assert bf.ref_config_member(m, c1.state, c1.stack, w) != bf.ref_config_member(
-                            m, c2.state, c2.stack, w
-                        ), (c1, c2, w)
+                        assert separates(m, c1, c2, w), (c1, c2, w)
                     if w is None or proved(m, c1, c2):
                         want, _ = bf.ref_distinguishing_word(
                             m, (c1.state, c1.stack), (c2.state, c2.stack), max_len=64, node_cap=2_000
@@ -483,7 +512,7 @@ class TestDecompositionProof:
         )
         c1, c2 = Configuration("p", ("A", "X")), Configuration("p", ("A", "Y"))
         assert not proved(m, c1, c2)
-        assert distinguish(m, c1, c2, pop_summaries(m)) == "b"
+        assert distinguish(m, c1, c2) == "b"
 
     def test_sides_that_coincide_after_closure(self):
         # (p, X Y) ε-pops X into (q, Y): the two configurations differ,
@@ -504,15 +533,14 @@ class TestDecompositionProof:
         )
         c1, c2 = Configuration("p", ("X", "Y")), Configuration("q", ("Y",))
         assert proved(m, c1, c2)
-        assert distinguish(m, c1, c2, pop_summaries(m)) is None
+        assert distinguish(m, c1, c2) is None
 
     def test_growing_stacks_are_proved_under_a_small_cap(self, monkeypatch):
         # The only state accepts, a and b push A and B above a bottom Z
         # that never pops, and c pops.  Over A Z and B Z the product holds
-        # the pair (w A Z, w B Z) for every stack word w, so the BFS walks
-        # to its cap: each expanded pair adds at most two new ones, so
-        # passing 50 pairs takes over 25 expansions of 2 * 3 probes each.
-        # The proof splits off each common top and closes on three pairs.
+        # the pair (w A Z, w B Z) for every stack word w, so a plain
+        # product BFS walks to its cap.  The proof splits off each common
+        # top and closes on three pairs.
         rules = [
             {"from": "q", "top": top, "label": a, "to": "q", "push": [push, top]}
             for top in "ABZ"
@@ -541,21 +569,21 @@ class TestDecompositionProof:
 
         monkeypatch.setattr(analysis._Product, "probe", counted)
         c1, c2 = Configuration("q", ("A", "Z")), Configuration("q", ("B", "Z"))
-        assert distinguish(m, c1, c2, node_cap=50) is None
-        assert calls > 150
-        assert proved(m, c1, c2, node_cap=50)
+        assert bf.ref_distinguishing_word(m, ("q", c1.stack), ("q", c2.stack), 64, 50) == (None, False)
+        monkeypatch.setattr(analysis, "DISTINGUISH_NODE_CAP", 50)
+        assert proved(m, c1, c2)
         calls = 0
-        assert distinguish(m, c1, c2, pop_summaries(m), node_cap=50) is None
+        assert distinguish(m, c1, c2) is None
         assert calls <= 2 + 3 * 2 + 2 * 2
 
-    def test_separator_below_a_deep_common_top(self):
+    def test_separator_below_a_deep_common_top(self, monkeypatch):
         # Sides in q over Z^20 X and Z^20 Y: c pops a Z or a pushed A or B,
         # and a, b push A, B on every top, so the product grows.  Only
         # after c^20 pops the common top do the sides differ: a pushes into
         # the accepting f over X and into q over Y.  Every pop probe ends in
         # q, which rejects, and the shortest separator c^20 a lies deeper
-        # than a product walk capped at 200 pairs reaches; splitting the
-        # common top reaches it through its pop witness.
+        # than a plain product BFS capped at 200 pairs reaches; splitting
+        # the common top reaches it through its pop witness.
         rules = [
             {"from": "q", "top": top, "label": a, "to": "q", "push": [push, top]}
             for top in "ABYZ"
@@ -578,18 +606,17 @@ class TestDecompositionProof:
             }
         )
         c1, c2 = Configuration("q", ("Z",) * 20 + ("X",)), Configuration("q", ("Z",) * 20 + ("Y",))
-        w = distinguish(m, c1, c2, pop_summaries(m), node_cap=200)
-        assert w is not None
-        assert bf.ref_config_member(m, "q", c1.stack, w) != bf.ref_config_member(m, "q", c2.stack, w)
-        assert distinguish(m, c1, c2, node_cap=200) is None
+        assert bf.ref_distinguishing_word(m, ("q", c1.stack), ("q", c2.stack), 64, 200) == (None, False)
+        monkeypatch.setattr(analysis, "DISTINGUISH_NODE_CAP", 200)
+        w = distinguish(m, c1, c2)
+        assert w is not None and separates(m, c1, c2, w)
 
 
 def pop_layer_machines():
-    """Random ε-machines, raw and completed, with their pop summaries."""
+    """Random ε-machines, raw and completed."""
     for seed in range(30):
         raw = random_eps_machine(random.Random(seed))
-        for m in (raw, complete_dpda(raw)):
-            yield m, pop_summaries(m)
+        yield from (raw, complete_dpda(raw))
 
 
 class TestPopLayers:
@@ -609,8 +636,8 @@ class TestPopLayers:
             return iter(layers)
 
         monkeypatch.setattr(analysis._Product, "pop_layers", recorded)
-        for m, summary in pop_layer_machines():
-            graph = analysis._Product(m, summary)
+        for m in pop_layer_machines():
+            graph = analysis._Product(m)
             runs = (advance(m, m.start_configuration(), u) for u in bf.iter_words("01", 5))
             configs = list(dict.fromkeys(r[0] for r in runs if r is not None))
             for i, c1 in enumerate(configs):
@@ -626,9 +653,9 @@ class TestPopLayers:
         # w words whose end state q pops gamma back into q by a nonempty y,
         # with y composed from scratch.
         found = 0
-        for m, summary in pop_layer_machines():
-            graph = analysis._Product(m, summary)
-            seen = set()
+        for m in pop_layer_machines():
+            graph = analysis._Product(m)
+            summary, seen = graph.summary, set()
             for u in bf.iter_words(m.input_alphabet, 6):
                 try:
                     levels = stair_factorize(m, u)
@@ -768,10 +795,9 @@ class TestDivergentWord:
         u = divergent(lsharp, 8)
         # confirmed by direct product simulation on every prefix pair
         configs = [advance(lsharp, lsharp.start_configuration(), u[:i])[0] for i in range(9)]
-        s = pop_summaries(lsharp)
         for i in range(len(configs)):
             for j in range(i + 1, len(configs)):
-                assert distinguish(lsharp, configs[i], configs[j], s) is not None
+                assert distinguish(lsharp, configs[i], configs[j]) is not None
 
     @pytest.mark.parametrize("length", [0, -1])
     def test_a_target_below_one_raises(self, lsharp, length):
@@ -795,7 +821,7 @@ class TestDivergentWord:
         real = analysis.distinguishing_word
         depths = []
 
-        def checking(graph, s1, s2, *args):
+        def checking(graph, s1, s2):
             search = sys._getframe(1).f_locals
             m, node = graph.m, search["tree"]
             assert graph is search["graph"]
@@ -816,7 +842,7 @@ class TestDivergentWord:
                     assert all(config_member(m, c, w) == bit for c in kept), w
                     nodes.append(subtree)
             depths.append(len(path))
-            return real(graph, s1, s2, *args)
+            return real(graph, s1, s2)
 
         monkeypatch.setattr(analysis, "distinguishing_word", checking)
         divergent(machine(name), length)
@@ -860,10 +886,10 @@ class TestDivergentWord:
             built += 1
             return configuration(graph, side)
 
-        def counted_distinguish(graph, s1, s2, *args):
+        def counted_distinguish(graph, s1, s2):
             nonlocal calls
             calls += 1
-            return real(graph, s1, s2, *args)
+            return real(graph, s1, s2)
 
         monkeypatch.setattr(analysis._Product, "configuration", counted_configuration)
         monkeypatch.setattr(analysis, "distinguishing_word", counted_distinguish)
@@ -941,9 +967,8 @@ class TestDivergentWord:
         # one after 0^(k-3) and composes three A's, A0 and X0.  A walk down
         # a top segment only, as a split's or a loop's is, composes nothing
         # after the whole stack's walk.
-        summary = pop_summaries(m)
-        graph = analysis._Product(m, summary)
-        walked = set()
+        graph = analysis._Product(m)
+        summary, walked = graph.summary, set()
         for k in range(12):
             c = advance(m, m.start_configuration(), "0" * k)[0]
             node = graph.push(0, c.stack[::-1])
@@ -970,9 +995,9 @@ class TestDivergentWord:
         source, first = inspect.getsourcelines(code)
         at = first + next(i for i, line in enumerate(source) if "pair = (side, kept)" in line)
 
-        def counting(graph, s1, s2, *args):
+        def counting(graph, s1, s2):
             calls.append((s1, s2))
-            return real(graph, s1, s2, *args)
+            return real(graph, s1, s2)
 
         def lines(frame, event, arg):
             nonlocal meetings
@@ -1007,7 +1032,7 @@ def reference_distinguishing_word(m, c1, c2, graph):
     (s1, a1), (s2, a2) = graph.read(u1, ""), graph.read(u2, "")
     if a1 != a2:
         return ""
-    return analysis._search(graph, s1, s2, DISTINGUISH_NODE_CAP)[0]
+    return analysis._search(graph, s1, s2)[0]
 
 
 def reference_divergent_word(m, target_length):
@@ -1015,7 +1040,7 @@ def reference_divergent_word(m, target_length):
     whole suffix list, a candidate is signed on all of it and compared with
     every kept signature, and a new suffix is read from every kept prefix.
     Returns the word, or the best prefix in an ExhaustedError."""
-    graph = analysis._Product(m, pop_summaries(m))
+    graph = analysis._Product(m)
     sigma = sorted(m.input_alphabet)
     suffixes = ["", *sigma, *(a + b for a in sigma for b in sigma)]
     verdicts = {}
@@ -1147,15 +1172,14 @@ class TestFewerReadsSameWords:
     def test_a_common_top_probe_whose_closures_differ_is_read(self, complete):
         m = validate_dpda(COMMON_TOP_PROBE_DOC)
         m = complete_dpda(m) if complete else m
-        summary = pop_summaries(m)
         c1, c2 = Configuration("p", ("A", "X", "Z")), Configuration("p", ("A", "Y", "Z"))
-        graph = analysis._Product(m, summary)
+        graph = analysis._Product(m)
         u1, u2 = (graph.close(c)[0] for c in (c1, c2))
         assert [list(graph.pop_layers(*graph.pairs[u])) for u in (u1, u2)] == [
             [{"r1": "a", "r": "bb"}, {"f": "ab"}, {}],
             [{"r1": "a", "r": "bb"}, {}],
         ]
-        assert analysis._search(graph, u1, u2, DISTINGUISH_NODE_CAP) == ("ac", True)
+        assert analysis._search(graph, u1, u2) == ("ac", True)
         assert distinguish(m, c1, c2, graph=graph) == "bb"
         assert [config_member(m, c, "bb") for c in (c1, c2)] == [True, False]
 
@@ -1167,12 +1191,11 @@ class TestFewerReadsSameWords:
     def test_same_word_on_every_pair_of_short_configurations(self, m):
         # Every ordered pair of configurations reached by words of length
         # <= 4 gets the reference's word, each implementation on its own
-        # graph over the same summary.
+        # graph.
         start = m.start_configuration()
         reached = {advance(m, start, u) for u in bf.iter_words(m.input_alphabet, 4)} - {None}
         configs = sorted({c for c, _ in reached}, key=lambda c: (c.state, len(c.stack), c.stack))
-        summary = pop_summaries(m)
-        graph, reference = analysis._Product(m, summary), analysis._Product(m, summary)
+        graph, reference = analysis._Product(m), analysis._Product(m)
         for c1, c2 in product(configs, repeat=2):
             got = distinguish(m, c1, c2, graph=graph)
             assert got == reference_distinguishing_word(m, c1, c2, reference), (c1, c2)
@@ -1218,8 +1241,8 @@ class TestFewerReadsSameWords:
             log.append((side, word))
             return real_read(graph, side, word)
 
-        def marked(graph, s1, s2, *args):
-            word = real_distinguish(graph, s1, s2, *args)
+        def marked(graph, s1, s2):
+            word = real_distinguish(graph, s1, s2)
             log.append(({s1, s2}, word))
             return word
 
@@ -1297,7 +1320,7 @@ class TestPumps:
         assert pumps(lsharp, "0") == []
 
     def test_pop_witnesses_compose(self, lsharp):
-        graph = analysis._Product(lsharp, pop_summaries(lsharp))
+        graph = analysis._Product(lsharp)
         *_, ends = graph.pop_layers("q0", graph.push(0, ("A0", "A")))
         assert ends
         for q, w in ends.items():

@@ -254,6 +254,33 @@ class TestCompletion:
             member(lsharp_raw, "10")
         assert excinfo.value.position == 0
 
+    def test_fresh_names_skip_the_taken_ones(self):
+        # The machine already uses fail, fail2, init and ⊥, ⊥2, so the
+        # completion takes the next free name of each.
+        doc = {
+            "states": ["init", "fail", "fail2"],
+            "input_alphabet": ["0", "1"],
+            "stack_alphabet": ["⊥", "⊥2"],
+            "rules": [
+                {"from": "init", "top": "⊥", "label": "0", "to": "fail", "push": ["⊥2", "⊥"]},
+                {"from": "fail", "top": "⊥2", "label": "0", "to": "fail", "push": ["⊥2", "⊥2"]},
+                {"from": "fail", "top": "⊥2", "label": "1", "to": "fail2", "push": []},
+                {"from": "fail2", "top": "⊥2", "label": "1", "to": "fail2", "push": []},
+                {"from": "fail2", "top": "⊥", "label": "", "to": "init", "push": []},
+            ],
+            "start_state": "init",
+            "start_symbol": "⊥",
+            "accepting": ["init"],
+        }
+        raw = validate_dpda(doc)
+        m = complete_dpda(raw)
+        assert m.start_state == "init2" and m.start_symbol == "⊥3"
+        assert m.states == raw.states | {"init2", "fail3"}
+        assert m.stack_alphabet == raw.stack_alphabet | {"⊥3"}
+        assert member(m, "0011") and not member(m, "0010")
+        for w in bf.iter_words("01", 8):
+            assert member(m, w) == bf.ref_member(raw, w), w
+
     def test_start_epsilon_chain_that_empties_the_stack(self):
         # the language {ε}, accepted through an ε-pop of the start symbol
         doc = {

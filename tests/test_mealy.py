@@ -185,6 +185,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             TruthTable(2, (True, False))
 
+    def test_truth_table_value_of_the_wrong_arity(self):
+        with pytest.raises(ValueError, match="arity"):
+            TruthTable(2, (True, False, False, True)).value([True])
+
 
 class TestTransduce:
     def test_empty_word(self):
@@ -234,6 +238,10 @@ class TestEvaluate:
             limit = 10 if len(alphabet) == 2 else 7
             for w in words(alphabet, limit):
                 assert evaluate(m, oracle, w) == oracle.membership(w), (name, w)
+
+    def test_identity_over_no_letters_raises(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            identity_machine([])
 
     def test_constant_zero_tables_reject_all(self):
         m = identity_machine("01")
@@ -453,6 +461,15 @@ def nothing_dfa():
 
 
 class TestRestrictRegular:
+    def test_the_even_length_dfa_accepts_even_lengths(self):
+        d = even_length_dfa()
+        assert d.accepts("") and d.accepts("01")
+        assert not d.accepts("0")
+
+    def test_a_mismatched_alphabet_raises(self):
+        with pytest.raises(ValueError, match="alphabet"):
+            restrict_regular(identity_machine("01"), even_length_dfa("ab"))
+
     def test_all_accepting_changes_nothing(self):
         m = identity_machine("01")
         oracle = lsharp_oracle()
@@ -538,6 +555,10 @@ class TestLiftDfa:
     def test_rejecting_start_rejects_epsilon(self):
         lifted = lift_dfa(nothing_dfa(), "01")
         assert not evaluate(lifted, lsharp_oracle(), "")
+
+    def test_an_empty_oracle_alphabet_raises(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            lift_dfa(even_length_dfa(), [])
 
 
 # Candidate machines for the marked-palindrome refutation, all over input
@@ -658,7 +679,7 @@ class TestRefuteLR:
         # is the (length, lex)-least word that separates w1 from w2: the
         # distinguisher on lr's graph must return that very word.
         lr = corpus.get_entry("lr").machine
-        graph = analysis._Product(lr, analysis.pop_summaries(lr))
+        graph = analysis._Product(lr)
         start = graph.close(lr.start_configuration())[0]
         pairs = 0
         for k in range(1, 7):

@@ -271,6 +271,69 @@ class TestFindWitness:
             find_witness(entry.machine)
         assert excinfo.value.stage == "divergent_word"
 
+    @pytest.mark.parametrize(
+        "length, stage", [(1, "stair"), (2, "stair"), (3, "divergent_word"), (24, "divergent_word")]
+    )
+    def test_a_word_with_one_level_exhausts_at_the_stair(self, length, stage):
+        # s reads a and pops its only X into the accepting f.  On the
+        # completed machine the prefixes ε, a and aa (in the fail state)
+        # are pairwise distinct and no fourth one is, and every prefix's
+        # stable stack is the bottom symbol alone: a divergent word of
+        # length 1 or 2 has one level, from which no pump can be read.
+        m = validate_dpda(
+            {
+                "states": ["s", "f"],
+                "input_alphabet": ["a"],
+                "stack_alphabet": ["X"],
+                "rules": [{"from": "s", "top": "X", "label": "a", "to": "f", "push": []}],
+                "start_state": "s",
+                "start_symbol": "X",
+                "accepting": ["f"],
+            }
+        )
+        budgets = SearchBudgets(word_length=length)
+        with pytest.raises(SearchExhaustedError) as excinfo:
+            find_witness(m, budgets)
+        assert excinfo.value.stage == stage
+        assert m.outcomes == {budgets: stage}
+
+    def test_a_z_that_never_settles_gives_way_to_the_next(self, monkeypatch):
+        # The first z's flags on the levels q gamma^l delta cycle through
+        # both values, so no shift of the base settles them: the search
+        # goes on to the next z and returns a tuple that passes its grid.
+        real, zs = witness._level_flags, []
+
+        def first_cycles(m, q, gamma, delta, z, *rest):
+            zs.append(z)
+            return ([False, True], 0) if len(zs) == 1 else real(m, q, gamma, delta, z, *rest)
+
+        monkeypatch.setattr(witness, "_level_flags", first_cycles)
+        t = find_witness(copy.copy(corpus.get_entry("lsharp").machine))
+        assert len(zs) == 2 and zs[0] != zs[1]
+        assert verify_witness(oracle("lsharp"), t, 25, 25).passed
+
+    def test_no_z_that_settles_exhausts_at_stabilize(self, monkeypatch):
+        # Every z's flags cycle through both values: the search runs out
+        # of z words, pumps and states at the "stabilize" stage, which the
+        # machine keeps, so a repeat raises again without a search.
+        calls = 0
+
+        def cycling(*args):
+            nonlocal calls
+            calls += 1
+            return [False, True], 0
+
+        monkeypatch.setattr(witness, "_level_flags", cycling)
+        m = copy.copy(corpus.get_entry("lsharp").machine)
+        with pytest.raises(SearchExhaustedError) as excinfo:
+            find_witness(m)
+        assert excinfo.value.stage == "stabilize"
+        assert m.outcomes == {SearchBudgets(): "stabilize"}
+        searched = calls
+        with pytest.raises(SearchExhaustedError, match="stabilize"):
+            find_witness(m)
+        assert calls == searched > 1
+
     def test_machine_accepting_through_epsilon_chain(self):
         from dcflab.dpda import validate_dpda
 
@@ -280,7 +343,7 @@ class TestFindWitness:
 
     def test_pop_summary_is_computed_once(self, monkeypatch):
         # On a copy: the shared corpus machine keeps any earlier test's outcome.
-        calls = counting(monkeypatch, "pop_summaries", (analysis, witness))
+        calls = counting(monkeypatch, "pop_summaries", (analysis,))
         find_witness(copy.copy(corpus.get_entry("lsharp").machine))
         assert len(calls) == 1
 
@@ -297,7 +360,7 @@ class TestFindWitness:
         suite = [corpus.get_entry(name).machine for name in corpus.names()]
         suite += [complete_dpda(validate_dpda(doc)) for doc in docs]
         graphs = counted_graphs(monkeypatch)
-        summaries = counting(monkeypatch, "pop_summaries", (analysis, witness))
+        summaries = counting(monkeypatch, "pop_summaries", (analysis,))
         reduce = lambda m: reduce_lsharp(m, check_len=4)  # noqa: E731
         for m in suite:
             for first in (find_witness, reduce):
@@ -310,7 +373,6 @@ class TestFindWitness:
                     except SearchExhaustedError:
                         pass
                     assert len(graphs) == len(summaries) == built, (m, run)
-                    assert all(graph.summary is not None for graph in graphs)
 
     def test_a_word_that_does_not_separate_its_pair_raises(self, monkeypatch, ten_seconds):
         # A distinguisher word that leaves the clashing pair's signatures
