@@ -118,9 +118,10 @@ class LanguageOracle:
     whether the word read up to p, followed by s, is in the language.
     Stepping by "" leaves a position unchanged.  By default a position is
     the prefix read so far; `positions` may supply a cheaper one (see
-    `oracle_from_dpda`).  Equal positions must read the same language,
-    and so step to equal positions: readers such as `verify_witness` copy
-    answers once two positions compare equal.
+    `oracle_from_dpda`).  Positions must be hashable, and equal ones must
+    read the same language, and so step to equal positions: readers may
+    copy or memoise answers by position, as `verify_witness` and the
+    reducer-agreement walk do.
     """
 
     alphabet: frozenset[str]

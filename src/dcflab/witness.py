@@ -351,23 +351,47 @@ def _check_reducer_agreement(
     answers from that position.  A word on which the transducer has died
     is rejected, and so is every extension of it; when no extension lies
     in 0^n 1^n either, the whole subtree agrees and is counted without
-    being walked."""
+    being walked.
+
+    Each distinct position is interned as a small int, and the oracle is
+    asked once per (position, word): by `LanguageOracle`'s contract equal
+    positions read the same language and step to equal positions, so the
+    memo, which dies with the call, changes no verdict."""
     checked = 0
+    origin = oracle.start()
+    ids: dict[Any, int] = {origin: 0}  # each distinct position -> its small int
+    steps: dict[tuple[int, str], tuple[Any, int]] = {}
+    answers: dict[tuple[int, str], bool] = {}
+
+    def step(position, pid: int, output: str) -> tuple[Any, int]:
+        after = steps.get((pid, output))
+        if after is None:
+            child = oracle.step(position, output)
+            after = steps[pid, output] = (child, ids.setdefault(child, len(ids)))
+        return after
+
+    def accepts(position, pid: int, suffix: str) -> bool:
+        answer = answers.get((pid, suffix))
+        if answer is None:
+            answer = answers[pid, suffix] = oracle.accepts(position, suffix)
+        return answer
+
     # (word, the move that read it, or None once dead, oracle position after
-    # the tape); the empty word's move is the start state's, with no output
+    # the tape and its int); the empty word's move is the start state's,
+    # with no output
     start = reducer.start_state
-    stack: list[tuple[str, Optional[tuple], Any]] = [
-        ("", (start, "", reducer.step_table[start]), oracle.start())
+    stack: list[tuple[str, Optional[tuple], Any, int]] = [
+        ("", (start, "", reducer.step_table[start]), origin, 0)
     ]
     while stack:
-        word, move, position = stack.pop()
+        word, move, position, pid = stack.pop()
         if move is None and not is_lsharp_prefix(word):
             checked += 2 ** (max_len - len(word) + 1) - 1
             continue
         verdict = False
         if move is not None:
             suffixes, table = reducer.per_state[move[0]]
-            verdict = table.value([oracle.accepts(position, s) for s in suffixes])
+            verdict = table.value([accepts(position, pid, s) for s in suffixes])
         if verdict != is_lsharp(word):
             raise AgreementFailureError(word)
         checked += 1
@@ -376,9 +400,9 @@ def _check_reducer_agreement(
         for ch in ("0", "1"):
             hit = None if move is None else move[2].get(ch)
             if hit is None:
-                stack.append((word + ch, None, None))
+                stack.append((word + ch, None, None, -1))
             else:
-                stack.append((word + ch, hit, oracle.step(position, hit[1])))
+                stack.append((word + ch, hit, *step(position, pid, hit[1])))
     return checked
 
 

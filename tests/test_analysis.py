@@ -26,7 +26,7 @@ from dcflab.witness import SearchBudgets, SearchExhaustedError, _loop_candidates
 
 import bruteforce as bf
 from test_dpda import SMALL_MACHINES, random_eps_machine
-from test_witness import bench_machines, ten_seconds  # noqa: F401 (a fixture)
+from test_witness import bench_machines
 
 
 def machine(name):

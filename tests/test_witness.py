@@ -3,7 +3,6 @@ import gc
 import json
 import pickle
 import random
-import signal
 import types
 import weakref
 from dataclasses import replace
@@ -598,22 +597,6 @@ def pal_doc(k):
     }
 
 
-@pytest.fixture()
-def ten_seconds():
-    """Fail a search that runs past 10 s instead of hanging the suite."""
-
-    def expire(signum, frame):
-        raise TimeoutError("the search ran past 10 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(10)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 class TestWideAlphabets:
     # With 7 or more letters the search meets many leaves of other sides;
     # no cap may stop such a meeting from getting its distinguisher
@@ -759,3 +742,47 @@ class TestAgreementWalk:
             with pytest.raises(AgreementFailureError) as excinfo:
                 _check_reducer_agreement(bad, kind, 16)
             assert excinfo.value.word == "0010"
+
+    def test_outputs_that_repeat_the_roots_are_stepped_anew(self):
+        # With v empty the root and its child both write x, from different
+        # positions: the memo must not take one position for the other.
+        reducer = build_lsharp_reducer(MINIMAL_TUPLE, "01")
+        o = oracle_from_dpda(corpus.get_entry("l1_le").machine)
+        for kind in (o, string_prefixes(o)):
+            assert _check_reducer_agreement(reducer, kind, 12) == 2**13 - 1
+
+    @pytest.mark.parametrize("name", ["lsharp", "counter13"])
+    def test_each_position_and_word_is_asked_once(self, monkeypatch, name):
+        # Equal run positions read the same language, so the walk asks the
+        # oracle once per distinct (position, word), not once per node.  A
+        # `step` that returns a fresh but equal position every time gets the
+        # same counts: the memo keys by equality, not identity.
+        if name == "lsharp":
+            m = corpus.get_entry("lsharp").machine
+        else:
+            m = complete_dpda(validate_dpda(bench_machines().counter_doc(13)))
+        reducer = build_lsharp_reducer(find_witness(m), sorted(m.input_alphabet))
+        o = oracle_from_dpda(m)
+        counts = []
+        for fresh in (False, True):
+            steps, answers = [], []
+
+            def step(position, word):
+                steps.append((position, word))
+                after = o.positions.step(position, word)
+                if fresh:
+                    config, accepted = after
+                    after = (dpda.Configuration(config.state, config.stack), accepted)
+                return after
+
+            def accepts(position, suffix):
+                answers.append((position, suffix))
+                return o.positions.accepts(position, suffix)
+
+            visited = counting(monkeypatch, "is_lsharp", (witness,))
+            counted = replace(o, positions=o.positions._replace(step=step, accepts=accepts))
+            assert _check_reducer_agreement(reducer, counted, 16) == 2**17 - 1
+            assert len(set(steps)) == len(steps) < len(visited) == 137
+            assert len(set(answers)) == len(answers)
+            counts.append((len(steps), len(answers)))
+        assert counts[0] == counts[1]
