@@ -1,14 +1,7 @@
 """dcflab: deterministic pushdown automata, oracle Mealy transducers, and
 truth-table reductions between formal languages."""
 
-from .analysis import (
-    PeriodicityReport,
-    Pump,
-    find_divergent_word,
-    periodicity,
-    pop_summaries,
-    stair_factorize,
-)
+from .analysis import PeriodicityReport, periodicity, pop_summaries
 from .corpus import CorpusEntry, get_entry, names, oracle_of
 from .dpda import (
     Configuration,

@@ -65,10 +65,6 @@ class ExhaustedError(Exception):
         )
 
 
-class NoLevelsError(Exception):
-    """Stack height does not trend upward on the given word."""
-
-
 @dataclass(frozen=True)
 class Pump:
     """A stack-increasing loop: base -v-> (p, X·delta) and (p, X) -x->
@@ -424,7 +420,7 @@ def distinguishing_word(graph: _Product, s1: int, s2: int) -> Optional[Word]:
     return _search(graph, e1, e2)[0]
 
 
-def find_divergent_word(m: Dpda, target_length: int, *, graph: Optional[_Product] = None) -> Word:
+def find_divergent_word(graph: _Product, target_length: int) -> Word:
     """Grow a word whose prefixes all lie in pairwise distinct quotients.
 
     Greedy extension with backtracking; extensions that grow the stack are
@@ -448,23 +444,18 @@ def find_divergent_word(m: Dpda, target_length: int, *, graph: Optional[_Product
     The two differ only where the distinguisher gives up at its node cap
     on a pair that an earlier word already separates.
 
-    One `_Product` of m, `graph`, serves the whole search; without one, it
-    builds `_Product(m)`, and one of another machine raises ValueError.
-    The search holds its sides only, ranks extensions by the stack heights
-    kept on the graph's nodes, reads each word on the graph at most once
-    per side, and hands the distinguisher the two sides.
-    That call runs at most once per ordered (candidate, leaf prefix) pair
-    per search, since backtracking meets the same pairs again.
+    The word is grown on `graph.m`.  The search holds sides of `graph`
+    only, ranks extensions by the stack heights kept on the graph's nodes,
+    reads each word on the graph at most once per side, and hands the
+    distinguisher the two sides, at most once per ordered (candidate, leaf
+    prefix) pair per search, since backtracking meets the same pairs again.
     """
     if target_length < 1:
         raise ValueError(f"target_length must be >= 1, not {target_length}")
-    graph = _Product(m) if graph is None else graph
-    if graph.m is not m:
-        raise ValueError("graph is the _Product of another machine")
-    sigma = sorted(m.input_alphabet)
+    sigma = sorted(graph.m.input_alphabet)
     verdicts: dict[tuple[int, int], Optional[Word]] = {}
     read = graph.read
-    start, _ = graph.close(m.start_configuration())
+    start, _ = graph.close(graph.m.start_configuration())
     tree = [start]  # a leaf [kept side], or [word, False subtree, True subtree]
     splits = []  # (leaf, its side before the split), one per kept prefix after the start
     word: list[str] = []
@@ -518,12 +509,10 @@ def stair_factorize(m: Dpda, u: Word) -> tuple[tuple[int, Configuration], ...]:
     """Decompose the run on u along positions whose stack is never touched
     again within u: the levels (i, c) of `_levels` from the start
     configuration, whose positions and stack heights strictly increase, but
-    the first, so that pumps are based at the second and later ones.
+    the first, so that pumps are based at the second and later ones.  A run
+    with one level has none after it, and gives ().
     """
-    levels = _levels(m, m.start_configuration(), u)
-    if len(levels) < 2:
-        raise NoLevelsError(f"only {len(levels)} level(s) on {u!r}")
-    return tuple(levels[1:])
+    return tuple(_levels(m, m.start_configuration(), u)[1:])
 
 
 def _levels(m: Dpda, c: Configuration, u: Word) -> list[tuple[int, Configuration]]:

@@ -20,7 +20,6 @@ from typing import Any, Optional
 
 from .analysis import (
     ExhaustedError,
-    NoLevelsError,
     _level_flags,
     _Product,
     _pumps,
@@ -230,9 +229,10 @@ def find_witness(m: Dpda, budgets: SearchBudgets = SearchBudgets()) -> WitnessTu
     language raises AssertionError, a bug, if it fails.
 
     Pumps are tried until they run out: `_pumps` yields at most one per pair
-    of levels of u, so `word_length` bounds their number.  The outcome is
-    kept in `m.outcomes` per budgets: a repeat returns the same tuple, or
-    raises anew at the same stage, without a search.
+    of levels of u past the first, so `word_length` bounds their number,
+    and a word with fewer than two such levels exhausts at "pump".  The
+    outcome is kept in `m.outcomes` per budgets: a repeat returns the same
+    tuple, or raises anew at the same stage, without a search.
     """
     return _kept_outcome(m, budgets, m)
 
@@ -258,16 +258,12 @@ def _search_witness(m: Dpda, budgets: SearchBudgets) -> WitnessTuple:
     graph = _Product(mc)
 
     try:
-        u = find_divergent_word(mc, budgets.word_length, graph=graph)
+        u = find_divergent_word(graph, budgets.word_length)
     except ExhaustedError as exc:
         raise SearchExhaustedError("divergent_word", budgets) from exc
-    try:
-        levels = stair_factorize(mc, u)
-    except NoLevelsError as exc:
-        raise SearchExhaustedError("stair", budgets) from exc
 
     deepest = "pump"
-    for pump in _pumps(mc, u, levels):
+    for pump in _pumps(mc, u, stair_factorize(mc, u)):
         deepest = max(deepest, "pop_witness", key=_STAGES.index)
         bottom = graph.push(0, pump.delta[::-1])
         top = graph.push(bottom, pump.gamma[::-1])
@@ -294,7 +290,7 @@ def _search_witness(m: Dpda, budgets: SearchBudgets) -> WitnessTuple:
     raise SearchExhaustedError(deepest, budgets)
 
 
-_STAGES = ("divergent_word", "stair", "pump", "pop_witness", "z_probe", "stabilize")
+_STAGES = ("divergent_word", "pump", "pop_witness", "z_probe", "stabilize")
 
 
 def build_lsharp_reducer(t: WitnessTuple, delta_alphabet) -> OracleMealyMachine:

@@ -15,7 +15,6 @@ PUBLIC = [
     "LanguageOracle",
     "OracleMealyMachine",
     "PeriodicityReport",
-    "Pump",
     "Rule",
     "SearchBudgets",
     "SearchExhaustedError",
@@ -33,7 +32,6 @@ PUBLIC = [
     "dpda",
     "dpda_to_document",
     "evaluate",
-    "find_divergent_word",
     "find_witness",
     "get_entry",
     "identity_machine",
@@ -53,7 +51,6 @@ PUBLIC = [
     "refute_simplicity_LR",
     "repair_nonempty",
     "restrict_regular",
-    "stair_factorize",
     "transduce",
     "validate_dpda",
     "validate_mealy",

@@ -51,6 +51,12 @@ def outcome(m):
         return f"exhausted:{e.stage}"
 
 
+def assert_stages_are_known(outcomes):
+    """Every exhausted outcome recorded names a stage the search has."""
+    stages = {o.partition(":")[2] for o in outcomes.values() if isinstance(o, str)}
+    assert stages and stages <= set(witness._STAGES), stages
+
+
 def bench_machines():
     """bench/machines.py, run from its source without importing `bench`."""
     module = types.ModuleType("bench_machines")
@@ -271,14 +277,15 @@ class TestFindWitness:
         assert excinfo.value.stage == "divergent_word"
 
     @pytest.mark.parametrize(
-        "length, stage", [(1, "stair"), (2, "stair"), (3, "divergent_word"), (24, "divergent_word")]
+        "length, stage", [(1, "pump"), (2, "pump"), (3, "divergent_word"), (24, "divergent_word")]
     )
-    def test_a_word_with_one_level_exhausts_at_the_stair(self, length, stage):
+    def test_a_word_with_one_level_exhausts_at_the_pump(self, length, stage):
         # s reads a and pops its only X into the accepting f.  On the
         # completed machine the prefixes ε, a and aa (in the fail state)
         # are pairwise distinct and no fourth one is, and every prefix's
         # stable stack is the bottom symbol alone: a divergent word of
-        # length 1 or 2 has one level, from which no pump can be read.
+        # length 1 or 2 has one level, so no level follows the first and
+        # no pump can be read.
         m = validate_dpda(
             {
                 "states": ["s", "f"],
@@ -295,6 +302,10 @@ class TestFindWitness:
             find_witness(m, budgets)
         assert excinfo.value.stage == stage
         assert m.outcomes == {budgets: stage}
+        if stage == "pump":
+            mc = complete_dpda(m)
+            u = analysis.find_divergent_word(analysis._Product(mc), length)
+            assert len(u) == length and analysis.stair_factorize(mc, u) == ()
 
     def test_a_z_that_never_settles_gives_way_to_the_next(self, monkeypatch):
         # The first z's flags on the levels q gamma^l delta cycle through
@@ -379,7 +390,7 @@ class TestFindWitness:
         monkeypatch.setattr(analysis, "distinguishing_word", lambda *args, **kwargs: "")
         m = copy.copy(corpus.get_entry("lsharp").machine)
         with pytest.raises(RuntimeError, match="does not separate"):
-            analysis.find_divergent_word(m, 24)
+            analysis.find_divergent_word(analysis._Product(m), 24)
         for _ in range(2):
             with pytest.raises(RuntimeError, match="distinguishing word '' does not separate"):
                 find_witness(m)
@@ -401,7 +412,9 @@ class TestFindWitness:
 
     def test_outcomes_match_the_golden_file(self):
         got = {param.id: outcome(param.values[0]) for param in SMALL_MACHINES}
-        assert got == json.loads(OUTCOMES.read_text(encoding="utf-8"))
+        recorded = json.loads(OUTCOMES.read_text(encoding="utf-8"))
+        assert got == recorded
+        assert_stages_are_known(recorded)
 
     def test_benchmark_outcomes_match_the_golden_file(self):
         machines = bench_machines()
@@ -410,7 +423,9 @@ class TestFindWitness:
             for i, doc in enumerate(machines.random_suite()):
                 docs[f"random-{seed}-{i:02d}"] = machines.rename(doc, seed)
         got = {name: outcome(complete_dpda(validate_dpda(doc))) for name, doc in docs.items()}
-        assert got == json.loads(BENCH_OUTCOMES.read_text(encoding="utf-8"))
+        recorded = json.loads(BENCH_OUTCOMES.read_text(encoding="utf-8"))
+        assert got == recorded
+        assert_stages_are_known(recorded)
 
     def test_pumps_are_taken_on_demand(self, monkeypatch):
         # The pumps find_witness takes are a prefix of every pump read off
