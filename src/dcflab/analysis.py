@@ -32,7 +32,7 @@ memberships of y^l z from a cycle of snapshots or such maps over a pump.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -114,28 +114,34 @@ def pop_summaries(m: Dpda) -> dict[tuple[str, str], dict[str, Word]]:
     A rule pX -a-> q Y1..Yk contributes (p, X) -> q' for every q' reached
     from q with witness a by popping Y1..Yk through the current summaries
     (k = 0 is a popping rule: q itself, with witness a).  The iteration
-    keeps the (length, lexicographic)-minimal word per target, and re-runs
-    a rule only after an entry on a symbol it pushes has changed.
+    sweeps the rules in order, keeps the (length, lexicographic)-minimal
+    word per target, and re-runs a rule only after an entry it read has
+    changed: (q, Y1), or an (s, Yi) that its composition reached.  A run
+    reads nothing else, so the skipped runs would change no word and no
+    order of entries or targets.
     """
-    entries: dict[tuple[str, str], dict[str, Word]] = {}
-    tops = {r.top for r in m.rules}
-    readers = {x: [i for i, r in enumerate(m.rules) if x in r.push] for x in tops}
-    dirty = [True] * len(m.rules)
+    entries = {(r.from_state, r.top): {} for r in m.rules}
+    watchers: dict[tuple[str, str], set[int]] = defaultdict(set)  # entry -> rules that read it
+    for i, r in enumerate(m.rules):
+        if r.push:
+            watchers[r.to_state, r.push[0]].add(i)
+    dirty = [not r.push for r in m.rules]  # a pushing rule reads nothing yet
     while any(dirty):
-        for i, r in enumerate(m.rules):
+        for i, (p, x, a, q, push) in enumerate(m.rules):
             if not dirty[i]:
                 continue
             dirty[i] = False
-            p, x, a, q, push = r
-            targets = entries.setdefault((p, x), {})
             reached = {q: a}
             for symbol in push:
+                for s in reached:
+                    watchers[s, symbol].add(i)
                 reached = _pop_step(entries, reached, symbol)
+            targets = entries[p, x]
             for q2, w in reached.items():
                 old = targets.get(q2)
                 if old is None or len(w) < len(old) or (len(w) == len(old) and w < old):
                     targets[q2] = w
-                    for j in readers[x]:
+                    for j in watchers.get((p, x), ()):
                         dirty[j] = True
 
     return {k: v for k, v in entries.items() if v}
@@ -155,7 +161,8 @@ class _Product:
     once per (state, top, letter or ε); a window that runs empty hands the
     run to the node below with the unread rest of the letter.  `rows[side]`
     maps each word read from the side, each letter and "" among them, to
-    the end side and its flag.
+    the end side and its flag, and `flags` keeps the ε-closure flag of each
+    (state, node) pair that the distinguisher's shared-top filter asks for.
 
     The graph computes and owns m's pop summary, `summary`.  Pop words
     compose top-down, so `layers` is a trie of their layers {end state: pop
@@ -173,6 +180,7 @@ class _Product:
         self.pairs: list[tuple[str, int]] = []  # side -> (state, node)
         self.sides: dict[tuple[str, int], int] = {}  # (state, node) -> side
         self.rows: list[dict[Word, tuple[Optional[int], bool]]] = []  # side -> word -> (end, flag)
+        self.flags: dict[tuple[str, int], bool] = {}  # (state, node) -> its ε-closure's flag
         self.layers: dict = {}  # (layer key, symbol) -> (layer key, layer)
 
     def push(self, node: int, symbols) -> int:
@@ -194,6 +202,13 @@ class _Product:
             self.pairs.append((state, node))
             self.rows.append({})
         return side
+
+    def closure_flag(self, state: str, node: int) -> bool:
+        """Whether the ε-closure of `state` over the stack `node` accepts."""
+        flag = self.flags.get((state, node))
+        if flag is None:
+            flag = self.flags[state, node] = self.read(self.side(state, node), "")[1]
+        return flag
 
     def close(self, c: Configuration) -> tuple[Optional[int], bool]:
         """c's side after its ε-closure, and whether the closure accepts."""
@@ -389,26 +404,23 @@ def distinguishing_word(graph: _Product, s1: int, s2: int) -> Optional[Word]:
     configurations equivalent, or it was cut at `DISTINGUISH_NODE_CAP`
     pairs, which proves nothing.
 
-    One graph serves a whole extraction, so steps, reads and pop layers
-    from earlier calls are lookups; given the graph's machine and the node
-    cap, the verdict depends on the pair alone.
+    One graph serves a whole extraction, so steps, reads, closure flags
+    and pop layers from earlier calls are lookups; given the graph's
+    machine and the node cap, the verdict depends on the pair alone.
     """
     if s1 == s2:
         return None
     # Words that pop some prefix of either stack drive that side to a known
     # state with a known stack remainder.  The walks share the layers of
     # the common top segment.
-    read, side, cells = graph.read, graph.side, graph.cells
+    read, flag, cells = graph.read, graph.closure_flag, graph.cells
     (p1, d1), (p2, d2) = graph.pairs[s1], graph.pairs[s2]
     walk2, shared, probes = graph.pop_layers(p2, d2), p1 == p2, set()
     for pops in graph.pop_layers(p1, d1):
         if shared := shared and cells[d1][0] == cells[d2][0]:
             next(walk2)  # this same layer
         d1, d2 = cells[d1][1], cells[d2][1]
-        probes.update(
-            w for r, w in pops.items()
-            if not shared or read(side(r, d1), "")[1] != read(side(r, d2), "")[1]
-        )
+        probes.update(w for r, w in pops.items() if not shared or flag(r, d1) != flag(r, d2))
     probes.update(w for pops in walk2 for w in pops.values())
     for cand in sorted(probes, key=lambda w: (len(w), w)):
         if read(s1, cand)[1] != read(s2, cand)[1]:

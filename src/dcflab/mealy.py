@@ -25,11 +25,10 @@ from .dpda import (
     StuckError,
     Violation,
     _check_fields,
+    _drive,
     _fresh,
     _read_json,
-    advance,
     complete_dpda,
-    config_member,
     member,
 )
 
@@ -342,11 +341,12 @@ def evaluate(a: OracleMealyMachine, oracle: LanguageOracle, word: str) -> bool:
 def oracle_from_dpda(m: Dpda) -> LanguageOracle:
     """Wrap a machine's accepted language as a (memoized) oracle.
 
-    A run position is a stable configuration of the completed machine with
-    `advance`'s flag, which tells whether the word read so far is
-    accepted, so reading on from a position costs only the new letters.
-    A word the machine cannot read (a letter outside its alphabet) is
-    rejected, as is every extension of it: its position is None.
+    A run position is a plain triple of the completed machine: a stable
+    state, its stack as a tuple with the top last, as `_drive` holds it,
+    and whether the word read so far is accepted.  Reading on from a
+    position costs only the new letters.  A word the machine cannot read
+    (a letter outside its alphabet) is rejected, as is every extension of
+    it: its position is None.
     """
     mc = m if m.completed else complete_dpda(m)
 
@@ -358,20 +358,27 @@ def oracle_from_dpda(m: Dpda) -> LanguageOracle:
             return False
 
     def start():
-        return advance(mc, mc.start_configuration(), "")
+        stack = [mc.start_symbol]
+        state, accepted, _ = _drive(mc, mc.start_state, stack, "")
+        return state, tuple(stack), accepted
 
     def step(position, word: str):
         # Re-closing the stable configuration on "" would drop an accepting
         # state seen inside the ε-chain that led to it.
         if position is None or not word:
             return position
-        return advance(mc, position[0], word)
+        stack = list(position[1])
+        state, accepted, consumed = _drive(mc, position[0], stack, word)
+        return (state, tuple(stack), accepted) if consumed == len(word) else None
 
     def accepts(position, suffix: str) -> bool:
         if position is None:
             return False
-        config, accepted = position
-        return config_member(mc, config, suffix) if suffix else accepted
+        state, stack, accepted = position
+        if not suffix:
+            return accepted
+        _, accepted, consumed = _drive(mc, state, list(stack), suffix)
+        return accepted and consumed == len(suffix)
 
     return LanguageOracle(
         alphabet=mc.input_alphabet,

@@ -237,6 +237,39 @@ def least_pop_words(m, state, stack, max_len):
     return out
 
 
+def round_robin_pop_summaries(m):
+    """The pop summary {(p, X): {q: w}} by round-robin sweeps straight off
+    the rules: each sweep runs every rule pX -a-> q Y1..Yk in order,
+    popping Y1..Yk from q with witness a through the entries as they stand,
+    and keeps the (length, lex)-least word per end state, until a sweep
+    changes nothing.  Entries appear in the order their first rule runs,
+    and end states in the order they are first reached; entries that pop
+    to no state are left out."""
+
+    def better(word, old):
+        return old is None or (len(word), word) < (len(old), old)
+
+    entries = {}
+    changed = True
+    while changed:
+        changed = False
+        for r in m.rules:
+            targets = entries.setdefault((r.from_state, r.top), {})
+            reached = {r.to_state: r.label}
+            for symbol in r.push:
+                below = {}
+                for q, w in reached.items():
+                    for q2, w2 in entries.get((q, symbol), {}).items():
+                        if better(w + w2, below.get(q2)):
+                            below[q2] = w + w2
+                reached = below
+            for q, w in reached.items():
+                if better(w, targets.get(q)):
+                    targets[q] = w
+                    changed = True
+    return {key: targets for key, targets in entries.items() if targets}
+
+
 def eps_pop_end(m, state, stack):
     """Endpoint of the ε-only pop chain across the whole stack, or None."""
     stack = tuple(stack)

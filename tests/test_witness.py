@@ -786,8 +786,8 @@ class TestAgreementWalk:
                 steps.append((position, word))
                 after = o.positions.step(position, word)
                 if fresh:
-                    config, accepted = after
-                    after = (dpda.Configuration(config.state, config.stack), accepted)
+                    state, stack, accepted = after
+                    after = (state, tuple(list(stack)), accepted)
                 return after
 
             def accepts(position, suffix):
