@@ -38,6 +38,7 @@ def test_predicate_spot_checks():
     assert corpus.get_entry("dyck1").predicate("(())()")
     assert corpus.get_entry("dyck1").predicate("")
     assert not corpus.get_entry("dyck1").predicate(")(")
+    assert not corpus.is_dyck1("(a)")  # a letter that is not a bracket
     assert corpus.get_entry("l_mm_n").predicate("010")
     assert corpus.get_entry("l_mm_n").predicate("001100")
     assert not corpus.get_entry("l_mm_n").predicate("0011")

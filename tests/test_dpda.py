@@ -6,6 +6,7 @@ import hashlib
 import json
 import pickle
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,24 @@ class TestValidation:
             "BadType: start_symbol must be a string",
             "BadType: states must be a list of strings",
         ]
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("input_alphabet", [], "BadType: input_alphabet must be nonempty"),
+            ("stack_alphabet", [], "BadType: stack_alphabet must be nonempty"),
+            ("input_alphabet", ["0", "1", "01"], "BadSymbol: input symbol '01' is not a single character"),
+            ("stack_alphabet", ["X0", "A", ""], "BadSymbol: empty stack symbol"),
+            ("start_state", "nowhere", "UndeclaredSymbol: start_state"),
+            ("start_symbol", "ZZ", "UndeclaredSymbol: start_symbol"),
+        ],
+    )
+    def test_each_alphabet_and_start_defect_is_named(self, field, value, expected):
+        doc = copy.deepcopy(bf.LSHARP_RAW)
+        doc[field] = value
+        with pytest.raises(InvalidMachineError) as excinfo:
+            validate_dpda(doc)
+        assert expected in [str(v) for v in excinfo.value.violations]
 
     def test_document_round_trip(self, lsharp_raw):
         again = validate_dpda(dpda_to_document(lsharp_raw))
@@ -603,6 +622,83 @@ def test_a_periodic_word_is_read_once_per_stack_window(monkeypatch):
     monkeypatch.setattr(dpda, "_drive", drive)
     assert member(m, word)
     assert sum(letters) < len(word) / 10, (sum(letters), len(word))
+
+
+def stack_reader(d):
+    """A raw machine whose block `x y n^30` pops exactly d stack symbols
+    and pushes the same d back.  In s, `p` pushes Z, `b` or `c` a marker
+    B or C, `a` one A, `u` pops an A, `w` swaps the marker on top, and `n`
+    changes nothing.  `x` sets off an ε-chain that pops d - 1 A's, and `y`
+    replaces the marker under them by itself and the d - 1 A's, so the
+    block reads the top d symbols and nothing below.  `z` pops every A
+    down to the marker: B leads to the accepting f, C to g."""
+    tops = ("X0", "Z", "A", "B", "C")
+    rules = [("s", x, "n", "s", [x]) for x in tops] + [("s", x, "x", "e0", [x]) for x in tops]
+    rules += [("s", x, "z", "h", [x]) for x in tops] + [("s", x, "p", "s", ["Z", x]) for x in ("X0", "Z")]
+    rules += [("s", "Z", m.lower(), "s", [m, "Z"]) for m in "BC"] + [("s", "A", "u", "s", [])]
+    rules += [("s", m, "w", "s", ["C" if m == "B" else "B"]) for m in "BC"]
+    rules += [("s", x, "a", "s", ["A", x]) for x in ("A", "B", "C")]
+    rules += [(f"e{i}", "A", "", f"e{i + 1}", []) for i in range(d - 1)]
+    rules += [(f"e{d - 1}", m, "y", "s", ["A"] * (d - 1) + [m]) for m in "BC"]
+    rules += [("h", "A", "", "h", []), ("h", "B", "", "f", []), ("h", "C", "", "g", [])]
+    return validate_dpda(
+        {
+            "states": ["s", "h", "f", "g", *(f"e{i}" for i in range(d))],
+            "input_alphabet": list("abcnpuwxyz"),
+            "stack_alphabet": list(tops),
+            "rules": [{"from": f, "top": x, "label": a, "to": t, "push": p} for f, x, a, t, p in rules],
+            "start_state": "s",
+            "start_symbol": "X0",
+            "accepting": ["f"],
+        }
+    )
+
+
+def whole_blocks(letters):
+    return letters + "n" * (-len(letters) % _BLOCK)
+
+
+@pytest.mark.parametrize("d", [1, 3, 4, 5, 15, 16, 17, 47, 48, 49])
+def test_a_block_that_reads_d_symbols_is_looked_up_by_at_least_d(d):
+    # Z's pad the stack, so that the stack is taller than every window.
+    # The marker sits at depth d, the deepest symbol the block reads, both
+    # before and after `w` swaps it, so in each word the block runs over
+    # two stacks that differ only at depth d.  A lookup keyed by fewer
+    # than d symbols would replay the first stack's window onto the
+    # second, marker and all.
+    m = stack_reader(d)
+    block = "xy" + "n" * (_BLOCK - 2)
+    for marker in "bc":
+        build = whole_blocks("p" * 60 + marker + "a" * (d - 1))
+        swap = whole_blocks("u" * (d - 1) + "w" + "a" * (d - 1))
+        word = build + block * 4 + swap + block * 4 + "z"
+        assert len(word) >= _SHORT
+        assert member(m, word) == bf.ref_member(m, word) == (marker == "c"), word
+
+
+def test_member_keeps_nothing_after_it_returns():
+    # A call on the grid word leaves no attribute behind it, and a second
+    # call, after the first has warmed every cache, no memory either: the
+    # memo dies with the call and nothing is cached on the machine.
+    from test_witness import bench_machines  # test_witness imports this module
+
+    m = complete_dpda(validate_dpda(bench_machines().counter_doc(13)))
+    t = find_witness(m)
+    word = t.v + t.x * 620 + t.w + t.y * 620 + t.z
+    attributes = set(vars(m))  # the step table, compiled by `find_witness`
+    assert member(m, word)
+    assert set(vars(m)) == attributes
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert member(m, word)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert set(vars(m)) == attributes
+    assert abs(after - before) <= 4096, (before, after)
 
 
 def completed_machine_digests():

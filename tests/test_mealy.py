@@ -124,6 +124,22 @@ class TestValidation:
             validate_mealy(doc)
         assert any(v.kind == "UndeclaredSymbol" for v in excinfo.value.violations)
 
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("input_alphabet", [], "BadType: input_alphabet must be nonempty"),
+            ("input_alphabet", ["0", "1", "10"], "BadSymbol: input_alphabet symbol '10' is not a single character"),
+            ("oracle_alphabet", ["0", "1", "01"], "BadSymbol: oracle_alphabet symbol '01' is not a single character"),
+            ("start_state", "nowhere", "UndeclaredSymbol: start_state"),
+        ],
+    )
+    def test_each_symbol_and_start_defect_is_named(self, field, value, expected):
+        doc = dict(IDENTITY_DOC)
+        doc[field] = value
+        with pytest.raises(InvalidMachineError) as excinfo:
+            validate_mealy(doc)
+        assert expected in [str(v) for v in excinfo.value.violations]
+
     def test_report_lists_every_defect_in_order(self):
         doc = {
             "states": ["q", "r", "t"],
@@ -518,6 +534,25 @@ class TestRestrictRegular:
                 start="s",
                 accepting=frozenset(),
             )
+
+    @pytest.mark.parametrize(
+        "target, start, accepting, expected",
+        [
+            ("t", "s", set(), "UndeclaredSymbol: target of (s, 1)"),
+            ("s", "t", set(), "UndeclaredSymbol: start"),
+            ("s", "s", {"s", "t"}, "UndeclaredSymbol: accepting"),
+        ],
+    )
+    def test_dfa_names_each_undeclared_state(self, target, start, accepting, expected):
+        with pytest.raises(InvalidMachineError) as excinfo:
+            Dfa(
+                states=frozenset({"s"}),
+                alphabet=frozenset("01"),
+                transitions={("s", "0"): "s", ("s", "1"): target},
+                start=start,
+                accepting=frozenset(accepting),
+            )
+        assert [str(v) for v in excinfo.value.violations] == [expected]
 
 
 def zero_one_star_dfa():
