@@ -437,8 +437,7 @@ def complete_dpda(m: Dpda) -> Dpda:
 
 
 _BLOCK = 32  # letters per block of a long word read by `member`
-_WINDOW = 48  # top stack symbols that key a block's memoised run, at most
-_WINDOWS = (1, 4, 16, _WINDOW)  # the windows `member` tries, smallest first
+_WINDOW = 48  # top stack symbols that key a block's memoised run
 _SHORT = 8 * _BLOCK  # `member` reads a shorter word in one `_drive` run
 
 
@@ -453,18 +452,17 @@ def member(m: Dpda, word: Word) -> bool:
 
     A word shorter than `_SHORT` rarely repeats a block, so it is read in
     one `_drive` run.  A longer one is read in blocks of `_BLOCK` letters,
-    and a block string seen before in the word is looked up in a memo that
-    lives for this call, by (state, the top w stack symbols) for each w in
-    `_WINDOWS`, smallest first.  On a miss the block runs on a copy of that
-    window; the run is kept only if it read the whole block and left the
-    window nonempty, because then it never read below the window and
-    replacing the window by its result is its exact effect on any stack
-    with that top.  A run that is not kept sends the lookup to the next
-    window.  The last kept run of each (block, state) is tried first, by
-    comparing its window with the top of the stack.  A block that fits no
-    window, and each first sighting of a block string, runs on the real
-    stack, so verdicts and StuckError positions are those of one `_drive`
-    run over the whole word.
+    and a block string seen before in the word is looked up by (state, the
+    top `_WINDOW` stack symbols) in a memo that lives for this call.  On a
+    miss the block runs on a copy of that window; the run is kept only if
+    it read the whole block and left the window nonempty, because then it
+    never read below the window and replacing the window by its result is
+    its exact effect on any stack with that top.  The last kept run of
+    each (block, state) is tried first, by comparing its window with the
+    top of the stack, which spares building and hashing the key.  Every
+    other block, and each first sighting of a block string, runs on the
+    real stack, so verdicts and StuckError positions are those of one
+    `_drive` run over the whole word.
     """
     state, stack = m.start_state, [m.start_symbol]
     if len(word) < _SHORT:
@@ -473,30 +471,27 @@ def member(m: Dpda, word: Word) -> bool:
             raise StuckError(consumed)
         return acc
     memo: dict[str, dict] = {}  # block -> (state, *window) -> (state, acc, window) or ()
-    last: dict[tuple, tuple] = {}  # (block, state) -> (w, window, state, acc, window)
+    last: dict[tuple, tuple] = {}  # (block, state) -> (window, state, acc, window)
     for i in range(0, len(word), _BLOCK):
         block = word[i : i + _BLOCK]
         hit = last.get((block, state))
-        if hit is not None and stack[-hit[0] :] == hit[1]:
-            w, _, state, acc, stack[-w:] = hit
+        if hit is not None and stack[-_WINDOW:] == hit[0]:
+            _, state, acc, stack[-_WINDOW:] = hit
             continue
         runs = memo.get(block)
         if runs is None:
             memo[block] = {}
         else:
-            for w in _WINDOWS:
-                key = (state, *stack[-w:])
-                hit = runs.get(key)
-                if hit is None:
-                    window = stack[-w:]
-                    end, acc, consumed = _drive(m, state, window, block)
-                    whole = consumed == len(block) and window
-                    hit = runs[key] = (end, acc, window) if whole else ()
-                if hit:
-                    last[block, state] = (w, stack[-w:], *hit)
-                    state, acc, stack[-w:] = hit
-                    break
+            key = (state, *stack[-_WINDOW:])
+            hit = runs.get(key)
+            if hit is None:
+                window = stack[-_WINDOW:]
+                end, acc, consumed = _drive(m, state, window, block)
+                whole = consumed == len(block) and window
+                hit = runs[key] = (end, acc, window) if whole else ()
             if hit:
+                last[block, state] = (stack[-_WINDOW:], *hit)
+                state, acc, stack[-_WINDOW:] = hit
                 continue
         state, acc, consumed = _drive(m, state, stack, block)
         if consumed < len(block):
