@@ -2,11 +2,10 @@
 
 Pop-relation saturation (which states a configuration can reach with its
 stack fully consumed, and with which input words), divergent-word search
-over a discrimination tree of separating words, stair factorization of
+over a discrimination tree of separating words, the levels of
 stack-increasing runs, pump detection, and exact eventual periodicity of
 y-iterates.  The pop summary is a plain mapping {(p, X): {q: witness
-word}}, and a stair factorization a plain tuple of (position,
-configuration) levels.
+word}}, and the levels of a run a plain list of (position, side) pairs.
 
 Exact configuration equivalence is out of desk scope; wherever a decision
 would need it, these routines use bounded search (product-simulation
@@ -22,11 +21,12 @@ from the candidates that sift through it, and a pop probe of a common top
 segment only when the closures below that segment tell the two sides
 apart.
 
-After the search, work is done on demand: pumps come from a generator
-that re-checks a candidate only when it is asked for, the z probes are
-one pruned walk over a pair of sides, z's membership on the levels
-q gamma^l delta comes from one run per key of a gamma-window map, and the
-memberships of y^l z from a cycle of snapshots or such maps over a pump.
+After the search, the same graph serves the rest, on demand: a word's
+levels are sides, a pump holds the nodes of gamma·delta and delta and is
+re-checked only when it is asked for, the z probes are one pruned walk
+over a pair of sides, z's membership on the levels q gamma^l delta comes
+from one run per key of a gamma-window map, and the memberships of y^l z
+from a cycle of (side, flag) snapshots or such maps over a pump.
 """
 
 from __future__ import annotations
@@ -36,16 +36,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .dpda import (
-    Configuration,
-    Dpda,
-    StackWord,
-    Word,
-    _configuration,
-    _drive,
-    advance,
-    config_member,
-)
+from .dpda import Configuration, Dpda, StackWord, Word, _drive
 
 # Cap on the pairs the search for a distinguishing word may visit.  A
 # search that closes under it proves the two configurations equivalent; a
@@ -68,14 +59,15 @@ class ExhaustedError(Exception):
 @dataclass(frozen=True)
 class Pump:
     """A stack-increasing loop: base -v-> (p, X·delta) and (p, X) -x->
-    (p, X·gamma), x and gamma nonempty, from the start or a given base."""
+    (p, X·gamma), x and gamma nonempty; `top` and `bottom` are the graph's
+    nodes of gamma·delta and delta."""
 
     v: Word
     x: Word
     p: str
     X: str
-    gamma: StackWord
-    delta: StackWord
+    top: int
+    bottom: int
 
 
 @dataclass(frozen=True)
@@ -150,7 +142,8 @@ def pop_summaries(m: Dpda) -> dict[tuple[str, str], dict[str, Word]]:
 class _Product:
     """Hash-consed stacks and sides with memoised reads over one machine's
     configurations, shared by a whole extraction: the divergent-word
-    search, every distinguisher call it makes, and the pump stage.
+    search, every distinguisher call it makes, the levels and pumps of its
+    word, and the periodicity of the y-iterates.
 
     Stack node 0 is the empty stack and node i stands for (top symbol, node
     below), `heights[i]` symbols tall; side i stands for the (state, node)
@@ -214,10 +207,11 @@ class _Product:
         """c's side after its ε-closure, and whether the closure accepts."""
         return self.read(self.side(c.state, self.push(0, c.stack[::-1])), "")
 
-    def stack(self, node: int) -> StackWord:
-        """The stack word that `node` stands for, top first."""
+    def stack(self, node: int, stop: int = 0) -> StackWord:
+        """The stack word from `node` down to the node `stop` below it, by
+        default all that `node` stands for, top first."""
         stack = []
-        while node:
+        for _ in range(self.heights[node] - self.heights[stop]):
             top, node = self.cells[node]
             stack.append(top)
         return tuple(stack)
@@ -437,7 +431,7 @@ def find_divergent_word(graph: _Product, target_length: int) -> Word:
 
     Greedy extension with backtracking; extensions that grow the stack are
     tried first, which steers the word toward the stack-increasing runs the
-    downstream stair analysis needs.  The kept prefixes are the leaves of a
+    downstream level analysis needs.  The kept prefixes are the leaves of a
     discrimination tree (Kearns & Vazirani); each inner node holds a word
     that separates the prefixes of its two subtrees.  A candidate sifts
     down by its flags on those words to the one leaf it could equal.  It is
@@ -517,74 +511,69 @@ def find_divergent_word(graph: _Product, target_length: int) -> Word:
         pending.append(extensions(side))
 
 
-def stair_factorize(m: Dpda, u: Word) -> tuple[tuple[int, Configuration], ...]:
-    """Decompose the run on u along positions whose stack is never touched
-    again within u: the levels (i, c) of `_levels` from the start
-    configuration, whose positions and stack heights strictly increase, but
-    the first, so that pumps are based at the second and later ones.  A run
-    with one level has none after it, and gives ().
-    """
-    return tuple(_levels(m, m.start_configuration(), u)[1:])
-
-
-def _levels(m: Dpda, c: Configuration, u: Word) -> list[tuple[int, Configuration]]:
-    """The levels (i, c_i) of the run on u from c, in order: reading u[:i]
-    from c lands in the stable configuration c_i, and every configuration
+def _levels(graph: _Product, side: int, u: Word) -> list[tuple[int, int]]:
+    """The levels (i, s_i) of the run on u from `side`, in order: reading
+    u[:i] from it lands on the stable side s_i, and every configuration
     visited after it, unstable ones inside ε-chains included, keeps a
     strictly taller stack.  ε-steps pop, so the lowest stack between two
     letters is the stable one before the next letter, and the test reads
-    only the stable stacks after each letter.  A run that sticks ends its
-    levels there.
+    only the heights of the stable sides after each letter, off the
+    graph's nodes.  A run that sticks ends its levels there.
     """
-    stack = list(reversed(c.stack))
-    state, _, _ = _drive(m, c.state, stack, "")
-    stables = [_configuration(state, stack)]  # after each read prefix u[:i]
+    read, pairs, heights = graph.read, graph.pairs, graph.heights
+    stables = [read(side, "")[0]]  # after each read prefix u[:i]
     for ch in u:
-        state, _, consumed = _drive(m, state, stack, ch)
-        if not consumed:
+        end = read(stables[-1], ch)[0]
+        if end is None:
             break
-        stables.append(_configuration(state, stack))
+        stables.append(end)
 
     levels, lowest = [], float("inf")  # the least stable height after i
-    for i in reversed(range(len(stables))):
-        if len(stables[i].stack) < lowest:
-            levels.append((i, stables[i]))
-            lowest = len(stables[i].stack)
+    for i, stable in reversed(list(enumerate(stables))):
+        if (height := heights[pairs[stable][1]]) < lowest:
+            levels.append((i, stable))
+            lowest = height
     return levels[::-1]
 
 
-def _pumps(m: Dpda, u: Word, levels):
+def _pumps(graph: _Product, u: Word, levels):
     """Stack-increasing loops read off repeated pairs of the levels of u,
     generated lazily: a candidate is re-checked only when the pump before
     it has been taken.
 
-    For every two levels (i, c_i) and (j, c_j), i < j, with the same state
-    p and top symbol X: v = u[:i] and x = u[i:j], delta is c_i's stack
-    below X, and gamma is what c_j's stack holds between X and delta.  x and
-    gamma are nonempty because positions and stack heights strictly
-    increase along the levels.  Every candidate is re-checked by simulation
-    (pX -x-> pX·gamma from the bare stack X) before it is yielded.  The
-    check is a safety net, not a filter: the run on x from c_i keeps every
-    stack taller than c_i's, so from the bare X it takes the same steps.
+    For every two levels (i, s_i) and (j, s_j), i < j, whose sides have
+    the same state p and top symbol X: v = u[:i] and x = u[i:j], `bottom`
+    is the node below X on s_i, delta, and `top` the node below X on s_j,
+    gamma·delta.  x and gamma are nonempty because positions and stack
+    heights strictly increase along the levels.  Every candidate is
+    re-checked by reading x from the bare stack X on the graph (pX -x->
+    pX·gamma) before it is yielded.  The check is a safety net, not a
+    filter: the run on x from s_i keeps every stack taller than s_i's, so
+    from the bare X it takes the same steps.
     """
-    for lo, (i, ci) in enumerate(levels):
-        if not ci.stack:
+    cells, pairs = graph.cells, graph.pairs
+    for lo, (i, si) in enumerate(levels):
+        p, node = pairs[si]
+        if not node:
             continue  # only the first level can be empty, and has no top
-        p, X, delta = ci.state, ci.stack[0], ci.stack[1:]
-        for j, cj in levels[lo + 1 :]:
-            if (cj.state, cj.stack[0]) != (p, X):
+        X, bottom = cells[node]
+        for j, sj in levels[lo + 1 :]:
+            state, node = pairs[sj]
+            if (state, cells[node][0]) != (p, X):
                 continue
-            gamma = cj.stack[1 : len(cj.stack) - len(delta)]
-            looped = advance(m, Configuration(p, (X,)), u[i:j])
-            if looped is None or looped[0] != Configuration(p, (X,) + gamma):
+            top = cells[node][1]
+            end = graph.read(graph.side(p, graph.push(0, (X,))), u[i:j])[0]
+            looped = graph.push(0, (*graph.stack(top, bottom)[::-1], X))  # X·gamma
+            if end is None or pairs[end] != (p, looped):
                 continue
-            yield Pump(v=u[:i], x=u[i:j], p=p, X=X, gamma=gamma, delta=delta)
+            yield Pump(v=u[:i], x=u[i:j], p=p, X=X, top=top, bottom=bottom)
 
 
 def _level_flags(
-    m: Dpda, q: str, gamma: StackWord, delta: StackWord, z: Word, top: StackWord = ()
+    graph: _Product, q: str, top: int, bottom: int, z: Word, head: StackWord = ()
 ) -> tuple[list[bool], int]:
-    """z's membership in L(q top gamma^l delta) for every l, as (flags,
+    """z's membership in L(q head gamma^l delta) for every l, gamma·delta
+    and delta being the graph's nodes `top` and `bottom`, as (flags,
     start): flags[l] up to its end, then cycling through flags[start:].
 
     The run on z reads the stack one gamma window at a time, and what it
@@ -597,16 +586,16 @@ def _level_flags(
     run from the key after l windows.  The orbit is followed until a key
     repeats, where the flags start to cycle, or the run ends inside a
     window, after which every higher level ends there too, with one flag.
-    A nonempty `top` is one more window above them all, read first.
+    A nonempty `head` is one more window above them all, read first.
     """
-    windows = gamma[::-1], delta[::-1]  # top last, as `_drive` holds them
+    windows = graph.stack(top, bottom)[::-1], graph.stack(bottom)[::-1]  # top last
 
     def run(key, window):
         # The key entering the window below, or None when the run ends in
         # this one, and the flag z gets if the stack ends under it.
         state, i, carried = key
         stack = list(window)
-        state, acc, consumed = _drive(m, state, stack, z[i:])
+        state, acc, consumed = _drive(graph.m, state, stack, z[i:])
         i += consumed
         flag = i == len(z) and (acc or (carried and not consumed))
         return (None if stack else (state, i, flag)), flag
@@ -614,8 +603,8 @@ def _level_flags(
     flags: list[bool] = []
     seen: dict[tuple[str, int, bool], int] = {}
     key: Optional[tuple[str, int, bool]] = (q, 0, False)
-    if top:
-        key, flag = run(key, top[::-1])
+    if head:
+        key, flag = run(key, head[::-1])
         if key is None:
             return [flag], 0
     while key not in seen:
@@ -628,17 +617,29 @@ def _level_flags(
 
 
 def periodicity(m: Dpda, base: Configuration, y: Word, z: Word) -> PeriodicityReport:
-    """The eventual periodicity of membership of y^l z in L(base), exact.
+    """The eventual periodicity of membership of y^l z in L(base), exact:
+    `_periodicity` on base's side in a graph of m of its own."""
+    if not y:
+        raise ValueError("y must be nonempty")
+    graph = _Product(m)
+    return _periodicity(graph, graph.side(base.state, graph.push(0, base.stack[::-1])), y, z)
 
-    The snapshots after y^l from base (a configuration, and whether the
-    last letter's run saw an accepting state) are values of a deterministic
-    run: once one repeats, the memberships cycle.  Until one does, at
-    l = 2, 4, 8, ... the run on y^l from base is searched for a verified
-    pump at a level i = |v| whose loop x is a multiple of |y| letters.  Each
-    loop reads the same letters and stays above its X, so position i + t|x|
-    holds p X gamma^t delta for every t, and an l with l|y| = i + t|x| + r,
-    0 < r <= |x|, has the membership of x[:r] z there: one `_level_flags`
-    orbit in t per r (r > 0 keeps the flag of z = ε the last letter's).
+
+def _periodicity(graph: _Product, side: int, y: Word, z: Word) -> PeriodicityReport:
+    """The eventual periodicity of membership of y^l z in the language of
+    the configuration that `side` stands for, exact, y nonempty.
+
+    The snapshots after y^l from the side (the side the run ends on, and
+    whether the last letter's run saw an accepting state; (None, False)
+    once the run strands) are values of a deterministic run: once one
+    repeats, the memberships cycle.  Until one does, at l = 2, 4, 8, ...
+    the levels of the run on y^l from the side are searched for a
+    verified pump at a level i = |v| whose loop x is a multiple of |y|
+    letters.  Each loop reads the same letters and stays above its X, so
+    position i + t|x| holds p X gamma^t delta for every t, and an l with
+    l|y| = i + t|x| + r, 0 < r <= |x|, has the membership of x[:r] z
+    there: one `_level_flags` orbit in t per r (r > 0 keeps the flag of
+    z = ε the last letter's).
 
     The search ends.  If no snapshot repeats, no configuration recurs at
     one position mod |y| either, so the stack heights along the run on
@@ -647,24 +648,21 @@ def periodicity(m: Dpda, base: Configuration, y: Word, z: Word) -> PeriodicityRe
     mod |y|); once y^l covers both, they are levels of its run and give
     such a pump.
     """
-    if not y:
-        raise ValueError("y must be nonempty")
+    read = graph.read
     seq: list[bool] = []  # the membership of y^l z, for l = 0, 1, ...
-    seen: dict[Optional[tuple[Configuration, bool]], int] = {}
-    snapshot, n, horizon, pump = advance(m, base, ""), len(y), 2, None
+    seen: dict[tuple[Optional[int], bool], int] = {}
+    snapshot, n, horizon, pump = read(side, ""), len(y), 2, None
     while snapshot not in seen:
         if len(seq) == horizon:
             u, horizon = y * horizon, horizon * 2
-            pump = next((p for p in _pumps(m, u, _levels(m, base, u)) if len(p.x) % n == 0), None)
+            pumps = _pumps(graph, u, _levels(graph, side, u))
+            pump = next((p for p in pumps if len(p.x) % n == 0), None)
             if pump is not None:
                 break
         seen[snapshot] = len(seq)
-        if snapshot is None:
-            seq.append(False)
-        else:
-            cfg, arrived = snapshot
-            seq.append(config_member(m, cfg, z) if z else arrived)
-            snapshot = advance(m, cfg, y)
+        end, arrived = snapshot
+        seq.append(read(end, z)[1] if z else arrived)
+        snapshot = read(end, y)
 
     if pump is None:  # the memberships cycle from the repeated snapshot's first sighting
         k0 = seen[snapshot]
@@ -672,7 +670,7 @@ def periodicity(m: Dpda, base: Configuration, y: Word, z: Word) -> PeriodicityRe
     else:
         i, size = len(pump.v), len(pump.x)
         orbits = {  # r -> the orbit of x[:r] z, for each r that ends on a y boundary
-            r: _level_flags(m, pump.p, pump.gamma, pump.delta, pump.x[:r] + z, top=(pump.X,))
+            r: _level_flags(graph, pump.p, pump.top, pump.bottom, pump.x[:r] + z, head=(pump.X,))
             for r in range(-i % n or n, size + 1, n)
         }
 

@@ -367,10 +367,6 @@ def _drive(m: Dpda, state: str, stack: list[str], word: Word) -> tuple[str, bool
     return state, acc, consumed
 
 
-def _configuration(state: str, stack: list[str]) -> Configuration:
-    return Configuration(state, tuple(reversed(stack)))
-
-
 def complete_dpda(m: Dpda) -> Dpda:
     """Return a machine that reads every input word in full.
 
@@ -511,7 +507,7 @@ def advance(m: Dpda, c: Configuration, word: Word) -> Optional[tuple[Configurati
     state, acc, consumed = _drive(m, c.state, stack, word)
     if consumed < len(word):
         return None
-    return _configuration(state, stack), acc
+    return Configuration(state, tuple(reversed(stack))), acc
 
 
 def config_member(m: Dpda, c: Configuration, word: Word) -> bool:

@@ -21,14 +21,14 @@ from typing import Any, Optional
 from .analysis import (
     ExhaustedError,
     _level_flags,
+    _levels,
+    _periodicity,
     _Product,
     _pumps,
     find_divergent_word,
-    periodicity,
-    stair_factorize,
 )
 from .corpus import is_lsharp, is_lsharp_prefix
-from .dpda import Configuration, Dpda, Word, complete_dpda
+from .dpda import Dpda, Word, complete_dpda
 from .mealy import (
     LanguageOracle,
     OracleMealyMachine,
@@ -194,13 +194,13 @@ def repair_nonempty(t: WitnessTuple) -> WitnessTuple:
     return replace(t, v=v, w=w, z=z)
 
 
-def _loop_candidates(graph: _Product, pump, top: int, bottom: int):
+def _loop_candidates(graph: _Product, pump):
     """States q with nonempty pX ->w q and q gamma ->y q witnesses, gamma
-    being the stack from node `top` down to node `bottom` of the graph."""
+    being the stack from the pump's node `top` down to its node `bottom`."""
     pops_here = graph.summary.get((pump.p, pump.X), {})
     for q in sorted(pops_here):
         w_word = pops_here[q]  # nonempty: a level's top (p, X) has no ε-rule
-        *_, pops = graph.pop_layers(q, top, bottom)
+        *_, pops = graph.pop_layers(q, pump.top, pump.bottom)
         y_word = pops.get(q)
         if y_word:
             yield q, w_word, y_word
@@ -211,19 +211,20 @@ def find_witness(m: Dpda, budgets: SearchBudgets = SearchBudgets()) -> WitnessTu
     language (the caller asserts non-regularity).
 
     Pipeline: complete the machine and build its one `_Product` graph,
-    which every stage below reads; grow a divergent word;
-    stair-factorize it and take its verified pumps one at a time, so that
-    a candidate is re-checked only when the search gets to it; for each
-    pump find a state q reachable by popping X and again by
+    whose sides and nodes every stage below reads; grow a divergent word;
+    read its levels as sides of the graph and take its verified pumps one
+    at a time, so that a candidate is re-checked only when the search gets
+    to it; for each pump, whose gamma·delta and delta are nodes read off
+    two levels, find a state q reachable by popping X and again by
     popping gamma (nonempty witnesses w and y); walk the words z on which
     L(q gamma delta) and L(q delta) differ, in one pruned walk; read z's
     membership on every level q gamma^l delta exactly, as the threshold
     and cycle of one gamma window's orbit, skip z when the cycle is not
     constant, and shift the base by gamma^l0, l0 the last change, so that
     the difference stabilizes; read the periodicity of y-iterates from the
-    shifted base exactly and raise x, y to a multiple of the period above
-    the threshold; fix the polarity by whether z lies in the shifted base
-    language; repair empty components.  Every stage is exact, so the first
+    shifted base's side exactly and raise x, y to a multiple of the period
+    above the threshold; fix the polarity by whether z lies in the shifted
+    base language; repair empty components.  Every stage is exact, so the first
     z that stabilizes gives a tuple that holds for every (m, n) (Jančar &
     Šíma); its re-check at bounds (25, 25) against the machine's own
     language raises AssertionError, a bug, if it fails.
@@ -262,27 +263,29 @@ def _search_witness(m: Dpda, budgets: SearchBudgets) -> WitnessTuple:
     except ExhaustedError as exc:
         raise SearchExhaustedError("divergent_word", budgets) from exc
 
+    origin, _ = graph.close(mc.start_configuration())
     deepest = "pump"
-    for pump in _pumps(mc, u, stair_factorize(mc, u)):
+    for pump in _pumps(graph, u, _levels(graph, origin, u)[1:]):
         deepest = max(deepest, "pop_witness", key=_STAGES.index)
-        bottom = graph.push(0, pump.delta[::-1])
-        top = graph.push(bottom, pump.gamma[::-1])
-        for q, w_word, y_word in _loop_candidates(graph, pump, top, bottom):
+        for q, w_word, y_word in _loop_candidates(graph, pump):
             deepest = max(deepest, "z_probe", key=_STAGES.index)
             # Each z separates q delta from q gamma delta: its flags on the
             # levels q gamma^l delta differ at l = 0 and 1.
-            for z in graph.separators(graph.side(q, bottom), graph.side(q, top), budgets.z_length):
+            sides = graph.side(q, pump.bottom), graph.side(q, pump.top)
+            for z in graph.separators(*sides, budgets.z_length):
                 deepest = max(deepest, "stabilize", key=_STAGES.index)
-                flags, start = _level_flags(mc, q, pump.gamma, pump.delta, z)
+                flags, start = _level_flags(graph, q, pump.top, pump.bottom, z)
                 settled = flags[-1]
                 if len(set(flags[start:])) > 1:
                     continue  # the cycle holds both values: z never settles
                 l0 = max(l for l, f in enumerate(flags) if f != settled)  # the last change
-                base = Configuration(q, pump.gamma * l0 + pump.delta)
-                report = periodicity(mc, base, y_word, z)
+                v = pump.v + pump.x * l0
+                # v leads to p X gamma^l0 delta; the base is q over what lies below X.
+                below = graph.cells[graph.pairs[graph.read(origin, v)[0]][1]][1]
+                report = _periodicity(graph, graph.side(q, below), y_word, z)
                 k0 = report.period * (report.k // report.period + 1)
                 polarity = COMPLEMENT if settled else DIRECT
-                v, x, y = pump.v + pump.x * l0, pump.x * k0, y_word * k0
+                x, y = pump.x * k0, y_word * k0
                 candidate = repair_nonempty(WitnessTuple(v, x, w_word, y, z, polarity))
                 if not verify_witness(oracle, candidate, 25, 25).passed:
                     raise AssertionError(f"{candidate} fails its 25 x 25 grid")

@@ -19,7 +19,6 @@ from dcflab.analysis import (
     find_divergent_word,
     periodicity,
     pop_summaries,
-    stair_factorize,
 )
 from dcflab.dpda import Configuration, advance, config_member, complete_dpda, validate_dpda
 from dcflab.witness import SearchBudgets, SearchExhaustedError, _loop_candidates, find_witness
@@ -54,9 +53,26 @@ def separates(m, c1, c2, w):
     )
 
 
+def start_levels(graph, u):
+    """`_levels` of the run on u from the start of the graph's machine."""
+    return analysis._levels(graph, graph.close(graph.m.start_configuration())[0], u)
+
+
+def run_levels(m, u, graph=None):
+    """The levels of the run on u from m's start, as (position,
+    configuration) pairs, on `graph` or a fresh `_Product(m)`."""
+    graph = analysis._Product(m) if graph is None else graph
+    return [(i, graph.configuration(side)) for i, side in start_levels(graph, u)]
+
+
 def pumps(m, u):
-    """Every pump read off the levels of u."""
-    return list(analysis._pumps(m, u, stair_factorize(m, u)))
+    """Every pump read off the levels of u past the first, on a fresh
+    graph, as (pump, gamma, delta) with gamma and delta its nodes' stacks."""
+    graph = analysis._Product(m)
+    return [
+        (pump, graph.stack(pump.top, pump.bottom), graph.stack(pump.bottom))
+        for pump in analysis._pumps(graph, u, start_levels(graph, u)[1:])
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -694,19 +710,18 @@ class TestPopLayers:
             graph = analysis._Product(m)
             summary, seen = graph.summary, set()
             for u in bf.iter_words(m.input_alphabet, 6):
-                for pump in analysis._pumps(m, u, stair_factorize(m, u)):
+                for pump in analysis._pumps(graph, u, start_levels(graph, u)[1:]):
                     if pump in seen:
                         continue
                     seen.add(pump)
-                    bottom = graph.push(0, pump.delta[::-1])
-                    top = graph.push(bottom, pump.gamma[::-1])
+                    gamma = graph.stack(pump.top, pump.bottom)
                     want = [
                         (q, w, y)
                         for q, w in sorted(summary.get((pump.p, pump.X), {}).items())
-                        for y in [pop_witnesses(summary, q, pump.gamma).get(q)]
+                        for y in [pop_witnesses(summary, q, gamma).get(q)]
                         if w and y
                     ]
-                    assert list(_loop_candidates(graph, pump, top, bottom)) == want, pump
+                    assert list(_loop_candidates(graph, pump)) == want, pump
                     found += len(want)
         assert found > 100
 
@@ -1328,26 +1343,26 @@ class TestFewerReadsSameWords:
 
 class TestStairs:
     def test_lsharp_0000(self, lsharp):
-        st_ = stair_factorize(lsharp, "0000")
+        st_ = run_levels(lsharp, "0000")[1:]
         assert [i for i, _ in st_] == [1, 2, 3, 4]
         assert [c.stack[0] for _, c in st_] == ["A0", "A", "A", "A"]
         assert all(c.state == "q0" for _, c in st_)
 
     def test_replaying_prefixes_reproduces_levels(self, lsharp):
         u = "000000"
-        for i, c in stair_factorize(lsharp, u):
+        for i, c in run_levels(lsharp, u):
             assert advance(lsharp, lsharp.start_configuration(), u[:i])[0] == c
 
     def test_positions_and_heights_increase(self, lsharp):
         u = "000000"
-        levels = stair_factorize(lsharp, u)
+        levels = run_levels(lsharp, u)[1:]
         for (i, ci), (j, cj) in zip(levels, levels[1:]):
             assert 0 < i < j <= len(u)
             assert len(ci.stack) < len(cj.stack)
             assert cj.stack[-len(ci.stack) :] == ci.stack
 
     def test_fail_word_has_no_levels(self, lsharp):
-        assert stair_factorize(lsharp, "10") == ()
+        assert run_levels(lsharp, "10")[1:] == []
 
     @pytest.mark.parametrize("complete", [False, True])
     def test_levels_match_the_rules_only_reference(self, complete):
@@ -1355,25 +1370,26 @@ class TestStairs:
         machines += [random_eps_machine(random.Random(seed)) for seed in range(30)]
         for m in machines:
             m = complete_dpda(m) if complete else m
+            graph = analysis._Product(m)
             for u in bf.iter_words(m.input_alphabet, 6):
                 ref = [(i, Configuration(*c)) for i, c in bf.ref_levels(m, u)]
-                assert stair_factorize(m, u) == tuple(ref[1:]), u
+                assert run_levels(m, u, graph) == ref, u
 
 
 class TestPumps:
     def test_lsharp_pump(self, lsharp):
         found = pumps(lsharp, "000000")
         assert found
-        first = found[0]
+        first, gamma, _ = found[0]
         assert first.x == "0"
-        assert len(first.gamma) == 1
+        assert len(gamma) == 1
 
     def test_pump_soundness_iterates(self, lsharp):
-        for pump in pumps(lsharp, "000000"):
+        for pump, gamma, _ in pumps(lsharp, "000000"):
             for m_times in range(6):
                 res = advance(lsharp, Configuration(pump.p, (pump.X,)), pump.x * m_times)
                 assert res is not None
-                assert res[0] == Configuration(pump.p, (pump.X,) + pump.gamma * m_times)
+                assert res[0] == Configuration(pump.p, (pump.X,) + gamma * m_times)
 
     def test_short_word_has_no_pump(self, lsharp):
         assert pumps(lsharp, "0") == []
@@ -1391,44 +1407,51 @@ class TestPumps:
         # From a level c_i on, the run keeps every stack taller than c_i's,
         # so it reads the same from the bare top X, and every repeated
         # (state, top) level pair is a pump.
+        graph = analysis._Product(m)
         for u in bf.iter_words(m.input_alphabet, 6):
-            levels = stair_factorize(m, u)
+            levels = start_levels(graph, u)[1:]
+            configs = [(i, graph.configuration(side)) for i, side in levels]
             unchecked = [
-                analysis.Pump(
-                    v=u[:i],
-                    x=u[i:j],
-                    p=ci.state,
-                    X=ci.stack[0],
-                    gamma=cj.stack[1 : len(cj.stack) - len(ci.stack) + 1],
-                    delta=ci.stack[1:],
+                (
+                    u[:i],
+                    u[i:j],
+                    ci.state,
+                    ci.stack[0],
+                    cj.stack[1 : len(cj.stack) - len(ci.stack) + 1],
+                    ci.stack[1:],
                 )
-                for lo, (i, ci) in enumerate(levels)
-                for j, cj in levels[lo + 1 :]
+                for lo, (i, ci) in enumerate(configs)
+                for j, cj in configs[lo + 1 :]
                 if (cj.state, cj.stack[0]) == (ci.state, ci.stack[0])
             ]
-            assert list(analysis._pumps(m, u, levels)) == unchecked, u
+            got = [
+                (p.v, p.x, p.p, p.X, graph.stack(p.top, p.bottom), graph.stack(p.bottom))
+                for p in analysis._pumps(graph, u, levels)
+            ]
+            assert got == unchecked, u
 
     def test_stair_and_pump_invariants_on_random_words(self):
         rng = random.Random(1789)
         factorized = 0
         for name in corpus.names():
             m = machine(name)
+            graph = analysis._Product(m)
             sigma = sorted(m.input_alphabet)
             for _ in range(120):
                 u = "".join(rng.choice(sigma) for _ in range(rng.randint(0, 14)))
-                st_ = stair_factorize(m, u)
+                st_ = run_levels(m, u, graph)[1:]
                 if not st_:
                     continue
                 factorized += 1
                 for i, c in st_:
                     got = advance(m, m.start_configuration(), u[:i])[0]
                     assert got == c, (name, u)
-                for p in pumps(m, u)[:4]:
-                    assert p.x and p.gamma, (name, u)
+                for p, gamma, _ in pumps(m, u)[:4]:
+                    assert p.x and gamma, (name, u)
                     for reps in range(4):
                         r = advance(m, Configuration(p.p, (p.X,)), p.x * reps)
                         assert r is not None
-                        assert r[0] == Configuration(p.p, (p.X,) + p.gamma * reps)
+                        assert r[0] == Configuration(p.p, (p.X,) + gamma * reps)
         assert factorized > 100
 
 
@@ -1443,10 +1466,15 @@ def first_pumps(m, count=2):
 
 
 def level_cases(m, max_len=3):
-    """(pump, q, z) for the first pumps of m, every state q and every z
-    with |z| <= max_len."""
+    """(gamma, delta, q, z) for the first pumps of m, every state q and
+    every z with |z| <= max_len."""
     words = list(bf.iter_words(m.input_alphabet, max_len))
-    return [(p, q, z) for p in first_pumps(m) for q in sorted(m.states) for z in words]
+    return [
+        (gamma, delta, q, z)
+        for _, gamma, delta in first_pumps(m)
+        for q in sorted(m.states)
+        for z in words
+    ]
 
 
 # The carried flag: from p A^l B, z = a moves to the accepting f, whose
@@ -1469,9 +1497,15 @@ CARRY_RAW = {
 }
 
 
-def level_flags(m, q, gamma, delta, z, top=20):
+def flag_orbit(graph, q, gamma, delta, z):
+    """`_level_flags` on the graph's nodes of gamma·delta and delta."""
+    bottom = graph.push(0, delta[::-1])
+    return analysis._level_flags(graph, q, graph.push(bottom, gamma[::-1]), bottom, z)
+
+
+def level_flags(graph, q, gamma, delta, z, top=20):
     """`_level_flags`' flags for l = 0..top, its cycle unrolled."""
-    flags, start = analysis._level_flags(m, q, gamma, delta, z)
+    flags, start = flag_orbit(graph, q, gamma, delta, z)
     cycle = flags[start:]
     return [flags[l] if l < start else cycle[(l - start) % len(cycle)] for l in range(top + 1)]
 
@@ -1479,16 +1513,15 @@ def level_flags(m, q, gamma, delta, z, top=20):
 class TestLevelFlags:
     @pytest.mark.parametrize("m", SMALL_MACHINES)
     def test_matches_the_reference(self, m):
-        for pump, q, z in level_cases(m):
-            got = level_flags(m, q, pump.gamma, pump.delta, z)
-            want = [
-                bf.ref_config_member(m, q, pump.gamma * l + pump.delta, z) for l in range(21)
-            ]
-            assert got == want, (pump, q, z)
+        graph = analysis._Product(m)
+        for gamma, delta, q, z in level_cases(m):
+            got = level_flags(graph, q, gamma, delta, z)
+            want = [bf.ref_config_member(m, q, gamma * l + delta, z) for l in range(21)]
+            assert got == want, (gamma, delta, q, z)
 
     def test_flag_is_carried_across_windows(self):
         m = complete_dpda(validate_dpda(CARRY_RAW))
-        got = level_flags(m, "p", ("A",), ("B",), "a")
+        got = level_flags(analysis._Product(m), "p", ("A",), ("B",), "a")
         assert got == [False] + [True] * 20
         assert got == [bf.ref_config_member(m, "p", ("A",) * l + ("B",), "a") for l in range(21)]
 
@@ -1496,7 +1529,7 @@ class TestLevelFlags:
         # Level 0 rejects; from level 1 on, the carried flag accepts, and
         # the key after the second window repeats the first's.
         m = complete_dpda(validate_dpda(CARRY_RAW))
-        assert analysis._level_flags(m, "p", ("A",), ("B",), "a") == ([False, True], 1)
+        assert flag_orbit(analysis._Product(m), "p", ("A",), ("B",), "a") == ([False, True], 1)
 
     def test_drive_runs_are_bounded_by_the_keys(self, monkeypatch):
         # One gamma run and one delta run per key of the orbit.
@@ -1511,10 +1544,11 @@ class TestLevelFlags:
         checked = 0
         for param in SMALL_MACHINES:
             (m,) = param.values
-            for pump, q, z in level_cases(m):
+            graph = analysis._Product(m)
+            for gamma, delta, q, z in level_cases(m):
                 runs.clear()
-                analysis._level_flags(m, q, pump.gamma, pump.delta, z)
-                assert len(runs) <= 2 * len(m.states) * (len(z) + 2), (pump, q, z)
+                flag_orbit(graph, q, gamma, delta, z)
+                assert len(runs) <= 2 * len(m.states) * (len(z) + 2), (gamma, delta, q, z)
                 checked += 1
         assert checked > 1000
 
@@ -1595,7 +1629,9 @@ class TestPeriodicity:
         # (and the run's end) are levels: the pump starts mid-y.
         m = validate_dpda(ROTATED_RAW)
         base = Configuration("p", ("X", "Z"))
-        assert [i for i, _ in analysis._levels(m, base, "ab" * 4)] == [1, 3, 5, 7, 8]
+        graph = analysis._Product(m)
+        side = graph.side(base.state, graph.push(0, base.stack[::-1]))
+        assert [i for i, _ in analysis._levels(graph, side, "ab" * 4)] == [1, 3, 5, 7, 8]
         for z in bf.iter_words("abc", 3):
             before = len(tails)
             assert_exact_periodicity(m, base, "ab", z)
@@ -1663,7 +1699,7 @@ def tails(monkeypatch):
     real = analysis._level_flags
 
     def spy(*args, **kwargs):
-        if kwargs.get("top"):
+        if kwargs.get("head"):
             calls.append(args)
         return real(*args, **kwargs)
 
@@ -1673,7 +1709,12 @@ def tails(monkeypatch):
 
 def periodicity_cases(m, count=12):
     """(base, y, z) drawn from m's short words: base after a prefix of
-    length <= 2, 1 <= |y| <= 2 and |z| <= 2."""
+    length <= 2, 1 <= |y| <= 2 and |z| <= 2.  Two more bases follow, each
+    with z empty and with z nonempty: the start state over the empty stack,
+    whose run strands on the first letter, so that every later snapshot is
+    stranded, and, when m has an ε-rule, that rule's state over its top
+    and m's start symbol, which pops by the ε-rule before reading
+    anything."""
     rng = random.Random(len(m.rules))
     words = list(bf.iter_words(sorted(m.input_alphabet), 2))
     cases = []
@@ -1682,6 +1723,12 @@ def periodicity_cases(m, count=12):
         res = advance(m, m.start_configuration(), prefix)
         if res is not None:
             cases.append((res[0], y, z))
+    bases = [Configuration(m.start_state, ())]
+    eps = [r for r in m.rules if not r.label]
+    bases += [Configuration(r.from_state, (r.top, m.start_symbol)) for r in eps[:1]]
+    for base in bases:
+        y = rng.choice(words[1:])
+        cases += [(base, y, ""), (base, y, rng.choice(words[1:]))]
     return cases
 
 

@@ -497,9 +497,10 @@ def test_rule_order_does_not_matter(m):
 
 @pytest.mark.parametrize("m", SMALL_MACHINES)
 def test_visit_heights_match_the_reference(m):
-    # `stair_factorize` reads levels off the stable stacks alone, because
-    # from a letter's own step to the next letter the run only pops: of
-    # the heights it visits since the letter, the stable one is the lowest.
+    # `analysis._levels` reads levels off the heights of the stable sides
+    # alone, because from a letter's own step to the next letter the run
+    # only pops: of the heights it visits since the letter, the stable one
+    # is the lowest.
     start = (m.start_symbol,)
     for w in bf.iter_words(m.input_alphabet, 6):
         before = bf.ref_heights(m, m.start_state, start, w[:-1])

@@ -304,8 +304,10 @@ class TestFindWitness:
         assert m.outcomes == {budgets: stage}
         if stage == "pump":
             mc = complete_dpda(m)
-            u = analysis.find_divergent_word(analysis._Product(mc), length)
-            assert len(u) == length and analysis.stair_factorize(mc, u) == ()
+            graph = analysis._Product(mc)
+            u = analysis.find_divergent_word(graph, length)
+            start = graph.close(mc.start_configuration())[0]
+            assert len(u) == length and len(analysis._levels(graph, start, u)) == 1
 
     def test_a_z_that_never_settles_gives_way_to_the_next(self, monkeypatch):
         # The first z's flags on the levels q gamma^l delta cycle through
@@ -431,20 +433,20 @@ class TestFindWitness:
         # The pumps find_witness takes are a prefix of every pump read off
         # the levels of its divergent word, and no candidate past the pump
         # it returns with is re-checked.
-        words, taken = [], []  # the divergent word; (pump, re-checks so far)
-        rechecks = []  # `analysis.advance` calls made inside the pump generator
+        calls, taken = [], []  # the generator's arguments; (pump, re-checks so far)
+        rechecks = []  # graph reads made inside the pump generator
         inside = False
-        real_advance, real_pumps = analysis.advance, analysis._pumps
+        real_read, real_pumps = analysis._Product.read, analysis._pumps
 
-        def advance(*args):
+        def read(graph, *args):
             if inside:
                 rechecks.append(args)
-            return real_advance(*args)
+            return real_read(graph, *args)
 
-        def pumps(m, u, levels):
+        def pumps(graph, u, levels):
             nonlocal inside
-            words.append(u)
-            gen = real_pumps(m, u, levels)
+            calls.append((graph, u, levels))
+            gen = real_pumps(graph, u, levels)
             while True:
                 inside = True
                 pump = next(gen, None)
@@ -454,18 +456,18 @@ class TestFindWitness:
                 taken.append((pump, len(rechecks)))
                 yield pump
 
-        monkeypatch.setattr(analysis, "advance", advance)
+        monkeypatch.setattr(analysis._Product, "read", read)
         monkeypatch.setattr(witness, "_pumps", pumps)
         skipped = 0
         for name in corpus.names():
             m = complete_dpda(corpus.get_entry(name).machine)
-            words.clear()
+            calls.clear()
             taken.clear()
             rechecks.clear()
             if isinstance(outcome(m), str):
                 continue
-            assert len(rechecks) == taken[-1][1], name
-            every = list(real_pumps(m, words[0], analysis.stair_factorize(m, words[0])))
+            assert rechecks and len(rechecks) == taken[-1][1], name
+            every = list(real_pumps(*calls[0]))
             assert [pump for pump, _ in taken] == every[: len(taken)], name
             skipped += len(every) > len(taken)
         assert skipped
